@@ -4,6 +4,14 @@ separating-structure searches.
 Local edge connectivity is computed by unit-capacity max flow on a
 network where every hyperedge is split into an in/out node pair of
 capacity one, so a flow unit may cross each hyperedge at most once.
+
+lambda(G) and k-edge-connectivity need every pairwise value, but the
+hypergraph cut function is symmetric submodular, so a flow-equivalent
+tree exists: Gusfield's method finds it with n-1 max flows per
+component, all run on one network whose capacities are restored before
+each flow.  lambda(G) stops a component early once its largest flow
+reaches the component's second-largest degree, since
+lambda(v, w) <= min(deg v, deg w).
 """
 
 from __future__ import annotations
@@ -139,6 +147,11 @@ class _FlowNet:
             for v in e:
                 self._arc(v, g.n + 2 * i, big)
                 self._arc(g.n + 2 * i + 1, v, big)
+        self._initial_cap = self.cap[:]
+
+    def reset(self) -> None:
+        """Drop all flow, so the network can serve another pair."""
+        self.cap[:] = self._initial_cap
 
     def _arc(self, a: int, b: int, c: int) -> None:
         self.adj[a].append(len(self.to))
@@ -277,25 +290,58 @@ def local_edge_connectivity_value(g: Hypergraph, v: int, w: int) -> int:
     return _FlowNet(g).max_flow(v, w)
 
 
+def _tree_flows(net: _FlowNet, comp: tuple[int, ...]):
+    """Gusfield's flow-equivalent tree on one component, lazily: yields
+    the n-1 tree flow values.  Every pairwise value in the component is
+    the minimum over the tree path, so these give both the max and the
+    min over all pairs."""
+    parent = dict.fromkeys(comp, comp[0])
+    for i, s in enumerate(comp[1:], start=1):
+        t = parent[s]
+        net.reset()
+        value = net.max_flow(s, t)
+        side = net.residual_side(s)
+        for u in comp[i + 1 :]:
+            if parent[u] == t and u in side:
+                parent[u] = s
+        yield value
+
+
 def max_local_edge_connectivity(g: Hypergraph) -> int:
-    """lambda(G): max over all vertex pairs; 0 when |G| <= 1."""
+    """lambda(G): max over all vertex pairs; 0 when |G| <= 1.
+
+    Runs Gusfield's n-1 flows per component on one reused network, and
+    leaves a component once the best value reaches its second-largest
+    degree, which bounds every pair in it."""
     if g.n <= 1:
         return 0
+    degree = [0] * g.n
+    for e in g.edges:
+        for v in e:
+            degree[v] += 1
+    net = _FlowNet(g)
     best = 0
     for comp in components(g):
-        for v, w in itertools.combinations(comp, 2):
-            best = max(best, _FlowNet(g).max_flow(v, w))
+        if len(comp) < 2:
+            continue
+        bound = sorted(degree[v] for v in comp)[-2]
+        if best >= bound:
+            continue
+        for value in _tree_flows(net, comp):
+            best = max(best, value)
+            if best >= bound:
+                break
     return best
 
 
 def is_k_edge_connected(g: Hypergraph, k: int) -> bool:
+    """Connected, with every one of the n-1 tree flows at least k."""
     if g.n < 2:
         raise ValueError("edge connectivity needs at least 2 vertices")
-    if not is_connected(g):
+    comps = components(g)
+    if len(comps) > 1:
         return False
-    return all(
-        _FlowNet(g).max_flow(v, w) >= k for v, w in itertools.combinations(range(g.n), 2)
-    )
+    return all(value >= k for value in _tree_flows(_FlowNet(g), comps[0]))
 
 
 # -- blocks ----------------------------------------------------------------

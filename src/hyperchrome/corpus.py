@@ -4,9 +4,7 @@ families, with a manifest of expected invariants."""
 from __future__ import annotations
 
 import json
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .hypercore import Hypergraph
@@ -82,11 +80,6 @@ KNOWN = {
 }
 
 
-def _threads() -> int:
-    width = int(os.environ.get("HYPERCHROME_THREADS", "0"))
-    return width if width > 0 else (os.cpu_count() or 1)
-
-
 def instance_stats(g: Hypergraph, force: bool = False) -> dict:
     stats: dict = {"n": g.n, "m": g.m}
     try:
@@ -110,8 +103,7 @@ def build_corpus(seed: int, count: int, n_max: int, out_dir: str | Path) -> dict
         f"rand-{i:04d}": random_hypergraph(rng, n_max) for i in range(count)
     }
     instances.update(named_families())
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        stats = dict(zip(instances, pool.map(instance_stats, instances.values())))
+    stats = dict(zip(instances, map(instance_stats, instances.values())))
     entries = {}
     for name in sorted(instances):
         g = instances[name]

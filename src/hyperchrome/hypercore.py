@@ -227,7 +227,8 @@ class Hypergraph:
             if parts[0] == "n":
                 if n is not None:
                     raise HgrFormatError(line_no, "duplicate vertex-count line")
-                if len(parts) != 2 or not parts[1].isdigit():
+                # isdigit alone admits non-ASCII digits such as '²'
+                if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
                     raise HgrFormatError(line_no, "expected 'n <count>'")
                 n = int(parts[1])
             elif parts[0] == "e":

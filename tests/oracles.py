@@ -55,20 +55,18 @@ def all_hyperpaths(g: Hypergraph, v: int, w: int):
 
 
 def brute_local_lambda(g: Hypergraph, v: int, w: int) -> int:
-    """Max number of pairwise edge-disjoint (v,w)-hyperpaths."""
-    paths = all_hyperpaths(g, v, w)
-    best = 0
+    """Max number of pairwise edge-disjoint (v,w)-hyperpaths.
 
-    def pack(start: int, used: frozenset, size: int):
-        nonlocal best
-        best = max(best, size)
-        for i in range(start, len(paths)):
-            es = set(paths[i][1])
-            if not es & used:
-                pack(i + 1, used | es, size + 1)
-
-    pack(0, frozenset(), 0)
-    return best
+    Packing search over (path index, used-edge bitmask) states: after
+    the first i paths, ``best[used]`` is the most paths packable using
+    exactly the edges in ``used``, so equal masks are searched once."""
+    masks = [sum(1 << ref for ref in edges) for _, edges in all_hyperpaths(g, v, w)]
+    best = {0: 0}
+    for mask in masks:
+        for used, size in list(best.items()):
+            if not used & mask and best.get(used | mask, -1) < size + 1:
+                best[used | mask] = size + 1
+    return max(best.values())
 
 
 def brute_min_cut(g: Hypergraph, v: int, w: int) -> int:

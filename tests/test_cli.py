@@ -76,6 +76,13 @@ class TestErrorPaths:
         code, _ = run(capsys, ["chi", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize("count", ["²", "-3", "３", "3.0"])
+    def test_bad_vertex_count_reports_its_line(self, tmp_path, capsys, count):
+        path = tmp_path / "bad.hgr"
+        path.write_text(f"HGR 1\nn {count}\n", encoding="utf-8")
+        assert cli.main(["chi", str(path)]) == 2
+        assert "line 2" in capsys.readouterr().err
+
     def test_missing_file_is_input_error(self, capsys):
         code, _ = run(capsys, ["chi", "/nonexistent/g.hgr"])
         assert code == 2

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hyperchrome.hypercore import Hypergraph
 from hyperchrome import connectivity as conn
 from hyperchrome import constructions as cons
+from hyperchrome import corpus
 
 from conftest import hypergraphs, seeded_random_hypergraph
 import oracles
@@ -84,6 +85,70 @@ class TestLocalEdgeConnectivity:
         k4 = cons.complete_graph(4)
         assert conn.is_k_edge_connected(k4, 3)
         assert not conn.is_k_edge_connected(cons.cycle(5), 3)
+
+
+def _pair_values(g, value):
+    return [value(g, v, w) for v, w in itertools.combinations(range(g.n), 2)]
+
+
+class TestAllPairs:
+    """lambda and k-edge-connectivity come from n-1 tree flows; pin
+    them against every pair."""
+
+    @given(hypergraphs())
+    @settings(max_examples=100, deadline=None)
+    def test_match_brute_min_cut_over_all_pairs(self, g):
+        cuts = _pair_values(g, oracles.brute_min_cut)
+        assert conn.max_local_edge_connectivity(g) == max(cuts, default=0)
+        if g.n >= 2:
+            for k in range(1, max(cuts) + 2):
+                assert conn.is_k_edge_connected(g, k) == (min(cuts) >= k)
+
+    def test_match_per_pair_flows_on_random_instances(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            g = corpus.random_hypergraph(rng, 12)
+            flows = _pair_values(g, conn.local_edge_connectivity_value)
+            assert conn.max_local_edge_connectivity(g) == max(flows, default=0)
+            if g.n >= 2:
+                for k in range(max(flows) + 2):
+                    expected = conn.is_connected(g) and min(flows) >= k
+                    assert conn.is_k_edge_connected(g, k) == expected
+
+    def test_disconnected_and_isolated_vertex(self):
+        g = Hypergraph.of(7, [(0, 1), (0, 2), (1, 2), (3, 4, 5)])
+        assert conn.max_local_edge_connectivity(g) == 2
+        assert not conn.is_k_edge_connected(g, 0)
+        assert not conn.is_k_edge_connected(Hypergraph.of(2), 1)
+        assert conn.max_local_edge_connectivity(Hypergraph.of(3)) == 0
+
+    def test_only_children_of_the_sink_move_to_the_source(self):
+        # the flow 3 -> 1 leaves 5 on the side of 3; moving 5, a child
+        # of 2 and not of the sink 1, to 3 would hide (2, 5), the only
+        # pair of value 2, from the tree
+        g = Hypergraph.of(6, [(1, 3), (2, 3, 4, 5), (2, 5)])
+        assert conn.max_local_edge_connectivity(g) == 2
+
+    def test_fewer_than_two_vertices(self):
+        for n in (0, 1):
+            assert conn.max_local_edge_connectivity(Hypergraph.of(n)) == 0
+            with pytest.raises(ValueError):
+                conn.is_k_edge_connected(Hypergraph.of(n), 1)
+
+    def test_complete_graph_stops_at_degree_after_one_flow(self, monkeypatch):
+        flows = []
+        max_flow = conn._FlowNet.max_flow
+
+        def counted(net, s, t):
+            flows.append((s, t))
+            return max_flow(net, s, t)
+
+        monkeypatch.setattr(conn._FlowNet, "max_flow", counted)
+        assert conn.max_local_edge_connectivity(cons.complete_graph(7)) == 6
+        assert flows == [(1, 0)]
+        flows.clear()
+        assert conn.is_k_edge_connected(cons.complete_graph(7), 6)
+        assert len(flows) == 6
 
 
 class TestBlocks:
