@@ -187,20 +187,26 @@ def _wheel_leaf(g: Hypergraph) -> Leaf | None:
 
 def hk_certificate(g: Hypergraph, k: int, force: bool = False) -> Certificate | None:
     """A replayable join decomposition over the base shapes, or None
-    when the semantic oracle rejects.  Internal failures on accepted
-    inputs raise, since the equivalence theorem guarantees success."""
+    outside the class.  The membership oracle only gates inputs of
+    unknown shape; the certificate is checked by its replay."""
     if k < 3:
         raise ValueError("certificates exist only for k >= 3")
-    if not is_in_Ck(g, k, force=force):
-        return None
-    cert = _certify(g, k, force)
+    return _build_certificate(g, k) if is_in_Ck(g, k, force=force) else None
+
+
+def _build_certificate(g: Hypergraph, k: int) -> Certificate:
+    """Certificate of a (k+1)-critical g with lambda <= k; the class is
+    join-closed, so its bit-exact replay proves membership."""
+    cert = _certify(g, k)
     if not verify_certificate(g, cert):
         raise CertificateError("certificate replay mismatch; internal bug")
     return cert
 
 
-def _certify(g: Hypergraph, k: int, force: bool) -> Certificate:
-    if not conn.enumerate_separating_sets(g, 2):
+def _certify(g: Hypergraph, k: int) -> Certificate:
+    # In the class, a separating (vertex, edge) pair exists iff g is a join.
+    mixed = conn.mixed_separating_sets(g)
+    if not mixed:
         if k == 3:
             leaf = _wheel_leaf(g)
             if leaf is not None:
@@ -208,18 +214,14 @@ def _certify(g: Hypergraph, k: int, force: bool) -> Certificate:
         elif shapes.is_complete_graph(g) and g.n == k + 1:
             return Leaf("complete", tuple(range(g.n)))
         raise CertificateError(
-            "no small separator but no base shape matched; internal bug"
+            "no separating pair but no base shape matched; internal bug"
         )
-    mixed = conn.mixed_separating_sets(g)
-    if not mixed:
-        raise CertificateError("small separator without mixed separator; internal bug")
     v_star, e_star = mixed[0]
     dec = cons.hajos_decompose_mixed(g, v_star, e_star)
-    parts = []
-    for part, old in ((dec.spec.g1, dec.g1_old), (dec.spec.g2, dec.g2_old)):
-        if not is_in_Ck(part, k, force=force):
-            raise CertificateError("join operand left the class; internal bug")
-        parts.append(relabel_certificate(_certify(part, k, force), old))
+    parts = [
+        relabel_certificate(_certify(part, k), old)
+        for part, old in ((dec.spec.g1, dec.g1_old), (dec.spec.g2, dec.g2_old))
+    ]
     half1 = tuple(sorted(dec.g1_old[u] for u in dec.spec.g1.edge(dec.spec.e1)))
     half2 = tuple(sorted(dec.g2_old[u] for u in dec.spec.g2.edge(dec.spec.e2)))
     return Join(
@@ -280,7 +282,9 @@ class ClassifyOutcome:
 
 def classify(g: Hypergraph, force: bool = False, h2_info: bool = False) -> ClassifyOutcome:
     """Decide whether chi(G) = lambda(G)+1, with a witness either way
-    when lambda >= 3."""
+    when lambda >= 3.  The critical block is critical by construction,
+    with lambda <= lam as a subhypergraph, so it skips the membership
+    gate: its certificate is checked by replay alone."""
     lam = conn.max_local_edge_connectivity(g)
     if lam >= 3:
         phi = col.find_k_coloring(g, lam)
@@ -291,13 +295,9 @@ def classify(g: Hypergraph, force: bool = False, h2_info: bool = False) -> Class
         block_vs = set(crit.old_ids)
         if not any(set(b.vertices) == block_vs for b in conn.blocks(g)):
             raise CertificateError("critical part is not a block; internal bug")
-        sub, old = g.induced(sorted(block_vs))
-        if sub != crit.graph:
+        if g.induced(sorted(block_vs)).graph != crit.graph:
             raise CertificateError("block carries extra edges; internal bug")
-        cert = hk_certificate(crit.graph, lam, force=force)
-        if cert is None:
-            raise CertificateError("tight instance rejected by the oracle; internal bug")
-        cert = relabel_certificate(cert, crit.old_ids)
+        cert = relabel_certificate(_build_certificate(crit.graph, lam), crit.old_ids)
         return ClassifyOutcome(lam, chi, "tight", block=tuple(sorted(block_vs)), certificate=cert)
     chi = col.chromatic_number(g, force=force)
     if lam == 0:

@@ -224,25 +224,24 @@ class Hypergraph:
                 got_header = True
                 continue
             parts = line.split()
+            # int() alone also takes '+1', '1_0' and non-ASCII digits such as '０２'
+            if parts[0] in ("n", "e") and not all(p.isascii() and p.isdigit() for p in parts[1:]):
+                raise HgrFormatError(line_no, "counts and vertex ids must be ASCII digits")
             if parts[0] == "n":
                 if n is not None:
                     raise HgrFormatError(line_no, "duplicate vertex-count line")
-                # isdigit alone admits non-ASCII digits such as '²'
-                if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
+                if len(parts) != 2:
                     raise HgrFormatError(line_no, "expected 'n <count>'")
                 n = int(parts[1])
             elif parts[0] == "e":
                 if n is None:
                     raise HgrFormatError(line_no, "edge before vertex-count line")
-                try:
-                    vs = tuple(int(p) for p in parts[1:])
-                except ValueError:
-                    raise HgrFormatError(line_no, "non-integer vertex id") from None
+                vs = tuple(int(p) for p in parts[1:])
                 if len(vs) < 2:
                     raise HgrFormatError(line_no, "edge has fewer than 2 vertices")
                 if any(a >= b for a, b in zip(vs, vs[1:])):
                     raise HgrFormatError(line_no, "vertex ids not strictly increasing")
-                if vs[0] < 0 or vs[-1] >= n:
+                if vs[-1] >= n:
                     raise HgrFormatError(line_no, "vertex id out of range")
                 if vs in seen:
                     raise HgrFormatError(line_no, f"duplicate edge {vs}")

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random
@@ -91,6 +92,21 @@ class TestMembership:
             cls.is_in_Ck(cons.hyperwheel(3), 2)
 
 
+def _subtrees(cert):
+    stack = [cert]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, cls.Join):
+            stack += [node.left, node.right]
+
+
+def _replayed_graph(cert) -> Hypergraph:
+    vs, es = cls.replay_certificate(cert)
+    pos = {v: i for i, v in enumerate(sorted(vs))}
+    return Hypergraph.of(len(vs), [[pos[v] for v in e] for e in es])
+
+
 class TestHkCertificate:
     def test_wheel_leaves(self):
         for rim in (3, 5, 7):
@@ -134,6 +150,20 @@ class TestHkCertificate:
         cert = cls.hk_certificate(g, k)
         assert cert is not None
         assert cls.verify_certificate(g, cert)
+
+    @pytest.mark.parametrize("k,seed", [(k, seed) for k in (3, 4, 5) for seed in range(4)])
+    def test_every_subtree_is_in_the_class(self, k, seed):
+        """The builder trusts join closure instead of re-checking each
+        operand, and takes a separating (vertex, edge) pair to mean a
+        join: pin both against the membership oracle and the separator
+        enumerator."""
+        g = random_nested_join(random.Random(seed), k, 16, 3)
+        cert = cls.hk_certificate(g, k)
+        assert isinstance(cert, cls.Join)
+        for node in _subtrees(cert):
+            sub = _replayed_graph(node)
+            assert cls.is_in_Ck(sub, k)
+            assert isinstance(node, cls.Join) == bool(conn.enumerate_separating_sets(sub, 2))
 
 
 class TestExtractCritical:
@@ -211,6 +241,28 @@ class TestClassify:
         assert out.h2_closure is True
         out = cls.classify(cons.cycle(4), h2_info=True)  # chi 2: no hint computed
         assert out.h2_closure is None
+
+    def test_tight_classify_runs_lambda_once_and_no_oracle(self, monkeypatch):
+        calls = collections.Counter()
+
+        def count(owner, name):
+            orig = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return orig(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(conn, "max_local_edge_connectivity")
+        count(cls, "is_in_Ck")
+        count(conn, "enumerate_separating_sets")
+        g = random_nested_join(random.Random(7), 3, 16, 3)
+        out = cls.classify(g)
+        assert out.verdict == "tight" and isinstance(out.certificate, cls.Join)
+        assert calls["max_local_edge_connectivity"] == 1
+        assert calls["is_in_Ck"] == 0
+        assert calls["enumerate_separating_sets"] == 0
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))

@@ -83,6 +83,11 @@ class TestErrorPaths:
         assert cli.main(["chi", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_edge_ids_must_be_ascii_digits(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("HGR 1\nn 12\ne 0 1_0\ne +1 ０２\n"))
+        assert cli.main(["blocks", "-"]) == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_missing_file_is_input_error(self, capsys):
         code, _ = run(capsys, ["chi", "/nonexistent/g.hgr"])
         assert code == 2

@@ -115,6 +115,11 @@ class TestHgrFormat:
             ("HGR 1\nn 3\nn 4\n", 3),
             ("HGR 1\nn 3\nx 0 1\n", 3),
             ("HGR 1\nn 3\ne 0 1\ne 0 1\n", 4),
+            ("HGR 1\nn 12\ne 0 1_0\n", 3),
+            ("HGR 1\nn 12\ne +1 2\n", 3),
+            ("HGR 1\nn 12\ne 1 ０２\n", 3),
+            ("HGR 1\nn 12\ne 0 ²\n", 3),
+            ("HGR 1\nn 12\ne -1 2\n", 3),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line):
