@@ -205,8 +205,8 @@ def _build_certificate(g: Hypergraph, k: int) -> Certificate:
 
 def _certify(g: Hypergraph, k: int) -> Certificate:
     # In the class, a separating (vertex, edge) pair exists iff g is a join.
-    mixed = conn.mixed_separating_sets(g)
-    if not mixed:
+    first = next(conn._mixed_pairs(g), None)
+    if first is None:
         if k == 3:
             leaf = _wheel_leaf(g)
             if leaf is not None:
@@ -216,7 +216,7 @@ def _certify(g: Hypergraph, k: int) -> Certificate:
         raise CertificateError(
             "no separating pair but no base shape matched; internal bug"
         )
-    v_star, e_star = mixed[0]
+    v_star, e_star = first
     dec = cons.hajos_decompose_mixed(g, v_star, e_star)
     parts = [
         relabel_certificate(_certify(part, k), old)
@@ -237,21 +237,24 @@ def extract_critical(g: Hypergraph, target_chi: int, force: bool = False) -> Rel
     """A critical subhypergraph with the same chromatic number, with id
     provenance.  Deterministic: lowest-index edge deletions first, then
     isolated vertices drop, then the lowest-index component with the
-    target chromatic number is kept."""
+    target chromatic number is kept.
+
+    One pass over the edges suffices: an edge kept because deleting it
+    allows a smaller coloring stays needed after later deletions, since
+    deleting more edges only makes a coloring easier to find."""
     if col.chromatic_number(g, force=force) != target_chi:
         raise ValueError(f"chromatic number is not {target_chi}")
     if target_chi <= 1:
         sub, old = g.induced(range(min(g.n, 1)))
         return Relabeled(sub, old)
     cur = g
-    progress = True
-    while progress:
-        progress = False
-        for ref in range(cur.m):
-            if col.find_k_coloring(cur.delete_edge(ref), target_chi - 1) is None:
-                cur = cur.delete_edge(ref)
-                progress = True
-                break
+    ref = 0
+    while ref < cur.m:
+        rest = cur.delete_edge(ref)
+        if col.find_k_coloring(rest, target_chi - 1) is None:
+            cur = rest  # the next edge now has index ref
+        else:
+            ref += 1
     covered = sorted({v for e in cur.edges for v in e})
     sub, old = cur.induced(covered)
     for comp in conn.components(sub):

@@ -9,7 +9,7 @@ vertex of an edge only if all other vertices of that edge share it.
 
 from __future__ import annotations
 
-import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .hypercore import Hypergraph
@@ -66,53 +66,13 @@ def find_k_coloring(
         raise ValueError("palette size must be >= 1")
     if g.n == 0:
         return Coloring((), k)
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     preset = preset or {}
     for v, c in preset.items():
         g._check_vertex(v)
         if not 1 <= c <= k:
             raise ValueError(f"preset color {c} outside 1..{k}")
-    colors = [0] * g.n
-    incident = [g.incident(v) for v in range(g.n)]
-
-    def forbidden(v: int, c: int) -> bool:
-        for ref in incident[v]:
-            e = g.edge(ref)
-            mono = True
-            for u in e:
-                if u != v and colors[u] != c:
-                    mono = False
-                    break
-            if mono:
-                return True
-        return False
-
-    def assign(pos: int, used: int) -> bool:
-        if pos == g.n:
-            return True
-        v = order[pos]
-        if v in preset:
-            c = preset[v]
-            if forbidden(v, c):
-                return False
-            colors[v] = c
-            if assign(pos + 1, max(used, c)):
-                return True
-            colors[v] = 0
-            return False
-        top = k if preset else min(k, used + 1)
-        for c in range(1, top + 1):
-            if forbidden(v, c):
-                continue
-            colors[v] = c
-            if assign(pos + 1, max(used, c)):
-                return True
-            colors[v] = 0
-        return False
-
-    if assign(0, 0):
-        return Coloring(tuple(colors), k)
-    return None
+    order = sorted(range(g.n), key=lambda v: (-len(g.incidence[v]), v))
+    return next(_colorings(g, k, order, preset, symmetric=not preset), None)
 
 
 def chromatic_number(g: Hypergraph, force: bool = False) -> int:
@@ -162,29 +122,67 @@ def enumerate_k_colorings(
         raise ValueError("palette size must be >= 1")
     if limit is None and k**g.n > ENUM_GUARD:
         raise GuardExceeded(f"{k}^{g.n} assignments exceed the enumeration guard")
-    incident = [g.incident(v) for v in range(g.n)]
-    colors = [0] * g.n
     out: list[Coloring] = []
-
-    def walk(v: int) -> bool:
-        if v == g.n:
-            out.append(Coloring(tuple(colors), k))
-            return limit is not None and len(out) >= limit
-        for c in range(1, k + 1):
-            colors[v] = c
-            bad = False
-            for ref in incident[v]:
-                e = g.edge(ref)
-                if e[-1] == v and all(colors[u] == c for u in e):
-                    bad = True
-                    break
-            if not bad and walk(v + 1):
-                return True
-            colors[v] = 0
-        return False
-
-    walk(0)
+    for phi in _colorings(g, k, range(g.n), {}, symmetric=False):
+        out.append(phi)
+        if limit is not None and len(out) >= limit:
+            break
     return out
+
+
+def _colorings(g: Hypergraph, k: int, order, preset: dict[int, int], symmetric: bool):
+    """Every valid k-coloring, in depth-first order, from a search
+    whose stack is the colored prefix ``order[:pos]``.
+
+    A preset vertex takes its preset color only; any other vertex tries
+    1..k in turn, or only up to one more than the largest color so far
+    when ``symmetric``.  Color c is forbidden at v iff an edge through v
+    has all its other vertices in color c, which the per-edge color
+    counts show at once."""
+    n = g.n
+    m = g.m
+    # counts[c][ref]: vertices of edge ref in color c; a row appears
+    # when color c is first tried
+    counts: defaultdict[int, list[int]] = defaultdict(lambda: [0] * m)
+    # per vertex: (ref, size - 1) of each incident edge
+    slots = [[(ref, len(g.edges[ref]) - 1) for ref in g.incidence[v]] for v in range(n)]
+    colors = [0] * n
+    used = [0] * (n + 1)  # used[pos]: largest color on order[:pos]
+    pos = 0
+    while pos >= 0:
+        if pos == n:
+            yield Coloring(tuple(colors), k)
+            pos -= 1
+            continue
+        v = order[pos]
+        slot = slots[v]
+        c = colors[v]
+        if c:  # back from depth pos + 1: take v's color off, try the next
+            row = counts[c]
+            for ref, _ in slot:
+                row[ref] -= 1
+            colors[v] = 0
+        if v in preset:  # one candidate, already tried if c is set
+            top = preset[v]
+            c = c or top - 1
+        else:
+            top = min(k, used[pos] + 1) if symmetric else k
+        while c < top:
+            c += 1
+            row = counts[c]
+            for ref, need in slot:
+                if row[ref] == need:
+                    break
+            else:
+                break
+        else:
+            pos -= 1
+            continue
+        for ref, _ in slot:
+            row[ref] += 1
+        colors[v] = c
+        used[pos + 1] = max(used[pos], c)
+        pos += 1
 
 
 def is_critical(g: Hypergraph, k_plus_1: int, force: bool = False) -> CriticalityReport:

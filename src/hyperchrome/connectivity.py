@@ -101,10 +101,6 @@ class FlowResult:
 def components(g: Hypergraph) -> list[tuple[int, ...]]:
     """Partition of V(G) into maximal hyperpath-connected classes."""
     seen: set[int] = set()
-    incident = [[] for _ in range(g.n)]
-    for e in g.edges:
-        for v in e:
-            incident[v].append(e)
     out = []
     for start in range(g.n):
         if start in seen:
@@ -114,8 +110,8 @@ def components(g: Hypergraph) -> list[tuple[int, ...]]:
         seen.add(start)
         while queue:
             v = queue.popleft()
-            for e in incident[v]:
-                for w in e:
+            for ref in g.incidence[v]:
+                for w in g.edges[ref]:
                     if w not in seen:
                         seen.add(w)
                         comp.add(w)
@@ -315,16 +311,12 @@ def max_local_edge_connectivity(g: Hypergraph) -> int:
     degree, which bounds every pair in it."""
     if g.n <= 1:
         return 0
-    degree = [0] * g.n
-    for e in g.edges:
-        for v in e:
-            degree[v] += 1
     net = _FlowNet(g)
     best = 0
     for comp in components(g):
         if len(comp) < 2:
             continue
-        bound = sorted(degree[v] for v in comp)[-2]
+        bound = sorted(len(g.incidence[v]) for v in comp)[-2]
         if best >= bound:
             continue
         for value in _tree_flows(net, comp):
@@ -536,12 +528,14 @@ def edge_cut_for(g: Hypergraph, refs) -> EdgeCut:
 def mixed_separating_sets(g: Hypergraph) -> list[tuple[int, int]]:
     """All pairs (v, e) with v a separating vertex of G - e, sorted by
     (edge ref, vertex id)."""
+    return list(_mixed_pairs(g))
+
+
+def _mixed_pairs(g: Hypergraph):
+    """The pairs of ``mixed_separating_sets`` lazily, in the same order,
+    one block pass per edge as it is reached."""
     if not is_connected(g):
         raise ValueError("hypergraph must be connected")
-    out = []
     for ref in range(g.m):
-        rest = g.delete_edge(ref)
-        for v in separating_vertices(rest):
-            out.append((v, ref))
-    out.sort(key=lambda p: (p[1], p[0]))
-    return out
+        for v in separating_vertices(g.delete_edge(ref)):
+            yield v, ref

@@ -5,11 +5,15 @@ Invariants
 - no two edges are equal as sets;
 - edges are stored sorted, in lexicographic order, so structural
   equality of two hypergraphs is plain value equality.
+
+The per-vertex incidence table is built on first use and cached on the
+value; it is not a field, so equality and hashing ignore it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 Edge = tuple[int, ...]
@@ -92,10 +96,19 @@ class Hypergraph:
         except ValueError:
             raise ValueError(f"no edge {key}") from None
 
+    @cached_property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """``incidence[v]``: refs of the edges containing v, ascending."""
+        table: list[list[int]] = [[] for _ in range(self.n)]
+        for i, e in enumerate(self.edges):
+            for v in e:
+                table[v].append(i)
+        return tuple(map(tuple, table))
+
     def incident(self, v: int) -> tuple[int, ...]:
         """Refs of all edges containing v."""
         self._check_vertex(v)
-        return tuple(i for i, e in enumerate(self.edges) if v in e)
+        return self.incidence[v]
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -169,17 +182,14 @@ class Hypergraph:
         return tuple(out)
 
     def degree(self, v: int) -> int:
-        return len(self.incident(v))
+        self._check_vertex(v)
+        return len(self.incidence[v])
 
     def min_degree(self) -> int:
-        if self.n == 0:
-            return 0
-        return min(self.degree(v) for v in range(self.n))
+        return min(map(len, self.incidence), default=0)
 
     def max_degree(self) -> int:
-        if self.n == 0:
-            return 0
-        return max(self.degree(v) for v in range(self.n))
+        return max(map(len, self.incidence), default=0)
 
     def union(self, other: "Hypergraph") -> "Hypergraph":
         """Union in a shared id space."""

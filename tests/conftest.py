@@ -1,6 +1,8 @@
 import itertools
 import random
+import sys
 
+import pytest
 from hypothesis import strategies as st
 
 from hyperchrome.hypercore import Hypergraph
@@ -14,6 +16,15 @@ def _possible_edges(n: int, sizes):
         if size <= n
         for e in itertools.combinations(range(n), size)
     ]
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Run at CPython's default recursion limit, whatever the runner set."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
 
 
 @st.composite

@@ -3,12 +3,18 @@
 Deliberately naive: full assignment enumeration for coloring, explicit
 hyperpath enumeration plus packing search for connectivity, and subset
 enumeration for cuts.  Only usable at toy sizes.
+
+``reference_find_k_coloring`` and ``reference_enumerate_k_colorings``
+are the recursive searches that the stack-based ones in
+``hyperchrome.coloring`` replaced, kept to pin those to the same
+results; they recurse once per vertex.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from hyperchrome.coloring import Coloring
 from hyperchrome.hypercore import Hypergraph
 
 
@@ -30,6 +36,90 @@ def brute_count_colorings(g: Hypergraph, k: int) -> int:
     return sum(
         1 for colors in itertools.product(range(k), repeat=g.n) if brute_valid(g, colors)
     )
+
+
+def _scan_incident(g: Hypergraph, v: int) -> tuple[int, ...]:
+    return tuple(i for i, e in enumerate(g.edges) if v in e)
+
+
+def reference_find_k_coloring(
+    g: Hypergraph, k: int, preset: dict[int, int] | None = None
+) -> Coloring | None:
+    """The recursive degree-ordered search with symmetry breaking."""
+    if g.n == 0:
+        return Coloring((), k)
+    incident = [_scan_incident(g, v) for v in range(g.n)]
+    order = sorted(range(g.n), key=lambda v: (-len(incident[v]), v))
+    preset = preset or {}
+    colors = [0] * g.n
+
+    def forbidden(v: int, c: int) -> bool:
+        for ref in incident[v]:
+            e = g.edge(ref)
+            mono = True
+            for u in e:
+                if u != v and colors[u] != c:
+                    mono = False
+                    break
+            if mono:
+                return True
+        return False
+
+    def assign(pos: int, used: int) -> bool:
+        if pos == g.n:
+            return True
+        v = order[pos]
+        if v in preset:
+            c = preset[v]
+            if forbidden(v, c):
+                return False
+            colors[v] = c
+            if assign(pos + 1, max(used, c)):
+                return True
+            colors[v] = 0
+            return False
+        top = k if preset else min(k, used + 1)
+        for c in range(1, top + 1):
+            if forbidden(v, c):
+                continue
+            colors[v] = c
+            if assign(pos + 1, max(used, c)):
+                return True
+            colors[v] = 0
+        return False
+
+    if assign(0, 0):
+        return Coloring(tuple(colors), k)
+    return None
+
+
+def reference_enumerate_k_colorings(
+    g: Hypergraph, k: int, limit: int | None = None
+) -> list[Coloring]:
+    """The recursive enumeration in lexicographic order."""
+    incident = [_scan_incident(g, v) for v in range(g.n)]
+    colors = [0] * g.n
+    out: list[Coloring] = []
+
+    def walk(v: int) -> bool:
+        if v == g.n:
+            out.append(Coloring(tuple(colors), k))
+            return limit is not None and len(out) >= limit
+        for c in range(1, k + 1):
+            colors[v] = c
+            bad = False
+            for ref in incident[v]:
+                e = g.edge(ref)
+                if e[-1] == v and all(colors[u] == c for u in e):
+                    bad = True
+                    break
+            if not bad and walk(v + 1):
+                return True
+            colors[v] = 0
+        return False
+
+    walk(0)
+    return out
 
 
 def all_hyperpaths(g: Hypergraph, v: int, w: int):

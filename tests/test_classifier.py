@@ -166,7 +166,62 @@ class TestHkCertificate:
             assert isinstance(node, cls.Join) == bool(conn.enumerate_separating_sets(sub, 2))
 
 
+    @pytest.mark.parametrize("k,seed", [(k, seed) for k in (3, 4, 5) for seed in range(4)])
+    def test_first_mixed_pair_is_the_listed_first(self, k, seed):
+        """The builder takes the lazy generator's first pair instead of
+        listing every pair."""
+        g = random_nested_join(random.Random(seed), k, 16, 3)
+        for node in _subtrees(cls.hk_certificate(g, k)):
+            sub = _replayed_graph(node)
+            listed = conn.mixed_separating_sets(sub)
+            assert next(conn._mixed_pairs(sub), None) == (listed[0] if listed else None)
+
+
+def _extract_critical_restarting(g, target_chi):
+    """The edge scan before it resumed at the deleted index: restart at
+    edge 0 after every deletion; the rest as in ``extract_critical``."""
+    if col.chromatic_number(g) != target_chi:
+        raise ValueError(f"chromatic number is not {target_chi}")
+    cur = g
+    progress = True
+    while progress:
+        progress = False
+        for ref in range(cur.m):
+            if col.find_k_coloring(cur.delete_edge(ref), target_chi - 1) is None:
+                cur = cur.delete_edge(ref)
+                progress = True
+                break
+    covered = sorted({v for e in cur.edges for v in e})
+    sub, old = cur.induced(covered)
+    for comp in conn.components(sub):
+        csub, cold = sub.induced(comp)
+        if col.chromatic_number(csub) == target_chi:
+            return csub, tuple(old[v] for v in cold)
+    raise AssertionError("no component kept the chromatic number")
+
+
 class TestExtractCritical:
+    @pytest.mark.parametrize("k,seed", [(k, seed) for k in (3, 4) for seed in range(6)])
+    def test_one_pass_matches_restarting_scan(self, k, seed, monkeypatch):
+        g = random_nested_join(random.Random(seed), k, 16, 3)
+        # a spare 3-edge path between vertices 0 and 1 that the scan deletes
+        a, b = g.n, g.n + 1
+        g = Hypergraph.of(g.n + 2, list(g.edges) + [(0, a), (a, b), (1, b)])
+        calls = collections.Counter()
+        search = col.find_k_coloring
+
+        def counted(*args, **kwargs):
+            calls[mode] += 1
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(col, "find_k_coloring", counted)
+        mode = "resume"
+        crit = cls.extract_critical(g, k + 1)
+        mode = "restart"
+        assert tuple(crit) == _extract_critical_restarting(g, k + 1)
+        assert calls["resume"] < calls["restart"]
+
+
     def test_k4_plus_pendant(self):
         g = Hypergraph.of(5, list(cons.complete_graph(4).edges) + [(3, 4)])
         crit = cls.extract_critical(g, 4)

@@ -88,6 +88,12 @@ class TestErrorPaths:
         assert cli.main(["blocks", "-"]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.usefixtures("default_recursion_limit")
+    def test_chi_on_a_deep_path(self, tmp_path, capsys):
+        path = write_hgr(tmp_path, Hypergraph.of(3000, [(i, i + 1) for i in range(2999)]))
+        code, payload = run_json(capsys, ["chi", "--force", path])
+        assert code == 0 and payload == {"chi": 2}
+
     def test_missing_file_is_input_error(self, capsys):
         code, _ = run(capsys, ["chi", "/nonexistent/g.hgr"])
         assert code == 2

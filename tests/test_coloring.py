@@ -1,9 +1,12 @@
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from hyperchrome.hypercore import Hypergraph
 from hyperchrome import coloring as col
 from hyperchrome import constructions as cons
+from hyperchrome import corpus
 
 from conftest import hypergraphs
 import oracles
@@ -156,3 +159,74 @@ def test_found_colorings_are_always_valid(g):
     assert phi is not None and phi.is_valid_for(g)
     if k > 1:
         assert col.find_k_coloring(g, k - 1) is None
+
+
+class TestPinnedToRecursiveSearch:
+    """The stack-based search walks the same tree as the recursive one
+    it replaced (``oracles.reference_*``), so it returns the same
+    colorings in the same order."""
+
+    @given(hypergraphs(max_n=7, sizes=(2, 3, 4)), st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_find_matches_reference(self, g, k):
+        assert col.find_k_coloring(g, k) == oracles.reference_find_k_coloring(g, k)
+
+    @given(hypergraphs(min_n=1, max_n=7, sizes=(2, 3, 4)), st.integers(1, 4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_find_with_preset_matches_reference(self, g, k, data):
+        preset = data.draw(
+            st.dictionaries(st.integers(0, g.n - 1), st.integers(1, k), max_size=3)
+        )
+        assert col.find_k_coloring(g, k, preset) == oracles.reference_find_k_coloring(
+            g, k, preset
+        )
+
+    @given(hypergraphs(max_n=7, sizes=(2, 3, 4)), st.integers(1, 3), st.integers(1, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_enumeration_matches_reference(self, g, k, limit):
+        assert col.enumerate_k_colorings(
+            g, k, limit=limit
+        ) == oracles.reference_enumerate_k_colorings(g, k, limit=limit)
+
+    def test_seeded_random_instances(self):
+        rng = random.Random(2024)
+        for _ in range(200):
+            g = corpus.random_hypergraph(rng, 10)
+            for k in (2, 3, 4):
+                assert col.find_k_coloring(g, k) == oracles.reference_find_k_coloring(g, k)
+            preset = {v: rng.randint(1, 3) for v in rng.sample(range(g.n), min(g.n, 2))}
+            assert col.find_k_coloring(g, 3, preset) == oracles.reference_find_k_coloring(
+                g, 3, preset
+            )
+            limit = rng.randint(1, 30)
+            assert col.enumerate_k_colorings(
+                g, 3, limit=limit
+            ) == oracles.reference_enumerate_k_colorings(g, 3, limit=limit)
+
+
+def _path(n):
+    return Hypergraph.of(n, [(i, i + 1) for i in range(n - 1)])
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
+class TestDeepInputs:
+    """Inputs far deeper than the default recursion limit."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            _path(3000),
+            cons.cycle(1500),
+            Hypergraph.of(1200, [((v - 1) // 2, v) for v in range(1, 1200)]),
+            Hypergraph.of(3001, [(i, i + 1, i + 2) for i in range(0, 2999, 2)]),
+        ],
+        ids=["path3000", "cycle1500", "binary-tree1200", "hyperpath3001"],
+    )
+    def test_two_coloring(self, g):
+        phi = col.find_k_coloring(g, 2)
+        assert phi is not None and phi.is_valid_for(g)
+
+    def test_enumeration(self):
+        g = _path(3000)
+        [phi] = col.enumerate_k_colorings(g, 2, limit=1)
+        assert phi.is_valid_for(g)

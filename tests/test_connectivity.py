@@ -238,6 +238,8 @@ class TestSeparators:
     def test_mixed_separating_sets_require_connected(self):
         with pytest.raises(ValueError):
             conn.mixed_separating_sets(Hypergraph.of(4, [(0, 1), (2, 3)]))
+        with pytest.raises(ValueError, match="connected"):
+            next(conn._mixed_pairs(Hypergraph.of(4, [(0, 1), (2, 3)])))
 
 
 def test_randomized_flow_oracle_consistency():

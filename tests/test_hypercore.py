@@ -41,6 +41,32 @@ class TestAccessors:
         assert g.degree(2) == 2
         assert g.min_degree() == 1 and g.max_degree() == 2
 
+    @given(hypergraphs(max_n=7, sizes=(2, 3, 4)))
+    def test_index_matches_edge_scans(self, g):
+        for v in range(g.n):
+            scan = tuple(i for i, e in enumerate(g.edges) if v in e)
+            assert g.incident(v) == scan
+            assert g.degree(v) == len(scan)
+        degrees = [sum(v in e for e in g.edges) for v in range(g.n)]
+        assert g.min_degree() == min(degrees, default=0)
+        assert g.max_degree() == max(degrees, default=0)
+
+    def test_index_is_not_part_of_the_value(self):
+        a = Hypergraph.of(4, [(0, 1), (1, 2, 3)])
+        b = Hypergraph.of(4, [(1, 2, 3), (0, 1)])
+        assert a.degree(1) == 2  # builds a's table only
+        assert "incidence" in vars(a) and "incidence" not in vars(b)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("v", [-1, 4, 10])
+    def test_out_of_range_vertex(self, v):
+        g = Hypergraph.of(4, [(0, 1)])
+        with pytest.raises(ValueError, match="out of range"):
+            g.incident(v)
+        with pytest.raises(ValueError, match="out of range"):
+            g.degree(v)
+
     def test_edge_ref_roundtrip(self):
         g = Hypergraph.of(4, [(0, 1), (0, 2, 3)])
         for ref in range(g.m):
