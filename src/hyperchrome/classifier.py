@@ -17,10 +17,15 @@ from . import shapes
 
 
 class CertificateError(ValueError):
-    """A certificate failed to replay or an internal invariant broke.
+    """A certificate given to the program is malformed or fails to
+    replay."""
+
+
+class InternalError(RuntimeError):
+    """An internal invariant broke: a bug, not bad input.
 
     Structural certification and the semantic oracle are provably
-    equivalent, so disagreement is a bug and fails loudly."""
+    equivalent, so disagreement fails loudly."""
 
 
 # -- certificates ----------------------------------------------------------
@@ -198,8 +203,12 @@ def _build_certificate(g: Hypergraph, k: int) -> Certificate:
     """Certificate of a (k+1)-critical g with lambda <= k; the class is
     join-closed, so its bit-exact replay proves membership."""
     cert = _certify(g, k)
-    if not verify_certificate(g, cert):
-        raise CertificateError("certificate replay mismatch; internal bug")
+    try:
+        match = verify_certificate(g, cert)
+    except CertificateError as exc:
+        raise InternalError(f"built certificate does not replay: {exc}; internal bug") from exc
+    if not match:
+        raise InternalError("certificate replay mismatch; internal bug")
     return cert
 
 
@@ -213,7 +222,7 @@ def _certify(g: Hypergraph, k: int) -> Certificate:
                 return leaf
         elif shapes.is_complete_graph(g) and g.n == k + 1:
             return Leaf("complete", tuple(range(g.n)))
-        raise CertificateError(
+        raise InternalError(
             "no separating pair but no base shape matched; internal bug"
         )
     v_star, e_star = first
@@ -261,7 +270,7 @@ def extract_critical(g: Hypergraph, target_chi: int, force: bool = False) -> Rel
         csub, cold = sub.induced(comp)
         if col.chromatic_number(csub, force=force) == target_chi:
             return Relabeled(csub, tuple(old[v] for v in cold))
-    raise CertificateError("no component kept the chromatic number; internal bug")
+    raise InternalError("no component kept the chromatic number; internal bug")
 
 
 # -- the classifier --------------------------------------------------------
@@ -297,9 +306,9 @@ def classify(g: Hypergraph, force: bool = False, h2_info: bool = False) -> Class
         crit = extract_critical(g, chi, force=force)
         block_vs = set(crit.old_ids)
         if not any(set(b.vertices) == block_vs for b in conn.blocks(g)):
-            raise CertificateError("critical part is not a block; internal bug")
+            raise InternalError("critical part is not a block; internal bug")
         if g.induced(sorted(block_vs)).graph != crit.graph:
-            raise CertificateError("block carries extra edges; internal bug")
+            raise InternalError("block carries extra edges; internal bug")
         cert = relabel_certificate(_build_certificate(crit.graph, lam), crit.old_ids)
         return ClassifyOutcome(lam, chi, "tight", block=tuple(sorted(block_vs)), certificate=cert)
     chi = col.chromatic_number(g, force=force)
@@ -311,7 +320,7 @@ def classify(g: Hypergraph, force: bool = False, h2_info: bool = False) -> Class
         return ClassifyOutcome(lam, chi, "small-lambda", note=note)
     if lam == 1:
         if chi != 2 or any(len(b.edge_refs) != 1 for b in conn.blocks(g) if b.edge_refs):
-            raise CertificateError("lambda=1 characterization failed; internal bug")
+            raise InternalError("lambda=1 characterization failed; internal bug")
         return ClassifyOutcome(
             lam, chi, "small-lambda",
             note="every block is a single edge, chi = 2 = lambda + 1",
@@ -386,5 +395,5 @@ def jones_classify(g: Hypergraph, force: bool = False) -> JonesVerdict:
         shape = "single_edge"
     equality = chi == g.max_degree() + 1
     if equality != (shape is not None):
-        raise CertificateError("degree-bound characterization failed; internal bug")
+        raise InternalError("degree-bound characterization failed; internal bug")
     return JonesVerdict(equality, shape, chi, g.max_degree())

@@ -2,7 +2,7 @@
 HGR/JSON I/O, deterministic output.
 
 Exit codes: 0 success, 1 negative verdict, 2 input error, 3 guard
-exceeded.
+exceeded, 4 internal error (a broken invariant: a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from . import connectivity as conn
 from . import constructions as cons
 from . import corpus as corp
 
-OK, VERDICT_NO, INPUT_ERROR, GUARD = 0, 1, 2, 3
+OK, VERDICT_NO, INPUT_ERROR, GUARD, INTERNAL = 0, 1, 2, 3, 4
 
 
 def _read_graph(path: str) -> Hypergraph:
@@ -355,6 +355,9 @@ def main(argv: list[str] | None = None) -> int:
     except col.GuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return GUARD
+    except cls.InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL
     except (HgrFormatError, ValueError, OSError, json.JSONDecodeError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

@@ -120,6 +120,10 @@ def enumerate_k_colorings(
     """All valid k-colorings in lexicographic order, up to limit."""
     if k < 1:
         raise ValueError("palette size must be >= 1")
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be >= 0")
+    if limit == 0:
+        return []
     if limit is None and k**g.n > ENUM_GUARD:
         raise GuardExceeded(f"{k}^{g.n} assignments exceed the enumeration guard")
     out: list[Coloring] = []

@@ -354,93 +354,103 @@ class Block:
 
 
 def blocks(g: Hypergraph) -> list[Block]:
-    """Blocks via biconnected components of the 2-section graph.
-
-    A vertex separates G iff it is an articulation point of the
-    2-section, and each hyperedge's clique lies in one biconnected
-    component, so grouping hyperedges by component gives the blocks.
-    """
-    pair_owner: dict[tuple[int, int], list[int]] = {}
-    adj: list[set[int]] = [set() for _ in range(g.n)]
-    for i, e in enumerate(g.edges):
-        for a, b in itertools.combinations(e, 2):
-            pair_owner.setdefault((a, b), []).append(i)
-            adj[a].add(b)
-            adj[b].add(a)
-    comp_of_pair = _biconnected_pairs(g.n, adj)
-    groups: dict[int, list[int]] = {}
-    for i, e in enumerate(g.edges):
-        a, b = e[0], e[1]
-        key = comp_of_pair[(a, b) if a < b else (b, a)]
-        groups.setdefault(key, []).append(i)
-    out = []
-    covered: set[int] = set()
-    for refs in groups.values():
-        vs: set[int] = set()
-        for r in refs:
-            vs.update(g.edge(r))
-        covered.update(vs)
-        out.append(Block(tuple(sorted(vs)), tuple(sorted(refs))))
-    for v in range(g.n):
-        if v not in covered:
-            out.append(Block((v,), ()))
-    out.sort(key=lambda b: b.vertices)
-    return out
-
-
-def _biconnected_pairs(n: int, adj: list[set[int]]) -> dict[tuple[int, int], int]:
-    """Map each 2-section edge (a<b) to a biconnected-component id."""
-    comp_of: dict[tuple[int, int], int] = {}
-    disc = [-1] * n
-    low = [0] * n
-    comp_id = 0
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        stack: list[tuple[int, int]] = []
-        # iterative DFS: (vertex, parent, neighbor iterator)
-        frame = [(root, -1, iter(sorted(adj[root])))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while frame:
-            v, parent, it = frame[-1]
-            advanced = False
-            for w in it:
-                if disc[w] == -1:
-                    stack.append((v, w) if v < w else (w, v))
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    frame.append((w, v, iter(sorted(adj[w]))))
-                    advanced = True
-                    break
-                elif w != parent and disc[w] < disc[v]:
-                    stack.append((v, w) if v < w else (w, v))
-                    low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            frame.pop()
-            if frame:
-                pv = frame[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if low[v] >= disc[pv]:
-                    edge = (pv, v) if pv < v else (v, pv)
-                    while stack:
-                        top = stack.pop()
-                        comp_of[top] = comp_id
-                        if top == edge:
-                            break
-                    comp_id += 1
-    return comp_of
+    """The blocks of G, sorted by vertex tuple: one per biconnected
+    component of the 2-section, with the hyperedges whose cliques lie in
+    it, plus a singleton block per vertex on no edge."""
+    return list(_whole_graph_blocks(g)[0])
 
 
 def separating_vertices(g: Hypergraph) -> tuple[int, ...]:
     """Vertices contained in more than one block."""
-    count: dict[int, int] = {}
-    for b in blocks(g):
-        for v in b.vertices:
-            count[v] = count.get(v, 0) + 1
-    return tuple(sorted(v for v, c in count.items() if c > 1))
+    return _whole_graph_blocks(g)[1]
+
+
+def _whole_graph_blocks(g: Hypergraph) -> tuple[tuple[Block, ...], tuple[int, ...]]:
+    """Blocks and separating vertices from one pass, cached on the value
+    beside its incidence table: outside the dataclass fields, so
+    equality and hashing ignore it."""
+    cached = g.__dict__.get("_whole_graph_blocks")
+    if cached is None:
+        block_refs, cut = _block_pass(g)
+        edges = g.edges
+        out = [
+            Block(tuple(sorted({v for r in refs for v in edges[r]})), tuple(sorted(refs)))
+            for refs in block_refs
+        ]
+        out.extend(Block((v,), ()) for v in range(g.n) if not g.incidence[v])
+        out.sort(key=lambda b: b.vertices)
+        seps = tuple(v for v in range(g.n) if cut[v])
+        cached = g.__dict__["_whole_graph_blocks"] = (tuple(out), seps)
+    return cached
+
+
+def _block_pass(g: Hypergraph, skip: int | None = None) -> tuple[list[list[int]], list[bool]]:
+    """Hopcroft-Tarjan depth-first search for the biconnected components
+    of the 2-section, walked through the incidence table without building
+    it, with edge ``skip`` treated as deleted.
+
+    Returns the edge refs of each block that has an edge, and per vertex
+    whether it lies in two or more of them (an articulation point).
+
+    The stack holds edge refs, each pushed once, when the first of its
+    2-section pairs, (v, w), is examined.  Every discovered vertex of the
+    edge is then still on the search path, since a finished one would
+    have examined the edge.  If w is new, the ref lands above w's mark
+    and closes with the tree edge (v, w); otherwise w is an ancestor of
+    v and the ref closes with v's own tree edge, whose block the back
+    edge (v, w) belongs to.  Either block holds a pair of the edge, whose
+    vertices form a clique, so it is the edge's block.
+    """
+    edges = g.edges
+    incidence = g.incidence
+
+    def pairs(v: int):
+        return ((r, w) for r in incidence[v] if r != skip for w in edges[r] if w != v)
+
+    disc = [-1] * g.n
+    low = [0] * g.n
+    # blocks containing v: one above a non-root v, plus one per block
+    # closed at v
+    count = [1] * g.n
+    pushed = [False] * g.m
+    stack: list[int] = []
+    out: list[list[int]] = []
+    timer = 0
+    for root in range(g.n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        count[root] = 0
+        # (vertex, stack height at its tree edge, its unexamined pairs)
+        frames = [(root, 0, pairs(root))]
+        while frames:
+            v, v_mark, todo = frames[-1]
+            for r, w in todo:
+                if disc[w] < 0:
+                    frames.append((w, len(stack), pairs(w)))
+                    if not pushed[r]:
+                        pushed[r] = True
+                        stack.append(r)
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    break
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+                if not pushed[r]:
+                    pushed[r] = True
+                    stack.append(r)
+            else:
+                frames.pop()
+                if frames:
+                    u = frames[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    if low[v] >= disc[u]:
+                        out.append(stack[v_mark:])
+                        del stack[v_mark:]
+                        count[u] += 1
+    return out, [c > 1 for c in count]
 
 
 # -- separating structures -------------------------------------------------
@@ -533,9 +543,10 @@ def mixed_separating_sets(g: Hypergraph) -> list[tuple[int, int]]:
 
 def _mixed_pairs(g: Hypergraph):
     """The pairs of ``mixed_separating_sets`` lazily, in the same order,
-    one block pass per edge as it is reached."""
+    one block pass with the edge skipped per edge as it is reached."""
     if not is_connected(g):
         raise ValueError("hypergraph must be connected")
     for ref in range(g.m):
-        for v in separating_vertices(g.delete_edge(ref)):
-            yield v, ref
+        for v, is_cut in enumerate(_block_pass(g, skip=ref)[1]):
+            if is_cut:
+                yield v, ref

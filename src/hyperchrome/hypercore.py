@@ -234,8 +234,10 @@ class Hypergraph:
                 got_header = True
                 continue
             parts = line.split()
+            ids = parts[1:]
             # int() alone also takes '+1', '1_0' and non-ASCII digits such as '０２'
-            if parts[0] in ("n", "e") and not all(p.isascii() and p.isdigit() for p in parts[1:]):
+            digits = "".join(ids)
+            if parts[0] in ("n", "e") and ids and not (digits.isascii() and digits.isdigit()):
                 raise HgrFormatError(line_no, "counts and vertex ids must be ASCII digits")
             if parts[0] == "n":
                 if n is not None:
@@ -246,10 +248,10 @@ class Hypergraph:
             elif parts[0] == "e":
                 if n is None:
                     raise HgrFormatError(line_no, "edge before vertex-count line")
-                vs = tuple(int(p) for p in parts[1:])
+                vs = tuple(map(int, ids))
                 if len(vs) < 2:
                     raise HgrFormatError(line_no, "edge has fewer than 2 vertices")
-                if any(a >= b for a, b in zip(vs, vs[1:])):
+                if len(set(vs)) != len(vs) or list(vs) != sorted(vs):
                     raise HgrFormatError(line_no, "vertex ids not strictly increasing")
                 if vs[-1] >= n:
                     raise HgrFormatError(line_no, "vertex id out of range")
@@ -263,4 +265,6 @@ class Hypergraph:
             raise HgrFormatError(1, "empty input, expected header 'HGR 1'")
         if n is None:
             raise HgrFormatError(1, "missing vertex-count line")
-        return cls.of(n, edges)
+        # each edge is already strictly increasing; only the list needs sorting
+        edges.sort()
+        return cls(n, tuple(edges))

@@ -7,7 +7,10 @@ enumeration for cuts.  Only usable at toy sizes.
 ``reference_find_k_coloring`` and ``reference_enumerate_k_colorings``
 are the recursive searches that the stack-based ones in
 ``hyperchrome.coloring`` replaced, kept to pin those to the same
-results; they recurse once per vertex.
+results; they recurse once per vertex.  ``reference_blocks`` is the
+block decomposition that the incidence-table pass in
+``hyperchrome.connectivity`` replaced: it builds the 2-section graph
+and groups edges by the biconnected component of their first pair.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import itertools
 
 from hyperchrome.coloring import Coloring
+from hyperchrome.connectivity import Block
 from hyperchrome.hypercore import Hypergraph
 
 
@@ -120,6 +124,94 @@ def reference_enumerate_k_colorings(
 
     walk(0)
     return out
+
+
+def reference_blocks(g: Hypergraph) -> list[Block]:
+    """Blocks via biconnected components of the built 2-section graph.
+
+    A vertex separates G iff it is an articulation point of the
+    2-section, and each hyperedge's clique lies in one biconnected
+    component, so grouping hyperedges by component gives the blocks.
+    """
+    adj: list[set[int]] = [set() for _ in range(g.n)]
+    for e in g.edges:
+        for a, b in itertools.combinations(e, 2):
+            adj[a].add(b)
+            adj[b].add(a)
+    comp_of_pair = _reference_biconnected_pairs(g.n, adj)
+    groups: dict[int, list[int]] = {}
+    for i, e in enumerate(g.edges):
+        a, b = e[0], e[1]
+        key = comp_of_pair[(a, b) if a < b else (b, a)]
+        groups.setdefault(key, []).append(i)
+    out = []
+    covered: set[int] = set()
+    for refs in groups.values():
+        vs: set[int] = set()
+        for r in refs:
+            vs.update(g.edge(r))
+        covered.update(vs)
+        out.append(Block(tuple(sorted(vs)), tuple(sorted(refs))))
+    for v in range(g.n):
+        if v not in covered:
+            out.append(Block((v,), ()))
+    out.sort(key=lambda b: b.vertices)
+    return out
+
+
+def _reference_biconnected_pairs(n: int, adj: list[set[int]]) -> dict[tuple[int, int], int]:
+    """Map each 2-section edge (a<b) to a biconnected-component id."""
+    comp_of: dict[tuple[int, int], int] = {}
+    disc = [-1] * n
+    low = [0] * n
+    comp_id = 0
+    timer = 0
+    for root in range(n):
+        if disc[root] != -1:
+            continue
+        stack: list[tuple[int, int]] = []
+        # iterative DFS: (vertex, parent, neighbor iterator)
+        frame = [(root, -1, iter(sorted(adj[root])))]
+        disc[root] = low[root] = timer
+        timer += 1
+        while frame:
+            v, parent, it = frame[-1]
+            advanced = False
+            for w in it:
+                if disc[w] == -1:
+                    stack.append((v, w) if v < w else (w, v))
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    frame.append((w, v, iter(sorted(adj[w]))))
+                    advanced = True
+                    break
+                elif w != parent and disc[w] < disc[v]:
+                    stack.append((v, w) if v < w else (w, v))
+                    low[v] = min(low[v], disc[w])
+            if advanced:
+                continue
+            frame.pop()
+            if frame:
+                pv = frame[-1][0]
+                low[pv] = min(low[pv], low[v])
+                if low[v] >= disc[pv]:
+                    edge = (pv, v) if pv < v else (v, pv)
+                    while stack:
+                        top = stack.pop()
+                        comp_of[top] = comp_id
+                        if top == edge:
+                            break
+                    comp_id += 1
+    return comp_of
+
+
+def reference_separating_vertices(g: Hypergraph) -> tuple[int, ...]:
+    """Vertices contained in more than one reference block."""
+    count: dict[int, int] = {}
+    for b in reference_blocks(g):
+        for v in b.vertices:
+            count[v] = count.get(v, 0) + 1
+    return tuple(sorted(v for v, c in count.items() if c > 1))
 
 
 def all_hyperpaths(g: Hypergraph, v: int, w: int):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from hyperchrome import cli
+from hyperchrome import classifier, cli
 from hyperchrome import constructions as cons
 from hyperchrome.hypercore import Hypergraph
 
@@ -112,6 +112,38 @@ class TestErrorPaths:
 
     def test_bad_verb(self, capsys):
         assert cli.main(["no-such-verb"]) == 2
+
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            classifier.Leaf("complete", (0, 1, 2, 3)),  # replays, to the wrong graph
+            classifier.Join(  # does not replay: the parts share two vertices
+                classifier.Leaf("complete", (0, 1, 2, 3)),
+                classifier.Leaf("complete", (2, 3, 4, 5)),
+                2, (0, 2), (2, 4), False,
+            ),
+        ],
+        ids=["mismatch", "no-replay"],
+    )
+    def test_internal_failure_exit_code(self, tmp_path, capsys, monkeypatch, broken):
+        monkeypatch.setattr(classifier, "_certify", lambda g, k: broken)
+        path = write_hgr(tmp_path, cons.odd_wheel(5))
+        assert cli.main(["classify", path]) == 4
+        assert "internal error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cert",
+        [
+            {"type": "mystery"},
+            {"type": "join", "left": {"type": "leaf", "kind": "complete", "labels": [0, 1]}},
+        ],
+        ids=["unknown-node", "missing-fields"],
+    )
+    def test_malformed_user_certificate_is_input_error(self, tmp_path, capsys, cert):
+        path = write_hgr(tmp_path, cons.odd_wheel(5))
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(cert))
+        assert cli.main(["verify-cert", str(cert_path), path]) == 2
 
 
 class TestPipelines:

@@ -89,6 +89,13 @@ class TestEnumeration:
         out = col.enumerate_k_colorings(cons.cycle(5), 3, limit=4)
         assert len(out) == 4
 
+    def test_limit_zero_is_empty(self):
+        assert col.enumerate_k_colorings(cons.cycle(5), 3, limit=0) == []
+
+    def test_negative_limit_rejected(self):
+        with pytest.raises(ValueError, match="limit"):
+            col.enumerate_k_colorings(cons.cycle(5), 3, limit=-1)
+
     def test_lexicographic_order(self):
         out = col.enumerate_k_colorings(Hypergraph.of(2, [(0, 1)]), 2)
         assert [c.colors for c in out] == [(1, 2), (2, 1)]

@@ -9,7 +9,7 @@ from hyperchrome import connectivity as conn
 from hyperchrome import constructions as cons
 from hyperchrome import corpus
 
-from conftest import hypergraphs, seeded_random_hypergraph
+from conftest import connected_hypergraphs, hypergraphs, seeded_random_hypergraph
 import oracles
 
 
@@ -190,6 +190,83 @@ class TestBlocks:
             for v in b.vertices:
                 counts[v] = counts.get(v, 0) + 1
         assert {v for v, c in counts.items() if c > 1} == seps
+
+
+def _path(n):
+    return Hypergraph.of(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _hyperpath(n):
+    return Hypergraph.of(n, [(i, i + 1, i + 2) for i in range(0, n - 2, 2)])
+
+
+class TestBlockPass:
+    """The incidence-table pass is pinned to the 2-section computation
+    it replaced (``oracles.reference_blocks``)."""
+
+    @given(hypergraphs(max_n=7, sizes=(2, 3, 4)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, g):
+        assert conn.blocks(g) == oracles.reference_blocks(g)
+        assert conn.separating_vertices(g) == oracles.reference_separating_vertices(g)
+
+    def test_matches_reference_on_seeded_instances(self):
+        rng = random.Random(5)
+        isolated = 0
+        for i in range(500):
+            g = corpus.random_hypergraph(rng, 12)
+            if i % 2:  # thin it out: sparse, with isolated vertices
+                g = Hypergraph(g.n, tuple(e for e in g.edges if rng.random() < 0.3))
+            isolated += any(not refs for refs in g.incidence)
+            assert conn.blocks(g) == oracles.reference_blocks(g)
+            assert conn.separating_vertices(g) == oracles.reference_separating_vertices(g)
+        assert isolated >= 100
+
+    @given(connected_hypergraphs(max_n=7, sizes=(2, 3, 4)))
+    @settings(max_examples=100, deadline=None)
+    def test_mixed_pairs_skip_the_edge_in_place(self, g):
+        listing = [
+            (v, ref) for ref in range(g.m) for v in conn.separating_vertices(g.delete_edge(ref))
+        ]
+        assert list(conn._mixed_pairs(g)) == listing
+
+    def test_one_pass_serves_blocks_and_separating_vertices(self, monkeypatch):
+        passes = []
+        block_pass = conn._block_pass
+
+        def counted(g, skip=None):
+            passes.append(skip)
+            return block_pass(g, skip)
+
+        monkeypatch.setattr(conn, "_block_pass", counted)
+        g = Hypergraph.of(5, list(itertools.combinations(range(4), 2)) + [(3, 4)])
+        assert conn.separating_vertices(g) == (3,)
+        assert len(conn.blocks(g)) == 2
+        assert conn.separating_vertices(g) == (3,)
+        assert passes == [None]
+
+    def test_cache_is_not_part_of_the_value(self):
+        a = Hypergraph.of(5, [(0, 1), (1, 2, 3), (3, 4)])
+        b = Hypergraph.of(5, [(3, 4), (1, 2, 3), (0, 1)])
+        conn.blocks(a)
+        assert "_whole_graph_blocks" in vars(a) and "_whole_graph_blocks" not in vars(b)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_returned_list_is_the_callers(self):
+        g = Hypergraph.of(5, [(0, 1), (1, 2, 3), (3, 4)])
+        first = conn.blocks(g)
+        expected = list(first)
+        first.pop()
+        first.append(conn.Block((9,), ()))
+        assert conn.blocks(g) == expected
+
+    @pytest.mark.usefixtures("default_recursion_limit")
+    @pytest.mark.parametrize("g", [_path(3000), _hyperpath(3001)], ids=["path3000", "hyperpath3001"])
+    def test_deep_inputs(self, g):
+        assert conn.blocks(g) == [conn.Block(e, (i,)) for i, e in enumerate(g.edges)]
+        inner = {v for e in g.edges for v in e if g.degree(v) > 1}
+        assert conn.separating_vertices(g) == tuple(sorted(inner))
 
 
 class TestSeparators:

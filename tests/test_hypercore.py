@@ -157,6 +157,14 @@ class TestHgrFormat:
     def test_round_trip_property(self, g):
         assert Hypergraph.from_hgr(g.to_hgr()) == g
 
+    @given(hypergraphs(sizes=(2, 3, 4)), st.randoms(use_true_random=False))
+    def test_round_trip_with_edge_lines_shuffled(self, g, rng):
+        lines = g.to_hgr().splitlines()
+        edge_lines = lines[2:]
+        rng.shuffle(edge_lines)
+        parsed = Hypergraph.from_hgr("\n".join(lines[:2] + edge_lines) + "\n")
+        assert parsed == g and hash(parsed) == hash(g)
+
 
 @given(hypergraphs())
 def test_canonical_edges_idempotent(g):
