@@ -115,19 +115,6 @@ def verify_certificate(g: Hypergraph, cert: Certificate) -> bool:
     return certificate_matches(cert, range(g.n), g.edges)
 
 
-def relabel_certificate(cert: Certificate, new_of_old) -> Certificate:
-    if isinstance(cert, Leaf):
-        return Leaf(cert.kind, tuple(new_of_old[v] for v in cert.labels))
-    return Join(
-        relabel_certificate(cert.left, new_of_old),
-        relabel_certificate(cert.right, new_of_old),
-        new_of_old[cert.vstar],
-        tuple(sorted(new_of_old[v] for v in cert.e1)),
-        tuple(sorted(new_of_old[v] for v in cert.e2)),
-        cert.include_vstar,
-    )
-
-
 def certificate_to_json(cert: Certificate) -> dict:
     if isinstance(cert, Leaf):
         return {"type": "leaf", "kind": cert.kind, "labels": list(cert.labels)}
@@ -142,17 +129,25 @@ def certificate_to_json(cert: Certificate) -> dict:
     }
 
 
+def _vertex_ids(values) -> tuple[int, ...]:
+    ids = tuple(values)
+    bad = [v for v in ids if type(v) is not int]
+    if bad:
+        raise CertificateError(f"vertex id {bad[0]!r} is not an integer")
+    return ids
+
+
 def certificate_from_json(data: dict) -> Certificate:
     try:
         if data["type"] == "leaf":
-            return Leaf(data["kind"], tuple(data["labels"]))
+            return Leaf(data["kind"], _vertex_ids(data["labels"]))
         if data["type"] == "join":
             return Join(
                 certificate_from_json(data["left"]),
                 certificate_from_json(data["right"]),
-                data["vstar"],
-                tuple(data["e1"]),
-                tuple(data["e2"]),
+                _vertex_ids([data["vstar"]])[0],
+                _vertex_ids(data["e1"]),
+                _vertex_ids(data["e2"]),
                 bool(data["include_vstar"]),
             )
     except (KeyError, TypeError) as exc:
@@ -173,7 +168,7 @@ def is_in_Ck(g: Hypergraph, k: int, force: bool = False) -> bool:
     return conn.max_local_edge_connectivity(g) <= k
 
 
-def _wheel_leaf(g: Hypergraph) -> Leaf | None:
+def _wheel_leaf(g: Hypergraph, ids) -> Leaf | None:
     hub = shapes.wheel_hub(g)
     if hub is None:
         return None
@@ -187,7 +182,7 @@ def _wheel_leaf(g: Hypergraph) -> Leaf | None:
     while len(order) < len(rim):
         a, b = order[-2], order[-1]
         order.append(next(u for u in adj[b] if u != a))
-    return Leaf("odd_wheel", tuple(order) + (hub,))
+    return Leaf("odd_wheel", tuple(ids[v] for v in order) + (ids[hub],))
 
 
 def hk_certificate(g: Hypergraph, k: int, force: bool = False) -> Certificate | None:
@@ -196,15 +191,22 @@ def hk_certificate(g: Hypergraph, k: int, force: bool = False) -> Certificate | 
     unknown shape; the certificate is checked by its replay."""
     if k < 3:
         raise ValueError("certificates exist only for k >= 3")
-    return _build_certificate(g, k) if is_in_Ck(g, k, force=force) else None
+    if not is_in_Ck(g, k, force=force):
+        return None
+    cert = _build_certificate(g, k, range(g.n))
+    if cert is None:
+        raise InternalError("a member of the class has no certificate; internal bug")
+    return cert
 
 
-def _build_certificate(g: Hypergraph, k: int) -> Certificate:
-    """Certificate of a (k+1)-critical g with lambda <= k; the class is
-    join-closed, so its bit-exact replay proves membership."""
-    cert = _certify(g, k)
+def _build_certificate(g: Hypergraph, k: int, ids) -> Certificate | None:
+    """Certificate of g in target ids ``ids[v]``, or None outside the
+    join closure of the base shapes; a bit-exact replay proves membership."""
+    cert = _certify(g, k, ids)
+    if cert is None:
+        return None
     try:
-        match = verify_certificate(g, cert)
+        match = certificate_matches(cert, ids, ([ids[v] for v in e] for e in g.edges))
     except CertificateError as exc:
         raise InternalError(f"built certificate does not replay: {exc}; internal bug") from exc
     if not match:
@@ -212,29 +214,30 @@ def _build_certificate(g: Hypergraph, k: int) -> Certificate:
     return cert
 
 
-def _certify(g: Hypergraph, k: int) -> Certificate:
+def _certify(g: Hypergraph, k: int, ids) -> Certificate | None:
     # In the class, a separating (vertex, edge) pair exists iff g is a join.
     first = next(conn._mixed_pairs(g), None)
     if first is None:
         if k == 3:
-            leaf = _wheel_leaf(g)
-            if leaf is not None:
-                return leaf
-        elif shapes.is_complete_graph(g) and g.n == k + 1:
-            return Leaf("complete", tuple(range(g.n)))
-        raise InternalError(
-            "no separating pair but no base shape matched; internal bug"
-        )
+            return _wheel_leaf(g, ids)
+        if shapes.is_complete_graph(g) and g.n == k + 1:
+            return Leaf("complete", tuple(ids))
+        return None
     v_star, e_star = first
-    dec = cons.hajos_decompose_mixed(g, v_star, e_star)
-    parts = [
-        relabel_certificate(_certify(part, k), old)
-        for part, old in ((dec.spec.g1, dec.g1_old), (dec.spec.g2, dec.g2_old))
-    ]
-    half1 = tuple(sorted(dec.g1_old[u] for u in dec.spec.g1.edge(dec.spec.e1)))
-    half2 = tuple(sorted(dec.g2_old[u] for u in dec.spec.g2.edge(dec.spec.e2)))
+    try:
+        dec = cons.hajos_decompose_mixed(g, v_star, e_star)
+    except ValueError:
+        return None
+    ids1 = [ids[u] for u in dec.g1_old]
+    ids2 = [ids[u] for u in dec.g2_old]
+    left = _certify(dec.spec.g1, k, ids1)
+    right = _certify(dec.spec.g2, k, ids2) if left is not None else None
+    if right is None:
+        return None
     return Join(
-        parts[0], parts[1], v_star, half1, half2,
+        left, right, ids[v_star],
+        tuple(sorted(ids1[u] for u in dec.spec.g1.edge(dec.spec.e1))),
+        tuple(sorted(ids2[u] for u in dec.spec.g2.edge(dec.spec.e2))),
         include_vstar=v_star in g.edge(e_star),
     )
 
@@ -294,23 +297,20 @@ class ClassifyOutcome:
 
 def classify(g: Hypergraph, force: bool = False, h2_info: bool = False) -> ClassifyOutcome:
     """Decide whether chi(G) = lambda(G)+1, with a witness either way
-    when lambda >= 3.  The critical block is critical by construction,
-    with lambda <= lam as a subhypergraph, so it skips the membership
-    gate: its certificate is checked by replay alone."""
+    when lambda >= 3.  With no lambda-coloring, the tight block is found
+    by certification: the first block, by descending first edge ref,
+    whose certificate replays (the block ``extract_critical`` keeps).  A
+    replay proves membership, and members are (lambda+1)-critical."""
     lam = conn.max_local_edge_connectivity(g)
     if lam >= 3:
         phi = col.find_k_coloring(g, lam)
         if phi is not None:
             return ClassifyOutcome(lam, _chi_below(g, lam), "colorable", coloring=phi)
-        chi = lam + 1
-        crit = extract_critical(g, chi, force=force)
-        block_vs = set(crit.old_ids)
-        if not any(set(b.vertices) == block_vs for b in conn.blocks(g)):
-            raise InternalError("critical part is not a block; internal bug")
-        if g.induced(sorted(block_vs)).graph != crit.graph:
-            raise InternalError("block carries extra edges; internal bug")
-        cert = relabel_certificate(_build_certificate(crit.graph, lam), crit.old_ids)
-        return ClassifyOutcome(lam, chi, "tight", block=tuple(sorted(block_vs)), certificate=cert)
+        for b in sorted((b for b in conn.blocks(g) if b.edge_refs), key=lambda b: -b.edge_refs[0]):
+            cert = _build_certificate(b.graph(g), lam, b.vertices)
+            if cert is not None:
+                return ClassifyOutcome(lam, lam + 1, "tight", block=b.vertices, certificate=cert)
+        raise InternalError("no block of a tight instance certifies; internal bug")
     chi = col.chromatic_number(g, force=force)
     if lam == 0:
         note = (

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -230,8 +231,11 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_verify_cert(args) -> int:
-    cert = cls.certificate_from_json(json.loads(Path(args.cert).read_text()))
-    match = cls.verify_certificate(_read_graph(args.file), cert)
+    try:
+        cert = cls.certificate_from_json(json.loads(Path(args.cert).read_text()))
+        match = cls.verify_certificate(_read_graph(args.file), cert)
+    except RecursionError:
+        raise cls.CertificateError("certificate is nested too deeply") from None
     _emit({"match": match})
     return OK if match else VERDICT_NO
 
@@ -248,6 +252,7 @@ def _cmd_corpus(args) -> int:
     return OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperchrome",

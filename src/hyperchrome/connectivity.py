@@ -48,13 +48,6 @@ class Hyperpath:
             return False
         return all(0 <= v < g.n for v in self.vertices)
 
-    def as_sequence(self) -> list[int]:
-        """Interleaved [v1, e1, v2, ...] form used in JSON output."""
-        out: list[int] = [self.vertices[0]]
-        for e, v in zip(self.edges, self.vertices[1:]):
-            out.extend((e, v))
-        return out
-
 
 @dataclass(frozen=True)
 class EdgeCut:

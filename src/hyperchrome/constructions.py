@@ -228,9 +228,8 @@ def hajos_decompose_mixed(g: Hypergraph, v_star: int, e_star: int) -> MixedDecom
     its half of e* (through v*) is an operand of the join."""
     estar_vs = set(g.edge(e_star))
     rest = g.delete_edge(e_star)
-    comps = [set(c) for c in conn.components(rest.div_vertices((v_star,)).graph)]
-    div_old = rest.div_vertices((v_star,)).old_ids
-    comps = [{div_old[v] for v in c} for c in comps]
+    div, div_old = rest.div_vertices((v_star,))
+    comps = [{div_old[v] for v in c} for c in conn.components(div)]
     if len(comps) < 2:
         raise ValueError(f"({v_star}, edge {e_star}) is not a mixed separating set")
     side1 = comps[0]
@@ -240,7 +239,7 @@ def hajos_decompose_mixed(g: Hypergraph, v_star: int, e_star: int) -> MixedDecom
     parts = []
     for side in (side1, side2):
         vs = sorted(side | {v_star})
-        sub, old = g.delete_edge(e_star).induced(vs)
+        sub, old = rest.induced(vs)
         pos = {u: i for i, u in enumerate(old)}
         half = tuple(sorted({pos[u] for u in estar_vs if u in side} | {pos[v_star]}))
         if half in set(sub.edges):

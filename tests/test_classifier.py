@@ -12,7 +12,7 @@ from hyperchrome import coloring as col
 from hyperchrome import connectivity as conn
 from hyperchrome import constructions as cons
 
-from conftest import random_nested_join, seeded_random_hypergraph
+from conftest import hypergraphs, random_nested_join, seeded_random_hypergraph
 
 
 class TestCertificateReplay:
@@ -252,6 +252,161 @@ class TestExtractCritical:
         assert col.is_critical(crit.graph, chi).is_critical
 
 
+def _relabel(cert, new_of_old):
+    """A certificate moved to other target ids, as ``classify`` built its
+    certificates before they were built in the block's ids directly."""
+    if isinstance(cert, cls.Leaf):
+        return cls.Leaf(cert.kind, tuple(new_of_old[v] for v in cert.labels))
+    return cls.Join(
+        _relabel(cert.left, new_of_old),
+        _relabel(cert.right, new_of_old),
+        new_of_old[cert.vstar],
+        tuple(sorted(new_of_old[v] for v in cert.e1)),
+        tuple(sorted(new_of_old[v] for v in cert.e2)),
+        cert.include_vstar,
+    )
+
+
+def _classify_by_extraction(g):
+    """``classify`` as it found the tight block before certifying the
+    blocks directly: ``extract_critical``'s edge scan, a check that the
+    result is a whole block, then a certificate relabelled to its ids."""
+    lam = conn.max_local_edge_connectivity(g)
+    if lam < 3 or col.find_k_coloring(g, lam) is not None:
+        return cls.classify(g)
+    crit = cls.extract_critical(g, lam + 1)
+    assert any(b.vertices == crit.old_ids for b in conn.blocks(g))
+    assert g.induced(crit.old_ids).graph == crit.graph
+    cert = cls._build_certificate(crit.graph, lam, range(crit.graph.n))
+    return cls.ClassifyOutcome(
+        lam, lam + 1, "tight", block=crit.old_ids, certificate=_relabel(cert, crit.old_ids)
+    )
+
+
+def _glue(parts, rng):
+    """The parts on one vertex set: each part after the first shares one
+    vertex with the graph so far, or hangs on it by a bridging edge."""
+    g = parts[0]
+    for part in parts[1:]:
+        u, w = rng.randrange(g.n), rng.randrange(part.n)
+        share = rng.random() < 0.7
+        ids = [0] * part.n
+        nxt = g.n
+        for v in range(part.n):
+            if share and v == w:
+                ids[v] = u
+            else:
+                ids[v], nxt = nxt, nxt + 1
+        edges = list(g.edges) + [[ids[v] for v in e] for e in part.edges]
+        if not share:
+            edges.append((u, ids[w]))
+        g = Hypergraph.of(nxt, edges)
+    return g
+
+
+def _pendant_tree(g, rng, size):
+    edges, n = list(g.edges), g.n
+    for _ in range(size):
+        edges.append((rng.randrange(n), n))
+        n += 1
+    return Hypergraph.of(n, edges)
+
+
+K4, K5, W5 = cons.complete_graph(4), cons.complete_graph(5), cons.odd_wheel(5)
+OCTAHEDRON = Hypergraph.of(
+    6, [e for e in itertools.combinations(range(6), 2) if e not in ((0, 1), (2, 3), (4, 5))]
+)
+
+
+def glued_instance(rng, n_max=18):
+    """Two to four parts glued into a multi-block hypergraph, plus a
+    pendant tree.  The parts are drawn so that tight, colourable and
+    small-lambda verdicts all occur, tight ones often with several blocks
+    in the class; a colourable instance starts from a 4-connected part
+    that is not 5-chromatic, so its lambda leaves K4 and W5 outside."""
+    def sparse():
+        return rng.choice([
+            cons.cycle(4), cons.cycle(5), cons.hyperwheel(3), cons.hyperwheel(4),
+            seeded_random_hypergraph(rng, rng.randint(2, 5), (2, 3), 4),
+        ])
+
+    def member():
+        return rng.choice([
+            K4, K5, W5, cons.odd_wheel(7),
+            random_nested_join(rng, 3, 10, 1), random_nested_join(rng, 4, 9, 1),
+        ])
+
+    kind = rng.choice(["tight", "colorable", "small"])
+    if kind == "tight":
+        parts, draw = [member()], lambda: member() if rng.random() < 0.6 else sparse()
+    elif kind == "colorable":
+        parts, draw = [rng.choice([OCTAHEDRON, cons.toft_graph(1)])], lambda: rng.choice([K4, W5, sparse()])
+    else:
+        parts, draw = [sparse()], sparse
+    for _ in range(rng.randint(1, 3)):
+        part = draw()
+        if sum(p.n for p in parts) + part.n > n_max:
+            break
+        parts.append(part)
+    rng.shuffle(parts)
+    return _pendant_tree(_glue(parts, rng), rng, rng.randint(0, 3))
+
+
+def _member_blocks(g, lam):
+    return [
+        b for b in conn.blocks(g)
+        if b.edge_refs and cls.hk_certificate(b.graph(g), lam) is not None
+    ]
+
+
+class TestTightBlockByCertification:
+    """The tight block comes from certifying the blocks; pin it to the
+    block that ``extract_critical`` keeps."""
+
+    @pytest.mark.parametrize(
+        "parts", [(K4, K4), (W5, K4), (K4, W5), (K5, K5), (K4, K4, K4)],
+        ids=["k4-k4", "w5-k4", "k4-w5", "k5-k5", "k4-k4-k4"],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_several_member_blocks(self, parts, seed):
+        rng = random.Random(seed)
+        g = _pendant_tree(_glue(list(parts), rng), rng, 2)
+        out = cls.classify(g)
+        assert out.verdict == "tight"
+        assert len(_member_blocks(g, out.lam)) >= 2
+        assert out == _classify_by_extraction(g)
+
+    def test_seeded_glued_instances(self):
+        verdicts = collections.Counter()
+        several = 0
+        for seed in range(240):
+            g = glued_instance(random.Random(seed))
+            out = cls.classify(g)
+            assert out == _classify_by_extraction(g), seed
+            verdicts[out.verdict] += 1
+            if out.verdict == "tight":
+                several += len(_member_blocks(g, out.lam)) >= 2
+        assert min(verdicts.values()) >= 20, verdicts
+        assert several >= 10
+
+    @settings(max_examples=60, deadline=None)
+    @given(hypergraphs())
+    def test_hypergraphs(self, g):
+        assert cls.classify(g) == _classify_by_extraction(g)
+
+    def test_certificate_in_target_ids_equals_relabelled(self):
+        for seed in range(6):
+            g = random_nested_join(random.Random(seed), 3, 16, 3)
+            ids = random.Random(seed).sample(range(100), g.n)
+            direct = cls._build_certificate(g, 3, ids)
+            assert direct == _relabel(cls._build_certificate(g, 3, range(g.n)), ids)
+
+    def test_outside_the_class_is_none(self):
+        assert cls._build_certificate(cons.cycle(7), 3, range(7)) is None
+        assert cls._build_certificate(cons.toft_graph(1), 3, range(12)) is None
+        assert cls._build_certificate(K4, 4, range(4)) is None
+
+
 class TestClassify:
     def test_k1(self):
         out = cls.classify(Hypergraph.of(1))
@@ -312,12 +467,18 @@ class TestClassify:
         count(conn, "max_local_edge_connectivity")
         count(cls, "is_in_Ck")
         count(conn, "enumerate_separating_sets")
+        count(cls, "extract_critical")
+        count(col, "chromatic_number")
+        count(col, "find_k_coloring")
         g = random_nested_join(random.Random(7), 3, 16, 3)
         out = cls.classify(g)
         assert out.verdict == "tight" and isinstance(out.certificate, cls.Join)
         assert calls["max_local_edge_connectivity"] == 1
         assert calls["is_in_Ck"] == 0
         assert calls["enumerate_separating_sets"] == 0
+        assert calls["extract_critical"] == 0
+        assert calls["chromatic_number"] == 0
+        assert calls["find_k_coloring"] == 1
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))

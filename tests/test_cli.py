@@ -8,6 +8,18 @@ from hyperchrome import constructions as cons
 from hyperchrome.hypercore import Hypergraph
 
 
+# a join of two K4 leaves at vertex 3, as a user's certificate file holds it
+JOIN = {
+    "type": "join",
+    "left": {"type": "leaf", "kind": "complete", "labels": [0, 1, 2, 3]},
+    "right": {"type": "leaf", "kind": "complete", "labels": [3, 4, 5, 6]},
+    "vstar": 3,
+    "e1": [2, 3],
+    "e2": [3, 4],
+    "include_vstar": False,
+}
+
+
 def write_hgr(tmp_path, g, name="g.hgr"):
     path = tmp_path / name
     path.write_text(g.to_hgr())
@@ -126,7 +138,7 @@ class TestErrorPaths:
         ids=["mismatch", "no-replay"],
     )
     def test_internal_failure_exit_code(self, tmp_path, capsys, monkeypatch, broken):
-        monkeypatch.setattr(classifier, "_certify", lambda g, k: broken)
+        monkeypatch.setattr(classifier, "_certify", lambda g, k, ids: broken)
         path = write_hgr(tmp_path, cons.odd_wheel(5))
         assert cli.main(["classify", path]) == 4
         assert "internal error" in capsys.readouterr().err
@@ -136,14 +148,41 @@ class TestErrorPaths:
         [
             {"type": "mystery"},
             {"type": "join", "left": {"type": "leaf", "kind": "complete", "labels": [0, 1]}},
+            dict(JOIN, vstar=[3]),
+            dict(JOIN, e1=[2, "3"]),
+            dict(JOIN, e2=[3, 4.0]),
+            dict(JOIN, left={"type": "leaf", "kind": "complete", "labels": [0, 1, 2, [3]]}),
+            dict(JOIN, right={"type": "leaf", "kind": "complete", "labels": [3, 4, 5, True]}),
         ],
-        ids=["unknown-node", "missing-fields"],
+        ids=[
+            "unknown-node", "missing-fields", "list-vstar", "string-in-e1",
+            "float-in-e2", "list-label", "bool-label",
+        ],
     )
     def test_malformed_user_certificate_is_input_error(self, tmp_path, capsys, cert):
         path = write_hgr(tmp_path, cons.odd_wheel(5))
         cert_path = tmp_path / "cert.json"
         cert_path.write_text(json.dumps(cert))
         assert cli.main(["verify-cert", str(cert_path), path]) == 2
+
+    @pytest.mark.usefixtures("default_recursion_limit")
+    def test_deeply_nested_certificate_is_input_error(self, tmp_path, capsys):
+        path = write_hgr(tmp_path, cons.odd_wheel(5))
+        leaf = json.dumps(JOIN["left"])
+        rest = json.dumps(dict(JOIN, left=None))
+        head, tail = rest[: rest.index("null")], rest[rest.index("null") + 4 :]
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(head * 3000 + leaf + tail * 3000)
+        assert cli.main(["verify-cert", str(cert_path), path]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+    def test_tight_classify_needs_no_force_past_the_chi_guard(self, tmp_path, capsys):
+        """A tight verdict is proved by the block's certificate, not by
+        the guarded exact chromatic number."""
+        g = Hypergraph.of(28, list(cons.odd_wheel(5).edges) + [(i, i + 1) for i in range(5, 27)])
+        code, payload = run_json(capsys, ["classify", write_hgr(tmp_path, g)])
+        assert code == 0 and payload["verdict"] == "tight"
+        assert payload["block"] == list(range(6))
 
 
 class TestPipelines:
