@@ -29,8 +29,8 @@ def main() -> None:
             continue
         k = k_plus_1 - 1
         g = Hypergraph.from_hgr((Path(args.out) / f"{name}.hgr").read_text())
-        # g is (k+1)-critical, so the gate rejects exactly when lambda > k;
-        # an accepted certificate has already passed its replay.
+        # g is (k+1)-critical, so no certificate exists exactly when
+        # lambda > k; a returned certificate has already passed its replay.
         cert = cls.hk_certificate(g, k)
         if cert is None:
             skipped += 1

@@ -22,10 +22,9 @@ class CertificateError(ValueError):
 
 
 class InternalError(RuntimeError):
-    """An internal invariant broke: a bug, not bad input.
-
-    Structural certification and the semantic oracle are provably
-    equivalent, so disagreement fails loudly."""
+    """An internal invariant broke: a bug, not bad input, such as a
+    built certificate that does not replay, or a tight instance with no
+    block that certifies."""
 
 
 # -- certificates ----------------------------------------------------------
@@ -137,6 +136,13 @@ def _vertex_ids(values) -> tuple[int, ...]:
     return ids
 
 
+def _flag(value) -> bool:
+    """A JSON boolean; ``bool()`` would read the string "false" as True."""
+    if type(value) is not bool:
+        raise CertificateError(f"include_vstar {value!r} is not a boolean")
+    return value
+
+
 def certificate_from_json(data: dict) -> Certificate:
     try:
         if data["type"] == "leaf":
@@ -148,7 +154,7 @@ def certificate_from_json(data: dict) -> Certificate:
                 _vertex_ids([data["vstar"]])[0],
                 _vertex_ids(data["e1"]),
                 _vertex_ids(data["e2"]),
-                bool(data["include_vstar"]),
+                _flag(data["include_vstar"]),
             )
     except (KeyError, TypeError) as exc:
         raise CertificateError(f"malformed certificate JSON: {exc}") from None
@@ -185,18 +191,15 @@ def _wheel_leaf(g: Hypergraph, ids) -> Leaf | None:
     return Leaf("odd_wheel", tuple(ids[v] for v in order) + (ids[hub],))
 
 
-def hk_certificate(g: Hypergraph, k: int, force: bool = False) -> Certificate | None:
+def hk_certificate(g: Hypergraph, k: int) -> Certificate | None:
     """A replayable join decomposition over the base shapes, or None
-    outside the class.  The membership oracle only gates inputs of
-    unknown shape; the certificate is checked by its replay."""
+    outside the class.  The class is the join closure of the base
+    shapes, so a certificate that replays proves membership."""
     if k < 3:
         raise ValueError("certificates exist only for k >= 3")
-    if not is_in_Ck(g, k, force=force):
+    if not conn.is_connected(g):
         return None
-    cert = _build_certificate(g, k, range(g.n))
-    if cert is None:
-        raise InternalError("a member of the class has no certificate; internal bug")
-    return cert
+    return _build_certificate(g, k, range(g.n))
 
 
 def _build_certificate(g: Hypergraph, k: int, ids) -> Certificate | None:
@@ -215,13 +218,18 @@ def _build_certificate(g: Hypergraph, k: int, ids) -> Certificate | None:
 
 
 def _certify(g: Hypergraph, k: int, ids) -> Certificate | None:
-    # In the class, a separating (vertex, edge) pair exists iff g is a join.
+    # A base shape has no separating (vertex, edge) pair; in the class,
+    # one exists iff g is a join.
+    if k == 3:
+        leaf = _wheel_leaf(g, ids)
+    elif shapes.is_complete_graph(g) and g.n == k + 1:
+        leaf = Leaf("complete", tuple(ids))
+    else:
+        leaf = None
+    if leaf is not None:
+        return leaf
     first = next(conn._mixed_pairs(g), None)
     if first is None:
-        if k == 3:
-            return _wheel_leaf(g, ids)
-        if shapes.is_complete_graph(g) and g.n == k + 1:
-            return Leaf("complete", tuple(ids))
         return None
     v_star, e_star = first
     try:
@@ -347,9 +355,11 @@ def _h2_closure_hint(g: Hypergraph, depth: int = 6, force: bool = False) -> bool
     """Informational only: is some 3-chromatic block producible from
     hyperwheels by joins within the given recursion depth?"""
     for b in conn.blocks(g):
-        sub = b.graph(g)
-        crit = extract_critical(sub, 3, force=force) if col.chromatic_number(sub, force=force) == 3 else None
-        if crit and _h2_search(crit.graph, depth):
+        try:
+            crit = extract_critical(b.graph(g), 3, force=force)
+        except ValueError:  # chi(block) != 3
+            continue
+        if _h2_search(crit.graph, depth):
             return True
     return False
 

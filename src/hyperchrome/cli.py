@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .hypercore import HgrFormatError, Hypergraph
+from .hypercore import Hypergraph
 from . import classifier as cls
 from . import coloring as col
 from . import connectivity as conn
@@ -109,22 +109,26 @@ def _cmd_mixed_seps(args) -> int:
 
 def _cmd_construct(args) -> int:
     name, params = args.name, args.params
+    # name -> (parameter count, or None for any, builder over int params)
     builders = {
-        "complete": lambda: cons.complete_graph(int(params[0])),
-        "cycle": lambda: cons.cycle(int(params[0])),
-        "odd-wheel": lambda: cons.odd_wheel(int(params[0])),
-        "hyperwheel": lambda: cons.hyperwheel(int(params[0])),
-        "kc": lambda: cons.kc(int(params[0]), int(params[1])),
-        "toft": lambda: cons.toft_graph(int(params[0])),
-        "figure1": lambda: cons.figure1_join(not args.no_vstar).graph,
-        "figure2-g1": cons.figure2_g1,
-        "figure2-g2": cons.figure2_g2,
-        "figure3": cons.figure3,
-        "c2-tree": lambda: cons.c2_tree([int(p) for p in params]),
+        "complete": (1, cons.complete_graph),
+        "cycle": (1, cons.cycle),
+        "odd-wheel": (1, cons.odd_wheel),
+        "hyperwheel": (1, cons.hyperwheel),
+        "kc": (2, cons.kc),
+        "toft": (1, cons.toft_graph),
+        "figure1": (0, lambda: cons.figure1_join(not args.no_vstar).graph),
+        "figure2-g1": (0, cons.figure2_g1),
+        "figure2-g2": (0, cons.figure2_g2),
+        "figure3": (0, cons.figure3),
+        "c2-tree": (None, lambda *parents: cons.c2_tree(list(parents))),
     }
     if name not in builders:
         raise ValueError(f"unknown construction {name!r}")
-    sys.stdout.write(builders[name]().to_hgr())
+    count, build = builders[name]
+    if count is not None and len(params) != count:
+        raise ValueError(f"construction {name!r} takes {count} parameter(s), got {len(params)}")
+    sys.stdout.write(build(*(int(p) for p in params)).to_hgr())
     return OK
 
 
@@ -225,7 +229,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    cert = cls.hk_certificate(_read_graph(args.file), args.k, force=args.force)
+    cert = cls.hk_certificate(_read_graph(args.file), args.k)
     _emit({"certificate": cls.certificate_to_json(cert) if cert else None})
     return OK if cert else VERDICT_NO
 
@@ -329,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("certify", _cmd_certify, help="join certificate for a critical hypergraph")
     p.add_argument("file")
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--force", action="store_true")
 
     p = add("verify-cert", _cmd_verify_cert, help="replay a certificate against a graph")
     p.add_argument("cert")
@@ -363,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     except cls.InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL
-    except (HgrFormatError, ValueError, OSError, json.JSONDecodeError, IndexError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

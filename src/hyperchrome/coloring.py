@@ -13,7 +13,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .hypercore import Hypergraph
-from .connectivity import blocks, is_connected
+from .connectivity import blocks, bridges, enumerate_separating_sets, is_connected
+from .shapes import is_complete_graph, is_hyperwheel, is_odd_cycle, is_odd_wheel, is_single_edge
 
 CHI_GUARD_N = 24
 ENUM_GUARD = 10**8
@@ -42,9 +43,6 @@ class Coloring:
     def is_monochromatic(self, edge) -> bool:
         first = self.colors[edge[0]]
         return all(self.colors[v] == first for v in edge[1:])
-
-    def image(self, xs) -> frozenset[int]:
-        return frozenset(self.colors[v] for v in xs)
 
 
 @dataclass(frozen=True)
@@ -209,14 +207,20 @@ def is_critical(g: Hypergraph, k_plus_1: int, force: bool = False) -> Criticalit
     return CriticalityReport(True, chi)
 
 
+def require_critical(g: Hypergraph, k: int, name: str = "hypergraph", force: bool = False) -> None:
+    """Raise ValueError, naming ``name`` and the reason, unless g is
+    (k+1)-critical."""
+    report = is_critical(g, k + 1, force=force)
+    if not report.is_critical:
+        raise ValueError(f"{name} is not {k + 1}-critical: {report.reason}")
+
+
 def low_high_partition(
     g: Hypergraph, k: int, force: bool = False
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(L, H): vertices of degree exactly k vs. degree > k, for a
     (k+1)-critical hypergraph (checked; min degree >= k is asserted)."""
-    report = is_critical(g, k + 1, force=force)
-    if not report.is_critical:
-        raise ValueError(f"hypergraph is not {k + 1}-critical: {report.reason}")
+    require_critical(g, k, force=force)
     low, high = [], []
     for v in range(g.n):
         d = g.degree(v)
@@ -232,8 +236,6 @@ def low_high_partition(
 def classify_gallai_block(b: Hypergraph) -> str | None:
     """'complete', 'odd_cycle', or 'single_edge' if the block matches
     one of the Gallai shapes, else None."""
-    from .shapes import is_complete_graph, is_odd_cycle
-
     if b.m == 1:
         return "single_edge"
     if is_complete_graph(b):
@@ -282,9 +284,6 @@ def verify_gallai_lemma(g: Hypergraph, k: int, force: bool = False) -> GallaiLem
     the shrink to the low set is a Gallai forest, the mixed edges have
     distinct low-traces which are bridges there, and the no-high-vertex
     case matches one of the closed shapes."""
-    from .shapes import is_odd_cycle, is_complete_graph, is_single_edge
-    from .connectivity import bridges as bridge_refs
-
     if k < 2:
         raise ValueError("k must be >= 2")
     low, high = low_high_partition(g, k, force=force)
@@ -301,7 +300,7 @@ def verify_gallai_lemma(g: Hypergraph, k: int, force: bool = False) -> GallaiLem
     forest_ok, _ = is_gallai_forest(gl)
     traces = [tuple(sorted(pos[v] for v in e if v in low_set)) for e in mixed]
     traces_distinct = len(set(traces)) == len(traces)
-    bridge_set = set(bridge_refs(gl))
+    bridge_set = set(bridges(gl))
     bridges_ok = True
     for trace in traces:
         try:
@@ -346,9 +345,6 @@ def verify_one_high_vertex_lemma(
     """For a (k+1)-critical hypergraph with exactly one high vertex:
     exactly one of {separating pair exists, k=2 hyperwheel, k=3 odd
     wheel} holds."""
-    from .shapes import is_hyperwheel, is_odd_wheel
-    from .connectivity import enumerate_separating_sets
-
     low, high = low_high_partition(g, k, force=force)
     if len(high) != 1:
         raise ValueError(f"expected exactly one high vertex, found {len(high)}")

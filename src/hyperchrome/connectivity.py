@@ -75,9 +75,6 @@ class EdgeCut:
             y_f=tuple(v for v in y if v in touched),
         )
 
-    def is_nontrivial(self) -> bool:
-        return len(self.x_f) >= 2 and len(self.y_f) >= 2
-
 
 @dataclass(frozen=True)
 class FlowResult:

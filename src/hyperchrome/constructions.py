@@ -384,9 +384,7 @@ def decompose_vertex_pair(
 ) -> VertexPairDecomposition | None:
     """Theorem-backed decomposition of a (k+1)-critical hypergraph at
     a separating vertex pair; None when no size-<=2 separator exists."""
-    report = col.is_critical(g, k + 1, force=force)
-    if not report.is_critical:
-        raise ValueError(f"hypergraph is not {k + 1}-critical: {report.reason}")
+    col.require_critical(g, k, force=force)
     seps = conn.enumerate_separating_sets(g, 2)
     if not seps:
         return None
@@ -429,9 +427,7 @@ def decompose_vertex_pair(
     pv2, pw2 = side2.old_ids.index(v), side2.old_ids.index(w)
     g2_prime = identify_vertices(side2.graph, pv2, pw2)
     for part, name in ((g1_prime, "G1'"), (g2_prime, "G2'")):
-        rep = col.is_critical(part, k + 1, force=force)
-        if not rep.is_critical:
-            raise ValueError(f"{name} is not {k + 1}-critical: {rep.reason}")
+        col.require_critical(part, k, name, force=force)
     return VertexPairDecomposition(v, w, h1, h2, side1, side2, g1_prime, g2_prime)
 
 
@@ -470,9 +466,7 @@ def decompose_edge_cut(
     separating edge set of size <= k (which must then have size k)."""
     refs = tuple(sorted(set(f)))
     if check_critical:
-        report = col.is_critical(g, k + 1, force=force)
-        if not report.is_critical:
-            raise ValueError(f"hypergraph is not {k + 1}-critical: {report.reason}")
+        col.require_critical(g, k, force=force)
     if not conn.is_separating_edge_set(g, refs):
         raise ValueError("edge set is not separating")
     if len(refs) > k:
@@ -514,9 +508,7 @@ def decompose_edge_cut(
         pos = {u: i for i, u in enumerate(old)}
         g1 = Hypergraph.of(sub.n, sub.edges + (tuple(sorted(pos[u] for u in cut.x_f)),))
         g1_old = old
-        rep = col.is_critical(g1, k + 1, force=force)
-        if not rep.is_critical:
-            raise ValueError(f"G1 is not {k + 1}-critical: {rep.reason}")
+        col.require_critical(g1, k, "G1", force=force)
     suby, oldy = g.induced(cut.y)
     posy = {u: i for i, u in enumerate(oldy)}
     apex = suby.n
@@ -526,9 +518,7 @@ def decompose_edge_cut(
         e = g.edge(ref)
         new_edges.append(tuple(sorted({posy[u] for u in e if u not in xset} | {apex})))
     g2 = Hypergraph.of(suby.n + 1, new_edges)
-    rep = col.is_critical(g2, k + 1, force=force)
-    if not rep.is_critical:
-        raise ValueError(f"G2 is not {k + 1}-critical: {rep.reason}")
+    col.require_critical(g2, k, "G2", force=force)
     return EdgeCutDecomposition(cut, g1, g1_old, g2, oldy + (-1,))
 
 
@@ -564,12 +554,6 @@ def _infer_k(g: Hypergraph, force: bool = False) -> int:
     return col.chromatic_number(g, force=force) - 1
 
 
-def _require_critical(g: Hypergraph, k: int, name: str, force: bool = False) -> None:
-    rep = col.is_critical(g, k + 1, force=force)
-    if not rep.is_critical:
-        raise ValueError(f"{name} is not {k + 1}-critical: {rep.reason}")
-
-
 def validate_split_low(
     spec: SplitSpec, k: int | None = None, force: bool = False
 ) -> SplitResult:
@@ -577,12 +561,12 @@ def validate_split_low(
     with the boundary of g1's side a size-k separating edge set."""
     if k is None:
         k = _infer_k(spec.g1, force=force)
-    _require_critical(spec.g1, k, "G1", force=force)
-    _require_critical(spec.g2, k, "G2", force=force)
+    col.require_critical(spec.g1, k, "G1", force=force)
+    col.require_critical(spec.g2, k, "G2", force=force)
     if spec.g2.degree(spec.v_tilde) != k:
         raise ValueError("v_tilde is not a low vertex of G2")
     result = split(spec)
-    _require_critical(result.graph, k, "split result", force=force)
+    col.require_critical(result.graph, k, "split result", force=force)
     f = result.graph.boundary(range(spec.g1.n))
     if len(f) != k or not conn.is_separating_edge_set(result.graph, f):
         raise ValueError("expected a separating boundary of size k")
@@ -608,8 +592,8 @@ def validate_split_ordinary(
         k = _infer_k(spec.g1, force=force)
     if len(spec.g1.edge(spec.e_tilde)) != 2:
         raise ValueError("e_tilde must be an ordinary edge")
-    _require_critical(spec.g1, k, "G1", force=force)
-    _require_critical(spec.g2, k, "G2", force=force)
+    col.require_critical(spec.g1, k, "G1", force=force)
+    col.require_critical(spec.g2, k, "G2", force=force)
     result = split(spec)
     pair = spec.g1.edge(spec.e_tilde)
     g2_side = sorted(set(range(spec.g1.n, result.graph.n)) | set(pair))
@@ -630,8 +614,8 @@ def check_general_split_precondition(
     split result is (k+1)-critical."""
     if k is None:
         k = _infer_k(spec.g1, force=force)
-    _require_critical(spec.g1, k, "G1", force=force)
-    _require_critical(spec.g2, k, "G2", force=force)
+    col.require_critical(spec.g1, k, "G1", force=force)
+    col.require_critical(spec.g2, k, "G2", force=force)
     result = split(spec)
     pair = spec.g1.edge(spec.e_tilde)
     g2_side = sorted(set(range(spec.g1.n, result.graph.n)) | set(pair))
@@ -665,7 +649,7 @@ def is_universal_vertex_bounded(
     """Bounded universality check: enumerate splittings of v into fresh
     independent sets of size <= max_set_size and test that every
     non-constant palette assignment on the fresh set extends."""
-    _require_critical(g, k, "G", force=force)
+    col.require_critical(g, k, "G", force=force)
     incident = g.incident(v)
     d = len(incident)
     for t in range(2, max_set_size + 1):

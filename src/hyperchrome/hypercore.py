@@ -80,9 +80,6 @@ class Hypergraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def edge(self, ref: int) -> Edge:
         if not 0 <= ref < len(self.edges):
             raise ValueError(f"edge ref {ref} out of range")

@@ -177,6 +177,91 @@ class TestHkCertificate:
             assert next(conn._mixed_pairs(sub), None) == (listed[0] if listed else None)
 
 
+def _perturbed_join(rng, k):
+    """A nested join with one edge deleted, one edge added, one edge
+    grown by a vertex, or a degree-2 vertex added; a drawn edge that is
+    already present leaves the join as it was."""
+    g = random_nested_join(rng, k, 14, rng.randint(0, 2))
+    edges, n = list(g.edges), g.n
+    how = rng.choice(["delete", "add", "grow", "degree-2"])
+    if how == "delete":
+        edges.pop(rng.randrange(len(edges)))
+    elif how == "add":
+        e = tuple(sorted(rng.sample(range(n), rng.choice([2, 3]))))
+        if e not in edges:
+            edges.append(e)
+    elif how == "grow":
+        i = rng.randrange(len(edges))
+        grown = tuple(sorted(edges[i] + (rng.choice([v for v in range(n) if v not in edges[i]]),)))
+        if grown not in edges:
+            edges[i] = grown
+    else:
+        u, w = rng.sample(range(n), 2)
+        edges += [(u, n), (w, n)]
+        n += 1
+    return Hypergraph.of(n, edges)
+
+
+class TestHkCertificateByReplay:
+    """``hk_certificate`` decides membership by its replay alone."""
+
+    @pytest.mark.parametrize(
+        "g,k",
+        [(cons.complete_graph(n), n - 1) for n in range(4, 10)]
+        + [(cons.odd_wheel(rim), 3) for rim in range(3, 23, 2)],
+    )
+    def test_base_shape_makes_no_block_pass(self, g, k, monkeypatch):
+        passes = []
+        block_pass = conn._block_pass
+
+        def counted(*args, **kwargs):
+            passes.append(1)
+            return block_pass(*args, **kwargs)
+
+        monkeypatch.setattr(conn, "_block_pass", counted)
+        cert = cls.hk_certificate(g, k)
+        assert isinstance(cert, cls.Leaf) and cls.verify_certificate(g, cert)
+        assert not passes
+        assert not conn.mixed_separating_sets(g)  # the leaf skipped no join
+
+    def test_agrees_with_the_membership_oracle(self):
+        verdicts = collections.Counter()
+        for k in (3, 4, 5):
+            for seed in range(134):
+                g = _perturbed_join(random.Random(1000 * k + seed), k)
+                member = cls.is_in_Ck(g, k)
+                assert (cls.hk_certificate(g, k) is not None) == member, (k, seed)
+                verdicts[member] += 1
+        assert verdicts[True] >= 20 and verdicts[False] >= 300, verdicts
+
+    def test_no_oracle_chi_or_lambda(self, monkeypatch):
+        calls = collections.Counter()
+        for owner, name in [
+            (cls, "is_in_Ck"), (col, "chromatic_number"), (col, "is_critical"),
+            (conn, "max_local_edge_connectivity"),
+        ]:
+            monkeypatch.setattr(owner, name, lambda *a, _name=name, **kw: calls.update([_name]))
+        verdicts = collections.Counter()
+        for seed in range(30):
+            k = 3 + seed % 3
+            for g in (random_nested_join(random.Random(seed), k, 14, 2),
+                      _perturbed_join(random.Random(seed), k)):
+                verdicts[cls.hk_certificate(g, k) is not None] += 1
+        assert verdicts[True] >= 30 and verdicts[False] >= 20, verdicts
+        assert not calls
+
+    def test_past_the_chi_guard(self):
+        g = cons.odd_wheel(29)
+        assert g.n > col.CHI_GUARD_N
+        cert = cls.hk_certificate(g, 3)
+        assert isinstance(cert, cls.Leaf) and cls.verify_certificate(g, cert)
+
+    def test_disconnected_is_none(self):
+        two_k4 = Hypergraph.of(8, list(K4.edges) + [tuple(v + 4 for v in e) for e in K4.edges])
+        assert cls.hk_certificate(two_k4, 3) is None
+        assert cls.hk_certificate(Hypergraph.of(0), 3) is None
+
+
 def _extract_critical_restarting(g, target_chi):
     """The edge scan before it resumed at the deleted index: restart at
     edge 0 after every deletion; the rest as in ``extract_critical``."""
@@ -451,6 +536,42 @@ class TestClassify:
         assert out.h2_closure is True
         out = cls.classify(cons.cycle(4), h2_info=True)  # chi 2: no hint computed
         assert out.h2_closure is None
+
+    def test_h2_hint_proves_chi_once_per_block(self, monkeypatch):
+        calls = []
+        chromatic_number = col.chromatic_number
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return chromatic_number(*args, **kwargs)
+
+        monkeypatch.setattr(col, "chromatic_number", counted)
+        assert cls.classify(cons.hyperwheel(4), h2_info=True).h2_closure is True
+        # classify's chi, then extract_critical's check and component loop
+        assert len(calls) == 3
+
+    def test_h2_hint_matches_a_chi_checked_reference(self):
+        def reference(g, depth=6):
+            for b in conn.blocks(g):
+                sub = b.graph(g)
+                if col.chromatic_number(sub) == 3:
+                    if cls._h2_search(cls.extract_critical(sub, 3).graph, depth):
+                        return True
+            return False
+
+        parts = [
+            cons.cycle(3), cons.cycle(4), cons.cycle(5), cons.hyperwheel(3),
+            cons.hyperwheel(4), cons.figure3(), Hypergraph.of(3, [(0, 1, 2)]),
+        ]
+        multi_block = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            g = _pendant_tree(_glue(rng.sample(parts, rng.randint(1, 3)), rng), rng, 2)
+            out = cls.classify(g, h2_info=True)
+            if out.lam == 2 and out.chi == 3:
+                assert out.h2_closure == reference(g), seed
+                multi_block += len(conn.blocks(g)) > 1
+        assert multi_block >= 20
 
     def test_tight_classify_runs_lambda_once_and_no_oracle(self, monkeypatch):
         calls = collections.Counter()

@@ -122,6 +122,22 @@ class TestErrorPaths:
         code, _ = run(capsys, ["construct", "mystery"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv,takes",
+        [(["kc", "3"], 2), (["toft"], 1), (["complete"], 1), (["figure3", "1"], 0)],
+    )
+    def test_construct_parameter_count(self, capsys, argv, takes):
+        assert cli.main(["construct"] + argv) == 2
+        assert f"takes {takes} parameter(s), got {len(argv) - 1}" in capsys.readouterr().err
+
+    def test_internal_index_error_is_not_input_error(self, monkeypatch):
+        def broken():
+            raise IndexError("list index out of range")
+
+        monkeypatch.setattr(cons, "figure3", broken)
+        with pytest.raises(IndexError):
+            cli.main(["construct", "figure3"])
+
     def test_bad_verb(self, capsys):
         assert cli.main(["no-such-verb"]) == 2
 
@@ -153,10 +169,13 @@ class TestErrorPaths:
             dict(JOIN, e2=[3, 4.0]),
             dict(JOIN, left={"type": "leaf", "kind": "complete", "labels": [0, 1, 2, [3]]}),
             dict(JOIN, right={"type": "leaf", "kind": "complete", "labels": [3, 4, 5, True]}),
+            dict(JOIN, include_vstar="false"),
+            dict(JOIN, include_vstar=0),
         ],
         ids=[
             "unknown-node", "missing-fields", "list-vstar", "string-in-e1",
-            "float-in-e2", "list-label", "bool-label",
+            "float-in-e2", "list-label", "bool-label", "string-include-vstar",
+            "int-include-vstar",
         ],
     )
     def test_malformed_user_certificate_is_input_error(self, tmp_path, capsys, cert):
@@ -233,6 +252,12 @@ class TestPipelines:
         other = write_hgr(tmp_path, cons.odd_wheel(5), "w5.hgr")
         code, payload = run_json(capsys, ["verify-cert", str(cert_path), other])
         assert code == 1 and payload["match"] is False
+
+    def test_certify_past_the_chi_guard(self, tmp_path, capsys):
+        path = write_hgr(tmp_path, cons.odd_wheel(29))
+        code, payload = run_json(capsys, ["certify", path, "-k", "3"])
+        assert code == 0 and payload["certificate"]["type"] == "leaf"
+        assert cli.main(["certify", path, "-k", "3", "--force"]) == 2
 
     def test_certify_negative(self, tmp_path, capsys):
         path = write_hgr(tmp_path, cons.cycle(7))

@@ -210,6 +210,21 @@ class TestDecompositions:
         with pytest.raises(ValueError, match="critical"):
             cons.decompose_vertex_pair(cons.cycle(6), 3)
 
+    @pytest.mark.parametrize(
+        "call,name",
+        [
+            (lambda g: cons.decompose_vertex_pair(g, 3), "hypergraph"),
+            (lambda g: cons.decompose_edge_cut(g, 3, (0, 1, 2)), "hypergraph"),
+            (lambda g: col.low_high_partition(g, 3), "hypergraph"),
+            (lambda g: cons.is_universal_vertex_bounded(g, 0, 3, 2), "G"),
+        ],
+        ids=["vertex-pair", "edge-cut", "low-high", "universal-vertex"],
+    )
+    def test_non_critical_message(self, call, name):
+        with pytest.raises(ValueError) as info:
+            call(cons.cycle(5))
+        assert str(info.value) == f"{name} is not 4-critical: chi is 3, not 4"
+
     def test_edge_cut_on_w5(self):
         w5 = cons.odd_wheel(5)
         cut = conn.minimal_separating_edge_sets(w5, 3)[0]
