@@ -166,10 +166,22 @@ def _cmd_split(args) -> int:
     return OK
 
 
+def _ints(text: str, option: str, count: int | None = None) -> tuple[int, ...]:
+    """The comma-separated integers given to ``option``."""
+    try:
+        values = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        values = None
+    if values is None or count is not None and len(values) != count:
+        what = f"{count} comma-separated integers" if count else "comma-separated integers"
+        raise ValueError(f"{option} takes {what}, got {text!r}")
+    return values
+
+
 def _cmd_decompose(args) -> int:
     g = _read_graph(args.file)
-    if args.mixed:
-        v, e = (int(x) for x in args.mixed.split(","))
+    if args.mixed is not None:
+        v, e = _ints(args.mixed, "--mixed V,E", 2)
         dec = cons.hajos_decompose_mixed(g, v, e)
         _emit(
             {
@@ -183,8 +195,8 @@ def _cmd_decompose(args) -> int:
             }
         )
         return OK
-    if args.edge_cut:
-        refs = tuple(int(x) for x in args.edge_cut.split(","))
+    if args.edge_cut is not None:
+        refs = _ints(args.edge_cut, "--edge-cut E1,E2,...")
         dec = cons.decompose_edge_cut(g, args.k, refs, force=args.force)
         _emit(
             {
@@ -251,6 +263,10 @@ def _cmd_gallai_check(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
+    if args.n_max < 1:
+        raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
     manifest = corp.build_corpus(args.seed, args.count, args.n_max, args.out)
     _emit({"out": args.out, "instances": len(manifest["entries"])})
     return OK

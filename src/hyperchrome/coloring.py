@@ -5,11 +5,15 @@ An edge is violated only when it is monochromatic, which is weaker
 than pairwise-distinct graph coloring, so the search propagates a
 not-all-equal constraint: a color is forbidden for the last uncolored
 vertex of an edge only if all other vertices of that edge share it.
+A vertex left with one allowed color takes it at once, and one left
+with none ends the branch (unit propagation, as in DPLL).  This cuts
+only branches that hold no coloring, so colorings and enumerations come
+out in the order of the plain depth-first search.  The criticality
+test searches each G - e on G itself, with edge e skipped.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .hypercore import Hypergraph
@@ -132,59 +136,184 @@ def enumerate_k_colorings(
     return out
 
 
-def _colorings(g: Hypergraph, k: int, order, preset: dict[int, int], symmetric: bool):
-    """Every valid k-coloring, in depth-first order, from a search
-    whose stack is the colored prefix ``order[:pos]``.
+def _colorings(
+    g: Hypergraph,
+    k: int,
+    order,
+    preset: dict[int, int],
+    symmetric: bool,
+    skip: int | None = None,
+):
+    """Every valid k-coloring of g, or of g minus edge ``skip``, in the
+    depth-first order of the static vertex ``order``."""
+    return _Search(g, k, skip).colorings(order, preset, symmetric)
 
-    A preset vertex takes its preset color only; any other vertex tries
-    1..k in turn, or only up to one more than the largest color so far
-    when ``symmetric``.  Color c is forbidden at v iff an edge through v
-    has all its other vertices in color c, which the per-edge color
-    counts show at once."""
-    n = g.n
-    m = g.m
-    # counts[c][ref]: vertices of edge ref in color c; a row appears
-    # when color c is first tried
-    counts: defaultdict[int, list[int]] = defaultdict(lambda: [0] * m)
-    # per vertex: (ref, size - 1) of each incident edge
-    slots = [[(ref, len(g.edges[ref]) - 1) for ref in g.incidence[v]] for v in range(n)]
-    colors = [0] * n
-    used = [0] * (n + 1)  # used[pos]: largest color on order[:pos]
-    pos = 0
-    while pos >= 0:
-        if pos == n:
-            yield Coloring(tuple(colors), k)
-            pos -= 1
-            continue
-        v = order[pos]
-        slot = slots[v]
-        c = colors[v]
-        if c:  # back from depth pos + 1: take v's color off, try the next
-            row = counts[c]
-            for ref, _ in slot:
-                row[ref] -= 1
-            colors[v] = 0
-        if v in preset:  # one candidate, already tried if c is set
-            top = preset[v]
-            c = c or top - 1
-        else:
-            top = min(k, used[pos] + 1) if symmetric else k
-        while c < top:
-            c += 1
-            row = counts[c]
-            for ref, need in slot:
-                if row[ref] == need:
+
+class _Search:
+    """Forward-checking not-all-equal search with unit propagation.
+
+    Bit c of ``ban[v]`` is set while color c is forbidden at the
+    uncolored vertex v, because an edge through v has all its other
+    vertices in color c; a candidate is rejected in O(1).  The first
+    such edge to be completed sets the bit, and undoing that assignment
+    clears it: every later one is undone first.  An ordinary edge bans
+    its color at the other end as soon as one end is colored.  A
+    hyperedge keeps its count of uncolored vertices and the sum of their
+    ids, packed in one integer: when one vertex is left, the sum is its
+    id.  A vertex with one allowed color left is forced to it at once,
+    out of order, and one with none kills the branch; backtracking pops
+    the trail of colored vertices back to the decision's mark.
+
+    The walk still visits ``order`` position by position with colors
+    tried in ascending order, and passes through forced vertices, so
+    only branches that hold no coloring are cut and the colorings come
+    out in the same order as from the search without propagation.
+    ``decisions`` counts the colors tried at unforced positions.
+    """
+
+    def __init__(self, g: Hypergraph, k: int, skip: int | None = None) -> None:
+        self.g = g
+        self.k = k
+        self.adj: list[list[int]] = [[] for _ in range(g.n)]  # over ordinary edges
+        self.hyper: list[list[int]] = [[] for _ in range(g.n)]  # refs of larger edges
+        for ref, e in enumerate(g.edges):
+            if ref == skip:
+                continue
+            if len(e) == 2:
+                self.adj[e[0]].append(e[1])
+                self.adj[e[1]].append(e[0])
+            else:
+                for v in e:
+                    self.hyper[v].append(ref)
+        self.decisions = 0
+
+    def colorings(self, order, preset: dict[int, int], symmetric: bool):
+        """A preset vertex takes its preset color only; any other vertex
+        tries 1..k in turn, or only up to one more than the largest
+        color at earlier positions when ``symmetric``."""
+        g, k, adj, hyper = self.g, self.k, self.adj, self.hyper
+        n, edges = g.n, g.edges
+        # free[ref] = (uncolored count) * big + (sum of their ids)
+        big = max(map(sum, edges), default=0) + 1
+        twice = 2 * big
+        free = [len(e) * big + sum(e) for e in edges]
+        ban = [0] * n
+        colors = [0] * n
+        trail: list[tuple[int, list[int]]] = []  # (vertex, the bans it set)
+        forced: list[int] = []
+
+        def propagate(v: int, c: int) -> bool:
+            """Color v with c, then every vertex this forces; False on
+            a wipe-out.  Each vertex's bookkeeping completes, so the
+            trail can always be undone."""
+            while True:
+                bit = 1 << c
+                colors[v] = c
+                hit = []
+                for u in adj[v]:
+                    if not colors[u] and not ban[u] & bit:
+                        hit.append(u)
+                step = big + v
+                for ref in hyper[v]:
+                    x = free[ref] - step
+                    free[ref] = x
+                    if x < twice and x:  # one vertex, u, is left
+                        u = x - big
+                        if not ban[u] & bit:
+                            for w in edges[ref]:
+                                if colors[w] != c and w != u:
+                                    break
+                            else:
+                                hit.append(u)
+                trail.append((v, hit))
+                ok = True
+                for u in hit:
+                    b = ban[u] | bit
+                    ban[u] = b
+                    left = k - b.bit_count()
+                    if left == 1:
+                        forced.append(u)
+                    elif not left:
+                        ok = False
+                if not ok:
+                    forced.clear()
+                    return False
+                while forced:
+                    v = forced.pop()
+                    if not colors[v]:
+                        break
+                else:
+                    return True
+                low = ban[v] | 1  # the one clear bit is v's color
+                c = ((low + 1) & ~low).bit_length() - 1
+
+        for v, c in preset.items():  # a vertex forced to another color has c banned
+            if colors[v] != c and (ban[v] >> c & 1 or not propagate(v, c)):
+                return
+        stack: list[list[int]] = []  # [pos, used, color tried, trail mark]
+        pos = used = decisions = 0
+        while True:
+            # Pass through the forced vertices.  No forced color exceeds
+            # used + 1: the first vertex forced on a branch sees k - 1
+            # colors in use, all from decisions at earlier positions.
+            while pos < n:
+                c = colors[order[pos]]
+                if not c:
+                    stack.append([pos, used, 0, len(trail)])
+                    break
+                if c > used:
+                    used = c
+                pos += 1
+            else:
+                self.decisions = decisions
+                yield Coloring(tuple(colors), k)
+            while stack:
+                frame = stack[-1]
+                pos, used, c, mark = frame
+                while len(trail) > mark:  # undo back to the mark
+                    v, hit = trail.pop()
+                    if hit:
+                        clear = ~(1 << colors[v])
+                        for u in hit:
+                            ban[u] &= clear
+                    for ref in hyper[v]:
+                        free[ref] += big + v
+                    colors[v] = 0
+                v = order[pos]
+                top = used + 1 if symmetric and used < k else k
+                banned = ban[v]
+                c += 1
+                while c <= top and banned >> c & 1:
+                    c += 1
+                if c > top:
+                    stack.pop()
+                    continue
+                frame[2] = c
+                decisions += 1
+                if propagate(v, c):
+                    if c > used:
+                        used = c
+                    pos += 1
                     break
             else:
-                break
-        else:
-            pos -= 1
-            continue
-        for ref, _ in slot:
-            row[ref] += 1
-        colors[v] = c
-        used[pos + 1] = max(used[pos], c)
-        pos += 1
+                self.decisions = decisions
+                return
+
+
+def _failing_edge(g: Hypergraph, k: int) -> int | None:
+    """The first edge ref whose deletion leaves g without a k-coloring,
+    or None.  Each G - e is searched on g with e skipped, in the vertex
+    order of G - e's degrees."""
+    degree = [len(refs) for refs in g.incidence]
+    for ref, e in enumerate(g.edges):
+        for v in e:
+            degree[v] -= 1
+        order = sorted(range(g.n), key=lambda v: (-degree[v], v))
+        for v in e:
+            degree[v] += 1
+        if next(_colorings(g, k, order, {}, True, skip=ref), None) is None:
+            return ref
+    return None
 
 
 def is_critical(g: Hypergraph, k_plus_1: int, force: bool = False) -> CriticalityReport:
@@ -197,13 +326,17 @@ def is_critical(g: Hypergraph, k_plus_1: int, force: bool = False) -> Criticalit
     chi = chromatic_number(g, force=force)
     if chi != k_plus_1:
         return CriticalityReport(False, chi, reason=f"chi is {chi}, not {k_plus_1}")
-    if k_plus_1 == 1:
+    return _critical_at_chi(g, chi)
+
+
+def _critical_at_chi(g: Hypergraph, chi: int) -> CriticalityReport:
+    """``is_critical(g, chi)`` for a connected g known to have
+    chromatic number chi: the per-edge test alone."""
+    if chi == 1:
         return CriticalityReport(True, chi)
-    for ref in range(g.m):
-        if find_k_coloring(g.delete_edge(ref), k_plus_1 - 1) is None:
-            return CriticalityReport(
-                False, chi, failing_edge=ref, reason="edge deletion keeps chi"
-            )
+    ref = _failing_edge(g, chi - 1)
+    if ref is not None:
+        return CriticalityReport(False, chi, failing_edge=ref, reason="edge deletion keeps chi")
     return CriticalityReport(True, chi)
 
 

@@ -89,7 +89,8 @@ def instance_stats(g: Hypergraph, force: bool = False) -> dict:
     stats["chi"] = chi
     stats["lambda"] = conn.max_local_edge_connectivity(g)
     if chi >= 1:
-        stats["critical_k"] = chi if col.is_critical(g, chi, force=force).is_critical else None
+        critical = conn.is_connected(g) and col._critical_at_chi(g, chi).is_critical
+        stats["critical_k"] = chi if critical else None
     return stats
 
 

@@ -7,7 +7,9 @@ enumeration for cuts.  Only usable at toy sizes.
 ``reference_find_k_coloring`` and ``reference_enumerate_k_colorings``
 are the recursive searches that the stack-based ones in
 ``hyperchrome.coloring`` replaced, kept to pin those to the same
-results; they recurse once per vertex.  ``reference_blocks`` is the
+results; they recurse once per vertex.  ``reference_stack_colorings``
+is the stack search without propagation that the forward-checking one
+replaced, kept with a count of the colors it assigns.  ``reference_blocks`` is the
 block decomposition that the incidence-table pass in
 ``hyperchrome.connectivity`` replaced: it builds the 2-section graph
 and groups edges by the biconnected component of their first pair.
@@ -124,6 +126,53 @@ def reference_enumerate_k_colorings(
 
     walk(0)
     return out
+
+
+def reference_stack_colorings(
+    g: Hypergraph, k: int, order, preset: dict[int, int], symmetric: bool, nodes: list[int]
+):
+    """Every valid k-coloring in depth-first order over ``order``, with
+    no propagation: a color is forbidden at v iff an edge through v has
+    all its other vertices in that color.  ``nodes[0]`` counts the
+    colors assigned."""
+    n = g.n
+    counts: dict[int, list[int]] = {}
+    slots = [[(ref, len(g.edges[ref]) - 1) for ref in g.incidence[v]] for v in range(n)]
+    colors = [0] * n
+    used = [0] * (n + 1)
+    pos = 0
+    while pos >= 0:
+        if pos == n:
+            yield Coloring(tuple(colors), k)
+            pos -= 1
+            continue
+        v = order[pos]
+        slot = slots[v]
+        c = colors[v]
+        if c:
+            row = counts[c]
+            for ref, _ in slot:
+                row[ref] -= 1
+            colors[v] = 0
+        if v in preset:
+            top = preset[v]
+            c = c or top - 1
+        else:
+            top = min(k, used[pos] + 1) if symmetric else k
+        while c < top:
+            c += 1
+            row = counts.setdefault(c, [0] * g.m)
+            if all(row[ref] != need for ref, need in slot):
+                break
+        else:
+            pos -= 1
+            continue
+        for ref, _ in slot:
+            row[ref] += 1
+        colors[v] = c
+        nodes[0] += 1
+        used[pos + 1] = max(used[pos], c)
+        pos += 1
 
 
 def reference_blocks(g: Hypergraph) -> list[Block]:

@@ -195,6 +195,33 @@ class TestErrorPaths:
         assert cli.main(["verify-cert", str(cert_path), path]) == 2
         assert "nested too deeply" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            ("--count", "-1", "--count must be >= 0, got -1"),
+            ("--n-max", "0", "--n-max must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_corpus_option_is_input_error(self, tmp_path, capsys, option, value, message):
+        out = tmp_path / "c"
+        assert cli.main(["corpus", option, value, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            ("--mixed", "1", "--mixed V,E takes 2 comma-separated integers, got '1'"),
+            ("--mixed", "a,b", "--mixed V,E takes 2 comma-separated integers, got 'a,b'"),
+            ("--mixed", "", "--mixed V,E takes 2 comma-separated integers, got ''"),
+            ("--edge-cut", "1,a", "--edge-cut E1,E2,... takes comma-separated integers"),
+        ],
+    )
+    def test_bad_decompose_option_is_input_error(self, tmp_path, capsys, option, value, message):
+        path = write_hgr(tmp_path, cons.figure1_join(False).graph)
+        assert cli.main(["decompose", path, f"{option}={value}"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_tight_classify_needs_no_force_past_the_chi_guard(self, tmp_path, capsys):
         """A tight verdict is proved by the block's certificate, not by
         the guarded exact chromatic number."""

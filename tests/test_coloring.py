@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,8 +8,9 @@ from hyperchrome.hypercore import Hypergraph
 from hyperchrome import coloring as col
 from hyperchrome import constructions as cons
 from hyperchrome import corpus
+from hyperchrome.connectivity import is_connected
 
-from conftest import hypergraphs
+from conftest import hypergraphs, random_nested_join
 import oracles
 
 
@@ -237,3 +239,207 @@ class TestDeepInputs:
         g = _path(3000)
         [phi] = col.enumerate_k_colorings(g, 2, limit=1)
         assert phi.is_valid_for(g)
+
+
+def _degree_order(g, skip=None):
+    """find_k_coloring's vertex order for g, or for g minus edge skip."""
+    degree = [len(refs) for refs in g.incidence]
+    if skip is not None:
+        for v in g.edges[skip]:
+            degree[v] -= 1
+    return sorted(range(g.n), key=lambda v: (-degree[v], v))
+
+
+def _pinned_search(g, k, order, preset, symmetric, limit):
+    """The first ``limit`` colorings from the forward-checking search
+    and from the stack search it replaced, which must agree, and the
+    decisions against the nodes each took to get there."""
+    search = col._Search(g, k)
+    got = list(itertools.islice(search.colorings(order, preset, symmetric), limit))
+    nodes = [0]
+    want = list(
+        itertools.islice(
+            oracles.reference_stack_colorings(g, k, order, preset, symmetric, nodes), limit
+        )
+    )
+    assert got == want
+    return search.decisions, nodes[0]
+
+
+class TestForwardChecking:
+    """Propagation cuts only branches that hold no coloring, so the
+    search yields what the stack search without it yields, in the same
+    order, and never tries more colors than that search assigns."""
+
+    @given(hypergraphs(max_n=7, sizes=(2, 3, 4)), st.integers(1, 4), st.integers(1, 30))
+    @settings(max_examples=150, deadline=None)
+    def test_same_colorings_no_more_decisions(self, g, k, limit):
+        for order, symmetric in ((_degree_order(g), True), (range(g.n), False)):
+            decisions, nodes = _pinned_search(g, k, order, {}, symmetric, limit)
+            assert decisions <= nodes
+
+    @given(hypergraphs(min_n=1, max_n=7, sizes=(2, 3, 4)), st.integers(1, 4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_presets(self, g, k, data):
+        preset = data.draw(
+            st.dictionaries(st.integers(0, g.n - 1), st.integers(1, k), max_size=3)
+        )
+        decisions, nodes = _pinned_search(g, k, _degree_order(g), preset, False, 20)
+        assert decisions <= nodes
+
+    @given(hypergraphs(min_n=2, max_n=7, sizes=(2, 3, 4)), st.integers(1, 4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_skip_matches_deleted_edge(self, g, k, data):
+        if not g.m:
+            return
+        ref = data.draw(st.integers(0, g.m - 1))
+        rest = g.delete_edge(ref)
+        order = _degree_order(g, skip=ref)
+        assert order == _degree_order(rest)
+        first = next(col._colorings(g, k, order, {}, True, skip=ref), None)
+        assert first == col.find_k_coloring(rest, k)
+        assert first == oracles.reference_find_k_coloring(rest, k)
+        preset = data.draw(
+            st.dictionaries(st.integers(0, g.n - 1), st.integers(1, k), max_size=2)
+        )
+        assert next(
+            col._colorings(g, k, order, preset, not preset, skip=ref), None
+        ) == oracles.reference_find_k_coloring(rest, k, preset)
+        assert list(
+            itertools.islice(col._colorings(g, k, range(g.n), {}, False, skip=ref), 25)
+        ) == oracles.reference_enumerate_k_colorings(rest, k, limit=25)
+
+    def test_seeded_random_instances(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            g = corpus.random_hypergraph(rng, 10)
+            for k in (1, 2, 3, 4):
+                decisions, nodes = _pinned_search(g, k, _degree_order(g), {}, True, 1)
+                assert decisions <= nodes
+                decisions, nodes = _pinned_search(g, k, range(g.n), {}, False, 30)
+                assert decisions <= nodes
+            preset = {v: rng.randint(1, 3) for v in rng.sample(range(g.n), min(g.n, 2))}
+            decisions, nodes = _pinned_search(g, 3, _degree_order(g), preset, False, 5)
+            assert decisions <= nodes
+            if g.m:
+                ref = rng.randrange(g.m)
+                rest = g.delete_edge(ref)
+                for k in (2, 3):
+                    assert next(
+                        col._colorings(g, k, _degree_order(g, ref), {}, True, skip=ref), None
+                    ) == col.find_k_coloring(rest, k)
+                    if k == 3:
+                        assert next(
+                            col._colorings(g, k, _degree_order(g, ref), preset, False, skip=ref),
+                            None,
+                        ) == col.find_k_coloring(rest, k, preset)
+                    assert list(
+                        itertools.islice(
+                            col._colorings(g, k, range(g.n), {}, False, skip=ref), 30
+                        )
+                    ) == col.enumerate_k_colorings(rest, k, limit=30)
+
+    @pytest.mark.parametrize(
+        "g,k",
+        [(cons.toft_graph(p), k) for p in (1, 2, 3) for k in (3, 4)]
+        + [(cons.kc(n, p), n + 2) for n in (1, 2, 3) for p in (1, 2)]
+        + [(cons.odd_wheel(rim), k) for rim in (5, 9, 13) for k in (3, 4)]
+        + [(cons.complete_graph(n), n - 1) for n in (4, 6, 8)],
+    )
+    def test_named_families(self, g, k):
+        decisions, nodes = _pinned_search(g, k, _degree_order(g), {}, True, 1)
+        assert decisions <= nodes
+
+    def test_toft3_three_coloring(self):
+        g = cons.toft_graph(3)
+        assert _pinned_search(g, 3, _degree_order(g), {}, True, 1) == (1676, 7958)
+
+
+def _critical_by_deletion(g, k_plus_1):
+    """is_critical's report, testing each G - e as a derived value."""
+    if not is_connected(g):
+        return col.CriticalityReport(False, -1, reason="not connected")
+    chi = col.chromatic_number(g, force=True)
+    if chi != k_plus_1:
+        return col.CriticalityReport(False, chi, reason=f"chi is {chi}, not {k_plus_1}")
+    if k_plus_1 == 1:
+        return col.CriticalityReport(True, chi)
+    for ref in range(g.m):
+        if col.find_k_coloring(g.delete_edge(ref), k_plus_1 - 1) is None:
+            return col.CriticalityReport(
+                False, chi, failing_edge=ref, reason="edge deletion keeps chi"
+            )
+    return col.CriticalityReport(True, chi)
+
+
+def _critical_inputs():
+    w7 = cons.odd_wheel(7)
+    k4 = cons.complete_graph(4)
+    out = [cons.toft_graph(p) for p in (1, 2, 3)]
+    out += [cons.kc(n, p) for n in (1, 2, 3) for p in (1, 2)]
+    out += [cons.odd_wheel(rim) for rim in (5, 7, 9, 11)]
+    out += [cons.complete_graph(n) for n in (1, 2, 3, 5)]
+    rng = random.Random(5)
+    out += [random_nested_join(rng, k, 14, 3) for k in (3, 4, 5) for _ in range(4)]
+    out += [
+        Hypergraph.of(5, list(k4.edges) + [(3, 4)]),  # pendant edge
+        w7.delete_edge(0),
+        Hypergraph.of(w7.n, list(w7.edges) + [(0, 2)]),  # chord
+        cons.cycle(6),
+        Hypergraph.of(4, [(0, 1), (2, 3)]),
+        Hypergraph.of(4, [(0, 1, 2), (1, 2, 3), (0, 3)]),
+    ]
+    out += [corpus.random_hypergraph(rng, 8) for _ in range(30)]
+    return out
+
+
+class TestCriticalityPinned:
+    """is_critical searches each G - e on G with e skipped; its reports
+    equal those of the test on each derived G - e."""
+
+    @pytest.mark.parametrize("g", _critical_inputs())
+    def test_reports_match_deletion(self, g):
+        chi = col.chromatic_number(g, force=True) if g.n else 0
+        for k_plus_1 in {max(1, chi - 1), max(1, chi), chi + 1}:
+            assert col.is_critical(g, k_plus_1, force=True) == _critical_by_deletion(
+                g, k_plus_1
+            )
+
+    def test_inputs_cover_each_verdict(self):
+        reports = [
+            col.is_critical(g, col.chromatic_number(g, force=True), force=True)
+            for g in _critical_inputs()
+            if g.n
+        ]
+        assert sum(r.is_critical for r in reports) >= 20
+        assert sum(r.failing_edge is not None for r in reports) >= 10
+        assert sum(r.reason == "not connected" for r in reports) >= 2
+
+    def test_instance_stats_proves_chi_once(self, monkeypatch):
+        calls = []
+        real = col.chromatic_number
+        monkeypatch.setattr(col, "chromatic_number", lambda g, **kw: calls.append(g) or real(g, **kw))
+        rng = random.Random(3)
+        graphs = list(corpus.named_families().values())
+        graphs += [corpus.random_hypergraph(rng, 8) for _ in range(20)]
+        for g in graphs:
+            calls.clear()
+            stats = corpus.instance_stats(g)
+            assert len(calls) == 1
+            chi = stats["chi"]
+            if chi >= 1:
+                report = col.is_critical(g, chi)
+                assert stats["critical_k"] == (chi if report.is_critical else None)
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
+@pytest.mark.parametrize("n", [600, 800, 3000])
+def test_random_recursive_tree_two_coloring(n):
+    """Vertex v hangs on a uniform earlier vertex; propagation colors
+    the whole tree from its first vertex."""
+    rng = random.Random(n)
+    g = Hypergraph.of(n, [(rng.randrange(v), v) for v in range(1, n)])
+    search = col._Search(g, 2)
+    phi = next(search.colorings(_degree_order(g), {}, True))
+    assert phi.is_valid_for(g) and phi == col.find_k_coloring(g, 2)
+    assert search.decisions == 1
