@@ -8,8 +8,16 @@ vertex of an edge only if all other vertices of that edge share it.
 A vertex left with one allowed color takes it at once, and one left
 with none ends the branch (unit propagation, as in DPLL).  This cuts
 only branches that hold no coloring, so colorings and enumerations come
-out in the order of the plain depth-first search.  The criticality
-test searches each G - e on G itself, with edge e skipped.
+out in the order of the plain depth-first search.
+
+The criticality test needs a k-coloring of G - e for every edge e.  It
+searches G - e on G itself, with edge e skipped, but only for edges not
+already witnessed: from a coloring of G - e in which e is the only
+monochromatic edge, moving one vertex of e to another color gives a
+coloring of G - f whenever f is then the only monochromatic edge through
+that vertex.  Walking these moves witnesses most edges without a search
+(on odd wheels, complete graphs and KC graphs, all of them after the
+first), and the first edge whose search fails is the same as before.
 """
 
 from __future__ import annotations
@@ -79,13 +87,14 @@ def find_k_coloring(
 
 def chromatic_number(g: Hypergraph, force: bool = False) -> int:
     """Least k admitting a valid coloring; 0 for the empty hypergraph,
-    1 for edgeless graphs.  Refuses n > 24 unless force is set."""
+    1 for edgeless graphs of any size.  Otherwise refuses n > 24 unless
+    force is set."""
     if g.n == 0:
         return 0
-    if g.n > CHI_GUARD_N and not force:
-        raise GuardExceeded(f"exact chi refuses n={g.n} > {CHI_GUARD_N} without force")
     if g.m == 0:
         return 1
+    if g.n > CHI_GUARD_N and not force:
+        raise GuardExceeded(f"exact chi refuses n={g.n} > {CHI_GUARD_N} without force")
     k = max(2, _clique_lower_bound(g))
     while find_k_coloring(g, k) is None:
         k += 1
@@ -302,18 +311,73 @@ class _Search:
 
 def _failing_edge(g: Hypergraph, k: int) -> int | None:
     """The first edge ref whose deletion leaves g without a k-coloring,
-    or None.  Each G - e is searched on g with e skipped, in the vertex
-    order of G - e's degrees."""
+    or None.
+
+    Edges are taken in ref order.  One not yet witnessed is searched on
+    g with the edge skipped, in the vertex order of G - e's degrees; a
+    coloring found is walked from (``_witnesses``), which marks every
+    edge f it reaches as witnessed, with a k-coloring of G - f in hand.
+    A witnessed edge's search would find a coloring too, so skipping it
+    leaves the answer as if every edge were searched."""
     degree = [len(refs) for refs in g.incidence]
+    witnessed = [False] * g.m
     for ref, e in enumerate(g.edges):
+        if witnessed[ref]:
+            continue
         for v in e:
             degree[v] -= 1
         order = sorted(range(g.n), key=lambda v: (-degree[v], v))
         for v in e:
             degree[v] += 1
-        if next(_colorings(g, k, order, {}, True, skip=ref), None) is None:
+        phi = next(_colorings(g, k, order, {}, True, skip=ref), None)
+        if phi is None:
             return ref
+        witnessed[ref] = True
+        for _ in _witnesses(g, k, list(phi.colors), ref, witnessed):
+            pass
     return None
+
+
+def _witnesses(g: Hypergraph, k: int, colors: list[int], ref: int, witnessed: list[bool]):
+    """Walk from ``colors``, a k-coloring of g minus edge ``ref``,
+    through one-vertex recolorings.
+
+    Moving a vertex v of the skipped edge e to another color leaves
+    every edge off v as it was, so none of them is monochromatic.  If
+    exactly one edge f through v is then monochromatic, the result is a
+    k-coloring of G - f.  Each such f not yet ``witnessed`` is marked
+    and yielded while ``colors`` holds that coloring, and the walk goes
+    on from it, depth first.  ``colors`` is changed in place and
+    restored by the end."""
+    edges, incidence = g.edges, g.incidence
+
+    def moves(e):
+        return ((v, colors[v], c) for v in e for c in range(1, k + 1) if c != colors[v])
+
+    stack = [(-1, 0, moves(edges[ref]))]  # (vertex moved to get here, its old color, moves)
+    while stack:
+        _, _, left = stack[-1]
+        for v, old, c in left:
+            sole = -1
+            for f in incidence[v]:
+                for u in edges[f]:
+                    if colors[u] != c and u != v:
+                        break
+                else:
+                    if sole >= 0:  # a second monochromatic edge
+                        sole = -1
+                        break
+                    sole = f
+            if sole >= 0 and not witnessed[sole]:
+                witnessed[sole] = True
+                colors[v] = c
+                yield sole
+                stack.append((v, old, moves(edges[sole])))
+                break
+        else:
+            v, old, _ = stack.pop()
+            if v >= 0:
+                colors[v] = old
 
 
 def is_critical(g: Hypergraph, k_plus_1: int, force: bool = False) -> CriticalityReport:

@@ -364,7 +364,9 @@ def _whole_graph_blocks(g: Hypergraph) -> tuple[tuple[Block, ...], tuple[int, ..
         block_refs, cut = _block_pass(g)
         edges = g.edges
         out = [
-            Block(tuple(sorted({v for r in refs for v in edges[r]})), tuple(sorted(refs)))
+            Block(edges[refs[0]], (refs[0],))  # edges are stored strictly sorted
+            if len(refs) == 1
+            else Block(tuple(sorted({v for r in refs for v in edges[r]})), tuple(sorted(refs)))
             for refs in block_refs
         ]
         out.extend(Block((v,), ()) for v in range(g.n) if not g.incidence[v])

@@ -497,6 +497,10 @@ class TestClassify:
         out = cls.classify(Hypergraph.of(1))
         assert out.verdict == "small-lambda" and out.lam == 0 and out.chi == 1
 
+    def test_edgeless_past_the_chi_guard(self):
+        out = cls.classify(Hypergraph.of(30))
+        assert out.verdict == "small-lambda" and out.lam == 0 and out.chi == 1
+
     def test_tree(self):
         g = Hypergraph.of(4, [(0, 1), (1, 2), (1, 3)])
         out = cls.classify(g)

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +121,14 @@ class TestErrorPaths:
         assert code == 3
         code, payload = run_json(capsys, ["chi", path, "--force"])
         assert code == 0 and payload == {"chi": 2}
+
+    @pytest.mark.parametrize("verb", ["chi", "classify"])
+    def test_edgeless_chi_needs_no_force(self, capsys, monkeypatch, verb):
+        monkeypatch.setattr("sys.stdin", io.StringIO("HGR 1\nn 30\n"))
+        code, payload = run_json(capsys, [verb, "-"])
+        assert code == 0 and payload["chi"] == 1
+        if verb == "chi":
+            assert payload == {"chi": 1}
 
     def test_unknown_construction(self, capsys):
         code, _ = run(capsys, ["construct", "mystery"])
@@ -312,6 +324,25 @@ class TestPipelines:
         path = write_hgr(tmp_path, cons.odd_wheel(5))
         code, payload = run_json(capsys, ["gallai-check", path, "-k", "3"])
         assert code == 0 and payload["all_ok"] is True
+
+
+class TestModuleEntryPoint:
+    def test_construct_piped_into_critical(self):
+        """``python3 -m hyperchrome`` runs from a checkout, with src on
+        PYTHONPATH and no install step."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        cmd = [sys.executable, "-m", "hyperchrome"]
+        made = subprocess.run(
+            cmd + ["construct", "odd-wheel", "5"], capture_output=True, text=True, env=env
+        )
+        assert made.returncode == 0, made.stderr
+        checked = subprocess.run(
+            cmd + ["critical", "-", "-k", "4"],
+            input=made.stdout, capture_output=True, text=True, env=env,
+        )
+        assert checked.returncode == 0, checked.stderr
+        assert json.loads(checked.stdout)["critical"] is True
 
 
 class TestCorpus:

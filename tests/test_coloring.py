@@ -67,6 +67,10 @@ class TestChromaticNumber:
             col.chromatic_number(big)
         assert col.chromatic_number(big, force=True) == 2
 
+    @pytest.mark.parametrize("n", [25, 30, 3000])
+    def test_edgeless_is_one_past_the_guard(self, n):
+        assert col.chromatic_number(Hypergraph.of(n)) == 1
+
     @given(hypergraphs(max_n=5))
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force(self, g):
@@ -393,9 +397,36 @@ def _critical_inputs():
     return out
 
 
+def _perturbations():
+    """Inputs one step from a critical one, none of them critical: a
+    pendant edge, an extra edge, or a copy of an edge grown by one
+    vertex.  Deleting the new edge keeps chi, but an earlier edge may
+    be the first to fail."""
+    rng = random.Random(9)
+    bases = [cons.toft_graph(1), cons.toft_graph(2), cons.kc(1, 1), cons.kc(2, 1)]
+    bases += [cons.odd_wheel(rim) for rim in (5, 7, 9)]
+    bases += [cons.complete_graph(n) for n in (4, 5, 6)]
+    bases += [random_nested_join(rng, k, 14, 3) for k in (3, 4) for _ in range(2)]
+    out = []
+    for g in bases:
+        edges = list(g.edges)
+        out.append(Hypergraph.of(g.n + 1, edges + [(rng.randrange(g.n), g.n)]))
+        out.append(Hypergraph.of(g.n + 2, edges + [(rng.randrange(g.n), g.n, g.n + 1)]))
+        for size in (2, 3):
+            new = [e for e in itertools.combinations(range(g.n), size) if e not in g.edges]
+            if new:
+                out.append(Hypergraph.of(g.n, edges + [rng.choice(new)]))
+        for _ in range(2):
+            e = rng.choice(edges)
+            w = rng.choice([v for v in range(g.n) if v not in e])
+            out.append(Hypergraph.of(g.n, edges + [e + (w,)]))
+    return out
+
+
 class TestCriticalityPinned:
-    """is_critical searches each G - e on G with e skipped; its reports
-    equal those of the test on each derived G - e."""
+    """is_critical searches G - e, on G with e skipped, only for edges no
+    coloring derived by the witness walk covers; its reports equal those
+    of the test on each derived G - e."""
 
     @pytest.mark.parametrize("g", _critical_inputs())
     def test_reports_match_deletion(self, g):
@@ -404,6 +435,22 @@ class TestCriticalityPinned:
             assert col.is_critical(g, k_plus_1, force=True) == _critical_by_deletion(
                 g, k_plus_1
             )
+
+    @pytest.mark.parametrize("g", _perturbations())
+    def test_perturbations_match_deletion(self, g):
+        chi = col.chromatic_number(g, force=True)
+        for k_plus_1 in (chi - 1, chi, chi + 1):
+            assert col.is_critical(g, k_plus_1, force=True) == _critical_by_deletion(
+                g, k_plus_1
+            )
+
+    def test_perturbations_fail_past_the_first_edge(self):
+        reports = [
+            col.is_critical(g, col.chromatic_number(g, force=True)) for g in _perturbations()
+        ]
+        assert len(reports) >= 60
+        assert all(not r.is_critical and r.failing_edge is not None for r in reports)
+        assert 2 * sum(r.failing_edge != 0 for r in reports) >= len(reports)
 
     def test_inputs_cover_each_verdict(self):
         reports = [
@@ -443,3 +490,100 @@ def test_random_recursive_tree_two_coloring(n):
     phi = next(search.colorings(_degree_order(g), {}, True))
     assert phi.is_valid_for(g) and phi == col.find_k_coloring(g, 2)
     assert search.decisions == 1
+
+
+def _monochromatic(g, colors):
+    return [ref for ref, e in enumerate(g.edges) if len({colors[v] for v in e}) == 1]
+
+
+def _walk_every_edge(g, k):
+    """Walk from the first k-coloring of each G - e in which e is
+    monochromatic, and check each coloring the walk derives: a valid
+    k-coloring of G - f, f its only monochromatic edge, each f yielded
+    once and marked; ``colors`` comes back as it went in.  Returns the
+    number of colorings derived."""
+    derived = 0
+    for ref in range(g.m):
+        phi = next(col._colorings(g, k, _degree_order(g, ref), {}, True, skip=ref), None)
+        if phi is None:
+            continue
+        assert _monochromatic(g, phi.colors) == [ref]
+        colors = list(phi.colors)
+        witnessed = [False] * g.m
+        witnessed[ref] = True
+        yielded = []
+        for f in col._witnesses(g, k, colors, ref, witnessed):
+            assert witnessed[f] and f not in yielded and f != ref
+            rest = g.delete_edge(f)
+            assert col.Coloring(tuple(colors), k).is_valid_for(rest)
+            assert _monochromatic(g, colors) == [f]
+            yielded.append(f)
+        assert colors == list(phi.colors)
+        assert sum(witnessed) == len(yielded) + 1
+        derived += len(yielded)
+    return derived
+
+
+def _walk_inputs():
+    rng = random.Random(12)
+    out = [cons.toft_graph(p) for p in (1, 2, 3)]
+    out += [cons.kc(n, p) for n in (1, 2, 3) for p in (1, 2)]
+    out += [cons.odd_wheel(rim) for rim in (5, 7, 9, 11)]
+    out += [cons.complete_graph(n) for n in (3, 4, 5, 6, 7)]
+    out += [random_nested_join(rng, k, 14, 3) for k in (3, 4, 5) for _ in range(3)]
+    return out
+
+
+class TestWitnessWalk:
+    """A k-coloring of G - e whose only monochromatic edge is e, with one
+    vertex of e moved to another color, is a k-coloring of G - f when f
+    is the only edge through that vertex left monochromatic."""
+
+    @pytest.mark.parametrize("g", _walk_inputs())
+    def test_derived_colorings_are_witnesses(self, g):
+        k = col.chromatic_number(g, force=True) - 1
+        assert _walk_every_edge(g, k) > 0
+
+    def test_seeded_random_instances(self):
+        rng = random.Random(21)
+        derived = 0
+        for _ in range(200):
+            g = corpus.random_hypergraph(rng, 10)
+            chi = col.chromatic_number(g, force=True) if g.n else 0
+            if chi >= 2:
+                derived += _walk_every_edge(g, chi - 1)
+        assert derived >= 50
+
+    @staticmethod
+    def _searches(monkeypatch, g):
+        """The G - e searches of one is_critical call on a critical g."""
+        chi = col.chromatic_number(g, force=True)
+        skipped = []
+        real = col._colorings
+
+        def counted(*args, skip=None, **kw):
+            if skip is not None:
+                skipped.append(skip)
+            return real(*args, skip=skip, **kw)
+
+        monkeypatch.setattr(col, "_colorings", counted)
+        assert col.is_critical(g, chi, force=True).is_critical
+        return skipped
+
+    @pytest.mark.parametrize(
+        "g",
+        [cons.odd_wheel(rim) for rim in range(5, 20, 2)]
+        + [cons.complete_graph(n) for n in range(4, 10)]
+        + [cons.kc(n, p) for n in (1, 2, 3, 4) for p in (1, 2)],
+    )
+    def test_one_search_per_call(self, monkeypatch, g):
+        assert self._searches(monkeypatch, g) == [0]
+
+    @pytest.mark.parametrize("p,searches", [(1, 5), (2, 17), (3, 37)])
+    def test_toft_search_counts(self, monkeypatch, p, searches):
+        skipped = self._searches(monkeypatch, cons.toft_graph(p))
+        assert len(skipped) == searches and skipped == sorted(set(skipped))
+
+    @pytest.mark.usefixtures("default_recursion_limit")
+    def test_long_odd_cycle_needs_one_search(self, monkeypatch):
+        assert self._searches(monkeypatch, cons.cycle(1001)) == [0]
