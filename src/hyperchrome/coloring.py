@@ -30,6 +30,7 @@ from .shapes import is_complete_graph, is_hyperwheel, is_odd_cycle, is_odd_wheel
 
 CHI_GUARD_N = 24
 ENUM_GUARD = 10**8
+CUT_GUARD = 10**4  # edge subsets tested by connectivity.minimal_separating_edge_sets
 
 
 class GuardExceeded(RuntimeError):

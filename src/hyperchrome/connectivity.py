@@ -4,21 +4,38 @@ separating-structure searches.
 Local edge connectivity is computed by unit-capacity max flow on a
 network where every hyperedge is split into an in/out node pair of
 capacity one, so a flow unit may cross each hyperedge at most once.
+The network lives in flat lists: arc ids, heads and capacities, with
+each search marking the nodes it reaches by a fresh stamp in one
+reused list.
 
 lambda(G) and k-edge-connectivity need every pairwise value, but the
 hypergraph cut function is symmetric submodular, so a flow-equivalent
-tree exists: Gusfield's method finds it with n-1 max flows per
-component, all run on one network whose capacities are restored before
-each flow.  lambda(G) stops a component early once its largest flow
-reaches the component's second-largest degree, since
-lambda(v, w) <= min(deg v, deg w).
+tree exists: Gusfield's method finds it with one max flow per vertex
+after the first, on any terminal set, all on one network whose
+capacities are restored before each flow.  Two facts cut the work:
+
+- Every edge has two or more vertices, so the star of v, the edges on
+  it, is a cut of size deg v, and lambda(v, w) <= min(deg v, deg w).
+- Gusfield takes its terminals in descending degree order, so the
+  tree parent t of each s comes earlier and deg t >= deg s.  The flow
+  from s to t stops once it reaches deg s; then it is maximum, and
+  {s} is a minimum cut, which moves no later terminal to s.  The
+  failing search and the residual side are needed only below deg s.
+
+lambda(G) stops each component before the first vertex whose degree is
+at most the best value so far.  The vertices taken are a prefix of the
+degree order, and Gusfield on a prefix is the same run cut short, so it
+gives the max over the pairs inside the prefix; every other pair has an
+endpoint whose degree bounds its value.  k-edge-connectivity needs the
+min over all pairs, so it runs every flow.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .hypercore import Hypergraph
 
@@ -61,8 +78,9 @@ class EdgeCut:
 
     @classmethod
     def from_side(cls, g: Hypergraph, xs) -> "EdgeCut":
-        x = tuple(sorted(set(xs)))
-        y = tuple(v for v in range(g.n) if v not in set(x))
+        inside = set(xs)
+        x = tuple(sorted(inside))
+        y = tuple(v for v in range(g.n) if v not in inside)
         f = g.boundary(x)
         touched = set()
         for ref in f:
@@ -119,77 +137,88 @@ def is_connected(g: Hypergraph) -> bool:
 
 class _FlowNet:
     """Unit-capacity network: node 0..n-1 are vertices, then per edge i
-    an in-node n+2i and out-node n+2i+1 joined by a capacity-1 arc."""
+    an in-node n+2i and out-node n+2i+1 joined by a capacity-1 arc.
+
+    Arc a and its reverse a^1 are adjacent in ``to``/``cap``.  Each
+    search marks the nodes it reaches with a fresh stamp in one reused
+    list, and records the arc it entered them by in another."""
 
     def __init__(self, g: Hypergraph) -> None:
         self.g = g
-        size = g.n + 2 * g.m
-        self.adj: list[list[int]] = [[] for _ in range(size)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
+        n = g.n
+        size = n + 2 * g.m
+        adj: list[list[int]] = [[] for _ in range(size)]
+        to: list[int] = []
+        cap: list[int] = []
         big = g.m + 1
         for i, e in enumerate(g.edges):
-            self._arc(g.n + 2 * i, g.n + 2 * i + 1, 1)
+            a = n + 2 * i  # in-node; a + 1 is the out-node
+            adj[a].append(len(to))
+            adj[a + 1].append(len(to) + 1)
+            to += (a + 1, a)
+            cap += (1, 0)
             for v in e:
-                self._arc(v, g.n + 2 * i, big)
-                self._arc(g.n + 2 * i + 1, v, big)
-        self._initial_cap = self.cap[:]
+                # v -> in-node and out-node -> v, each with its reverse
+                arc = len(to)
+                adj[v].append(arc)
+                adj[a].append(arc + 1)
+                adj[a + 1].append(arc + 2)
+                adj[v].append(arc + 3)
+                to += (a, v, v, a + 1)
+                cap += (big, 0, big, 0)
+        self.adj = adj
+        self.to = to
+        self.cap = cap
+        self._initial_cap = cap[:]
+        self.mark = [0] * size
+        self.stamp = 0
+        self.pred = [0] * size
 
     def reset(self) -> None:
         """Drop all flow, so the network can serve another pair."""
         self.cap[:] = self._initial_cap
 
-    def _arc(self, a: int, b: int, c: int) -> None:
-        self.adj[a].append(len(self.to))
-        self.to.append(b)
-        self.cap.append(c)
-        self.adj[b].append(len(self.to))
-        self.to.append(a)
-        self.cap.append(0)
-
-    def max_flow(self, s: int, t: int) -> int:
+    def max_flow(self, s: int, t: int, limit: int) -> int:
+        """Augment from s to t until no path is left or the flow reaches
+        ``limit``.  Below the limit, the last search failed, and
+        ``residual_side`` reads the source side of a minimum cut off it."""
+        cap, to, pred = self.cap, self.to, self.pred
         flow = 0
-        while True:
-            pred = self._bfs(s, t)
-            if pred is None:
-                return flow
+        while flow < limit and self._bfs(s, t):
             # unit bottleneck: the path crosses at least one edge pair
             node = t
             while node != s:
                 arc = pred[node]
-                self.cap[arc] -= 1
-                self.cap[arc ^ 1] += 1
-                node = self.to[arc ^ 1]
+                cap[arc] -= 1
+                cap[arc ^ 1] += 1
+                node = to[arc ^ 1]
             flow += 1
+        return flow
 
-    def _bfs(self, s: int, t: int) -> dict[int, int] | None:
-        pred: dict[int, int] = {}
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            node = queue.popleft()
-            for arc in self.adj[node]:
-                nxt = self.to[arc]
-                if self.cap[arc] > 0 and nxt not in seen:
-                    seen.add(nxt)
-                    pred[nxt] = arc
-                    if nxt == t:
-                        return pred
-                    queue.append(nxt)
-        return None
+    def _bfs(self, s: int, t: int) -> bool:
+        """Breadth-first search for t in the residual network, recording
+        each reached node's entry arc in ``pred``."""
+        adj, to, cap, mark, pred = self.adj, self.to, self.cap, self.mark, self.pred
+        self.stamp += 1
+        stamp = self.stamp
+        mark[s] = stamp
+        queue = [s]
+        for node in queue:  # the list iterator also visits appended nodes
+            for arc in adj[node]:
+                if cap[arc]:
+                    nxt = to[arc]
+                    if mark[nxt] != stamp:
+                        mark[nxt] = stamp
+                        pred[nxt] = arc
+                        if nxt == t:
+                            return True
+                        queue.append(nxt)
+        return False
 
-    def residual_side(self, s: int) -> set[int]:
-        """Original vertices reachable from s in the residual network."""
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            node = queue.popleft()
-            for arc in self.adj[node]:
-                nxt = self.to[arc]
-                if self.cap[arc] > 0 and nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return {v for v in seen if v < self.g.n}
+    def residual_side(self) -> set[int]:
+        """Original vertices the last, failed, search reached."""
+        mark, stamp = self.mark, self.stamp
+        return {v for v in range(self.g.n) if mark[v] == stamp}
 
     def edge_flow(self, ref: int) -> int:
         # the capacity-1 arc of edge `ref` is the first arc added for it
@@ -262,9 +291,11 @@ def local_edge_connectivity(g: Hypergraph, v: int, w: int) -> FlowResult:
     if v == w:
         raise ValueError("endpoints must be distinct")
     net = _FlowNet(g)
-    value = net.max_flow(v, w)
+    # a limit no flow reaches, so the last search fails and marks the
+    # residual side
+    value = net.max_flow(v, w, g.m + 1)
+    cut_side = tuple(sorted(net.residual_side()))
     paths = net.decompose(v, w, value)
-    cut_side = tuple(sorted(net.residual_side(v)))
     return FlowResult(value, tuple(paths), cut_side)
 
 
@@ -273,46 +304,57 @@ def local_edge_connectivity_value(g: Hypergraph, v: int, w: int) -> int:
     g._check_vertex(w)
     if v == w:
         raise ValueError("endpoints must be distinct")
-    return _FlowNet(g).max_flow(v, w)
+    return _FlowNet(g).max_flow(v, w, min(len(g.incidence[v]), len(g.incidence[w])))
 
 
-def _tree_flows(net: _FlowNet, comp: tuple[int, ...]):
-    """Gusfield's flow-equivalent tree on one component, lazily: yields
-    the n-1 tree flow values.  Every pairwise value in the component is
-    the minimum over the tree path, so these give both the max and the
-    min over all pairs."""
-    parent = dict.fromkeys(comp, comp[0])
-    for i, s in enumerate(comp[1:], start=1):
+def _tree_flows(net: _FlowNet, order: list[int], deg: list[int]):
+    """Gusfield's flow-equivalent tree on the vertices ``order`` of one
+    component, taken in descending degree order, lazily: yields one
+    flow value per vertex after the first, each computed only when
+    asked for.  Every pairwise value among the vertices reached is the
+    minimum over their tree path, so these give both the max and the
+    min over those pairs.
+
+    The flow from s to its tree parent t, which came earlier in the
+    order, stops at deg s <= deg t.  One that reaches it has {s} as a
+    minimum cut, which moves no later vertex to s."""
+    parent = dict.fromkeys(order, order[0])
+    for i, s in enumerate(order[1:], start=1):
         t = parent[s]
         net.reset()
-        value = net.max_flow(s, t)
-        side = net.residual_side(s)
-        for u in comp[i + 1 :]:
-            if parent[u] == t and u in side:
-                parent[u] = s
+        value = net.max_flow(s, t, deg[s])
+        if value < deg[s]:
+            side = net.residual_side()
+            for u in order[i + 1 :]:
+                if parent[u] == t and u in side:
+                    parent[u] = s
         yield value
+
+
+def _degree_order(comp: tuple[int, ...], deg: list[int]) -> list[int]:
+    """The component's vertices by descending degree, ties by id."""
+    return sorted(comp, key=lambda v: -deg[v])
 
 
 def max_local_edge_connectivity(g: Hypergraph) -> int:
     """lambda(G): max over all vertex pairs; 0 when |G| <= 1.
 
-    Runs Gusfield's n-1 flows per component on one reused network, and
-    leaves a component once the best value reaches its second-largest
-    degree, which bounds every pair in it."""
+    Runs Gusfield on each component in descending degree order, on one
+    reused network, and stops before the first vertex whose degree is
+    at most the best value so far: every pair with an endpoint from
+    there on is bounded by that degree."""
     if g.n <= 1:
         return 0
+    deg = [len(refs) for refs in g.incidence]
     net = _FlowNet(g)
     best = 0
     for comp in components(g):
-        if len(comp) < 2:
-            continue
-        bound = sorted(len(g.incidence[v]) for v in comp)[-2]
-        if best >= bound:
-            continue
-        for value in _tree_flows(net, comp):
-            best = max(best, value)
-            if best >= bound:
+        order = _degree_order(comp, deg)
+        flows = _tree_flows(net, order, deg)
+        for s in order[1:]:
+            if deg[s] <= best:
                 break
+            best = max(best, next(flows))
     return best
 
 
@@ -323,7 +365,9 @@ def is_k_edge_connected(g: Hypergraph, k: int) -> bool:
     comps = components(g)
     if len(comps) > 1:
         return False
-    return all(value >= k for value in _tree_flows(_FlowNet(g), comps[0]))
+    deg = [len(refs) for refs in g.incidence]
+    flows = _tree_flows(_FlowNet(g), _degree_order(comps[0], deg), deg)
+    return all(value >= k for value in flows)
 
 
 # -- blocks ----------------------------------------------------------------
@@ -484,13 +528,25 @@ def is_separating_edge_set(g: Hypergraph, refs) -> bool:
 
 
 def minimal_separating_edge_sets(g: Hypergraph, max_size: int) -> list[EdgeCut]:
-    """All minimal separating edge sets of size <= max_size as EdgeCuts."""
+    """All minimal separating edge sets of size <= max_size as EdgeCuts.
+
+    Tests every edge subset of size <= max_size, so it raises
+    GuardExceeded when there are more than ``coloring.CUT_GUARD``."""
+    from .coloring import CUT_GUARD, GuardExceeded  # coloring imports this module
+
     if not is_connected(g):
         raise ValueError("hypergraph must be connected")
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
+    top = min(max_size, g.m)
+    subsets = sum(math.comb(g.m, size) for size in range(1, top + 1))
+    if subsets > CUT_GUARD:
+        raise GuardExceeded(
+            f"{subsets} edge subsets of size <= {max_size} exceed the cut-search "
+            f"guard of {CUT_GUARD}; lower --max-size"
+        )
     found = []
-    for size in range(1, max_size + 1):
+    for size in range(1, top + 1):
         for f in itertools.combinations(range(g.m), size):
             if not is_separating_edge_set(g, f):
                 continue

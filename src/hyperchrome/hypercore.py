@@ -264,4 +264,9 @@ class Hypergraph:
             raise HgrFormatError(1, "missing vertex-count line")
         # each edge is already strictly increasing; only the list needs sorting
         edges.sort()
-        return cls(n, tuple(edges))
+        # the line checks above establish every invariant, so the value is
+        # built without the second pass of __post_init__
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", tuple(edges))
+        return g

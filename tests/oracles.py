@@ -13,14 +13,19 @@ replaced, kept with a count of the colors it assigns.  ``reference_blocks`` is t
 block decomposition that the incidence-table pass in
 ``hyperchrome.connectivity`` replaced: it builds the 2-section graph
 and groups edges by the biconnected component of their first pair.
+``ReferenceFlowNet`` is the flow network that the flat-array kernel in
+``hyperchrome.connectivity`` replaced: built arc by arc, searched with a
+fresh predecessor dict and seen set per augmenting path, run to a
+failing search with no limit, and a second search for the cut side.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 from hyperchrome.coloring import Coloring
-from hyperchrome.connectivity import Block
+from hyperchrome.connectivity import Block, FlowResult, _FlowNet
 from hyperchrome.hypercore import Hypergraph
 
 
@@ -308,3 +313,89 @@ def brute_min_cut(g: Hypergraph, v: int, w: int) -> int:
         for pick in itertools.combinations(rest, r):
             best = min(best, len(g._boundary(set(pick) | {v})))
     return best
+
+
+class ReferenceFlowNet(_FlowNet):
+    """The unit-capacity network and breadth-first search that the
+    flat-array kernel replaced; path decomposition is inherited."""
+
+    def __init__(self, g: Hypergraph) -> None:
+        self.g = g
+        size = g.n + 2 * g.m
+        self.adj: list[list[int]] = [[] for _ in range(size)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
+        big = g.m + 1
+        for i, e in enumerate(g.edges):
+            self._arc(g.n + 2 * i, g.n + 2 * i + 1, 1)
+            for v in e:
+                self._arc(v, g.n + 2 * i, big)
+                self._arc(g.n + 2 * i + 1, v, big)
+        self._initial_cap = self.cap[:]
+
+    def _arc(self, a: int, b: int, c: int) -> None:
+        self.adj[a].append(len(self.to))
+        self.to.append(b)
+        self.cap.append(c)
+        self.adj[b].append(len(self.to))
+        self.to.append(a)
+        self.cap.append(0)
+
+    def max_flow(self, s: int, t: int) -> int:
+        flow = 0
+        while True:
+            pred = self._bfs(s, t)
+            if pred is None:
+                return flow
+            node = t
+            while node != s:
+                arc = pred[node]
+                self.cap[arc] -= 1
+                self.cap[arc ^ 1] += 1
+                node = self.to[arc ^ 1]
+            flow += 1
+
+    def _bfs(self, s: int, t: int) -> dict[int, int] | None:
+        pred: dict[int, int] = {}
+        seen = {s}
+        queue = deque([s])
+        while queue:
+            node = queue.popleft()
+            for arc in self.adj[node]:
+                nxt = self.to[arc]
+                if self.cap[arc] > 0 and nxt not in seen:
+                    seen.add(nxt)
+                    pred[nxt] = arc
+                    if nxt == t:
+                        return pred
+                    queue.append(nxt)
+        return None
+
+    def residual_side(self, s: int) -> set[int]:
+        seen = {s}
+        queue = deque([s])
+        while queue:
+            node = queue.popleft()
+            for arc in self.adj[node]:
+                nxt = self.to[arc]
+                if self.cap[arc] > 0 and nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        return {v for v in seen if v < self.g.n}
+
+
+def reference_local_edge_connectivity(g: Hypergraph, v: int, w: int) -> FlowResult:
+    """Value, witness paths and cut side as the replaced kernel gave them."""
+    net = ReferenceFlowNet(g)
+    value = net.max_flow(v, w)
+    paths = net.decompose(v, w, value)
+    return FlowResult(value, tuple(paths), tuple(sorted(net.residual_side(v))))
+
+
+def reference_pair_lambdas(g: Hypergraph) -> list[int]:
+    """lambda(v, w) for every pair v < w, one replaced-kernel flow each."""
+    out = []
+    for v, w in itertools.combinations(range(g.n), 2):
+        net = ReferenceFlowNet(g)
+        out.append(net.max_flow(v, w))
+    return out

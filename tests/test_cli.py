@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -6,10 +7,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperchrome import classifier, cli
 from hyperchrome import constructions as cons
+from hyperchrome import corpus
 from hyperchrome.hypercore import Hypergraph
+
+from conftest import hypergraphs
 
 
 # a join of two K4 leaves at vertex 3, as a user's certificate file holds it
@@ -121,6 +126,13 @@ class TestErrorPaths:
         assert code == 3
         code, payload = run_json(capsys, ["chi", path, "--force"])
         assert code == 0 and payload == {"chi": 2}
+
+    def test_cut_search_guard_exit_code(self, tmp_path, capsys):
+        path = write_hgr(tmp_path, cons.cycle(60))
+        assert cli.main(["cuts", path]) == 3
+        assert "--max-size" in capsys.readouterr().err
+        code, payload = run_json(capsys, ["cuts", path, "--max-size", "1"])
+        assert code == 0 and payload == {"cuts": []}
 
     @pytest.mark.parametrize("verb", ["chi", "classify"])
     def test_edgeless_chi_needs_no_force(self, capsys, monkeypatch, verb):
@@ -370,3 +382,126 @@ class TestCorpus:
         for name, entry in manifest["entries"].items():
             g = Hypergraph.from_hgr((out / f"{name}.hgr").read_text())
             assert g.n == entry["n"] and g.m == entry["m"]
+
+
+# -- fuzzing ------------------------------------------------------------------
+
+# small ids keep every drawn graph small, so each example runs in bounded time
+_TOKENS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.sampled_from(["-1", "+1", "1_0", "０", "²", "1.5", "", "e", "n", "#", "HGR", "1e3"]),
+    st.text(max_size=3),
+)
+
+
+_TIGHT = [
+    cons.odd_wheel(5),
+    cons.complete_graph(5),
+    corpus.named_families()["w5-join-w5"],
+    cons.figure3(),
+]
+
+
+@st.composite
+def hgr_texts(draw):
+    """HGR-like text: mostly a header, a vertex count and plausible edge
+    lines (some out of range, unsorted or repeated), with junk lines of
+    odd tokens and Unicode mixed in; or a well-formed graph, tight ones
+    among them, with at most one junk line inserted."""
+    if draw(st.booleans()):
+        g = draw(hypergraphs(max_n=8, sizes=(2, 3, 4)) | st.sampled_from(_TIGHT))
+        lines = g.to_hgr().splitlines()
+        if draw(st.booleans()):
+            junk = " ".join(draw(st.lists(_TOKENS, max_size=4)))
+            lines.insert(draw(st.integers(0, len(lines))), junk)
+        return "\n".join(lines) + "\n"
+    n = draw(st.integers(0, 12))
+    lines = [draw(st.sampled_from(["HGR 1"] * 6 + [" HGR 1 ", "HGR 2", "HGR", "# c", ""]))]
+    if draw(st.integers(0, 9)):
+        lines.append(f"n {n}")
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 4)):
+            ids = draw(st.lists(st.integers(0, n + 1), min_size=2, max_size=4, unique=True))
+            if draw(st.integers(0, 9)):
+                ids.sort()
+            lines.append(" ".join(["e", *map(str, ids)]))
+        else:
+            head = draw(st.sampled_from(["n", "e", "#", "x", ""]))
+            lines.append(" ".join([head, *draw(st.lists(_TOKENS, max_size=5))]))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(sorted(JOIN)) | st.text(max_size=3), inner, max_size=7),
+    max_leaves=12,
+)
+
+
+@st.composite
+def certificate_bytes(draw):
+    """Raw bytes, arbitrary JSON, or the JOIN certificate with some
+    fields replaced at any depth."""
+    kind = draw(st.sampled_from(["bytes", "json", "mutated", "mutated"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=64))
+    if kind == "json":
+        return json.dumps(draw(_JSON)).encode()
+    cert = json.loads(json.dumps(JOIN))
+    node = cert
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(sorted(node)))
+        if isinstance(node[key], dict) and draw(st.booleans()):
+            node = node[key]
+            continue
+        node[key] = draw(_JSON)
+        break
+    return json.dumps(cert).encode()
+
+
+def _run_quietly(argv, stdin_text):
+    """cli.main with the given stdin; any exception propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    old_stdin = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = old_stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestFuzz:
+    """Arbitrary HGR text and certificate bytes end in a documented exit
+    code, with JSON on stdout or an error message on stderr, never in a
+    traceback."""
+
+    @given(hgr_texts(), st.integers(-1, 13), st.integers(-1, 13))
+    @settings(max_examples=150, deadline=None)
+    def test_graph_verbs(self, text, s, t):
+        for argv in (
+            ["lambda", "-"],
+            ["lambda", "-", "-s", str(s), "-t", str(t)],
+            ["blocks", "-"],
+            ["classify", "-"],
+        ):
+            code, out, err = _run_quietly(argv, text)
+            assert code in (cli.OK, cli.VERDICT_NO, cli.INPUT_ERROR, cli.GUARD, cli.INTERNAL)
+            if code in (cli.OK, cli.VERDICT_NO):
+                json.loads(out)
+            else:
+                assert not out and err.startswith(("error: ", "internal error: "))
+
+    @given(certificate_bytes(), st.sampled_from(_TIGHT))
+    @settings(max_examples=150, deadline=None)
+    def test_verify_cert(self, tmp_path_factory, data, g):
+        cert_path = tmp_path_factory.mktemp("cert") / "cert.json"
+        cert_path.write_bytes(data)
+        code, out, err = _run_quietly(["verify-cert", str(cert_path), "-"], g.to_hgr())
+        assert code in (cli.OK, cli.VERDICT_NO, cli.INPUT_ERROR, cli.GUARD, cli.INTERNAL)
+        if code in (cli.OK, cli.VERDICT_NO):
+            assert json.loads(out) == {"match": code == cli.OK}
+        else:
+            assert not out and err.startswith(("error: ", "internal error: "))

@@ -5,11 +5,17 @@ import pytest
 from hypothesis import given, settings
 
 from hyperchrome.hypercore import Hypergraph
+from hyperchrome import coloring as col
 from hyperchrome import connectivity as conn
 from hyperchrome import constructions as cons
 from hyperchrome import corpus
 
-from conftest import connected_hypergraphs, hypergraphs, seeded_random_hypergraph
+from conftest import (
+    connected_hypergraphs,
+    hypergraphs,
+    random_nested_join,
+    seeded_random_hypergraph,
+)
 import oracles
 
 
@@ -139,9 +145,9 @@ class TestAllPairs:
         flows = []
         max_flow = conn._FlowNet.max_flow
 
-        def counted(net, s, t):
+        def counted(net, s, t, limit):
             flows.append((s, t))
-            return max_flow(net, s, t)
+            return max_flow(net, s, t, limit)
 
         monkeypatch.setattr(conn._FlowNet, "max_flow", counted)
         assert conn.max_local_edge_connectivity(cons.complete_graph(7)) == 6
@@ -149,6 +155,119 @@ class TestAllPairs:
         flows.clear()
         assert conn.is_k_edge_connected(cons.complete_graph(7), 6)
         assert len(flows) == 6
+
+
+def _lambda_sweep():
+    """Seeded inputs for the lambda pins: 2-, 3-, 4-uniform and mixed
+    random hypergraphs (some disconnected, some with isolated vertices),
+    disjoint unions, degree-regular graphs where every degree ties, and
+    nested joins as in the benchmark's tight-joins workload."""
+    rng = random.Random(31)
+    out = []
+    for sizes in [(2,), (3,), (4,), (2, 3, 4)]:
+        for _ in range(40):
+            out.append(seeded_random_hypergraph(rng, rng.randint(2, 7), sizes, 12))
+    for _ in range(20):
+        a = seeded_random_hypergraph(rng, rng.randint(2, 4), (2, 3), 5)
+        b = seeded_random_hypergraph(rng, rng.randint(2, 4), (2, 3), 5)
+        shifted = [tuple(v + a.n for v in e) for e in b.edges]
+        out.append(Hypergraph.of(a.n + b.n + rng.randint(0, 1), list(a.edges) + shifted))
+    out += [cons.cycle(n) for n in (3, 6, 9)] + [cons.complete_graph(n) for n in (3, 5, 7)]
+    out += [cons.hyperwheel(3), cons.hyperwheel(4), cons.kc(2, 2), cons.odd_wheel(7)]
+    for k, n_max in ((3, 20), (4, 13), (5, 11)):
+        for _ in range(6):
+            out.append(random_nested_join(rng, k, n_max, 4))
+    return out
+
+
+class TestPrunedLambda:
+    """lambda runs Gusfield on a prefix of the degree order, and every
+    flow stops at its source's degree, the smaller of the pair; pinned
+    to per-pair flows of the replaced kernel and to brute-force minimum
+    cuts."""
+
+    def test_sweep_covers_its_cases(self):
+        sweep = _lambda_sweep()
+        degrees = [[len(refs) for refs in g.incidence] for g in sweep]
+        assert sum(not conn.is_connected(g) for g in sweep) >= 60
+        assert sum(0 in deg for deg in degrees) >= 40
+        assert sum(deg.count(max(deg)) > 1 for deg in degrees if deg) >= 100
+        assert sum(g.n >= 10 for g in sweep) >= 18
+
+    def test_match_per_pair_flows_and_brute_min_cut(self):
+        for g in _lambda_sweep():
+            flows = oracles.reference_pair_lambdas(g)
+            if g.n <= 7:
+                assert flows == _pair_values(g, oracles.brute_min_cut)
+            assert conn.max_local_edge_connectivity(g) == max(flows, default=0)
+            for k in range(max(flows, default=0) + 2):
+                expected = conn.is_connected(g) and min(flows) >= k
+                assert conn.is_k_edge_connected(g, k) == expected
+
+    def test_w5_join_w5_runs_two_flows(self, monkeypatch):
+        flows = []
+        max_flow = conn._FlowNet.max_flow
+
+        def counted(net, s, t, limit):
+            flows.append((s, t))
+            return max_flow(net, s, t, limit)
+
+        monkeypatch.setattr(conn._FlowNet, "max_flow", counted)
+        assert conn.max_local_edge_connectivity(corpus.named_families()["w5-join-w5"]) == 3
+        assert len(flows) == 2
+
+    def test_capped_flow_skips_the_failing_search(self, monkeypatch):
+        searches = []
+        bfs = conn._FlowNet._bfs
+
+        def counted(net, s, t):
+            searches.append(bfs(net, s, t))
+            return searches[-1]
+
+        monkeypatch.setattr(conn._FlowNet, "_bfs", counted)
+        assert conn.max_local_edge_connectivity(cons.complete_graph(7)) == 6
+        assert searches == [True] * 6
+        searches.clear()
+        # the uncapped flow of local_edge_connectivity ends in a failed search
+        assert conn.local_edge_connectivity(cons.complete_graph(7), 0, 1).value == 6
+        assert searches == [True] * 6 + [False]
+
+    def test_path_prunes_only_its_ends(self, monkeypatch):
+        # every inner vertex has degree 2 > lambda = 1: the prefix holds
+        # all of them, and only the two ends are pruned
+        flows = []
+        max_flow = conn._FlowNet.max_flow
+
+        def counted(net, s, t, limit):
+            flows.append((s, t))
+            return max_flow(net, s, t, limit)
+
+        monkeypatch.setattr(conn._FlowNet, "max_flow", counted)
+        assert conn.max_local_edge_connectivity(_path(12)) == 1
+        assert len(flows) == 9
+
+
+class TestFlowKernel:
+    """The flat-array kernel is pinned to the network and search it
+    replaced (``oracles.ReferenceFlowNet``)."""
+
+    def test_network_matches_reference(self):
+        for g in _lambda_sweep():
+            net, ref = conn._FlowNet(g), oracles.ReferenceFlowNet(g)
+            assert (net.adj, net.to, net.cap) == (ref.adj, ref.to, ref.cap)
+
+    def test_local_edge_connectivity_matches_reference_on_seeded_pairs(self):
+        rng = random.Random(17)
+        checked = 0
+        for g in _lambda_sweep():
+            pairs = list(itertools.combinations(range(g.n), 2))
+            for v, w in rng.sample(pairs, min(4, len(pairs))):
+                for a, b in ((v, w), (w, v)):
+                    expected = oracles.reference_local_edge_connectivity(g, a, b)
+                    assert conn.local_edge_connectivity(g, a, b) == expected
+                    assert conn.local_edge_connectivity_value(g, a, b) == expected.value
+                    checked += 1
+        assert checked >= 1400
 
 
 class TestBlocks:
@@ -298,6 +417,25 @@ class TestSeparators:
         for cut in cuts:
             assert len(cut.f) == 3
             assert set(w5.boundary(cut.x)) == set(cut.f)
+
+    def test_cut_search_guard(self):
+        # 60 + 1770 + 34220 subsets at size <= 3; the guard trips before any is tested
+        with pytest.raises(col.GuardExceeded, match="--max-size"):
+            conn.minimal_separating_edge_sets(cons.cycle(60), 3)
+        assert len(conn.minimal_separating_edge_sets(cons.cycle(60), 1)) == 0
+        assert col.CUT_GUARD < 60 + 1770 + 34220
+
+    def test_cut_search_size_past_the_edge_count(self):
+        w5 = cons.odd_wheel(5)
+        assert conn.minimal_separating_edge_sets(w5, 10**9) == conn.minimal_separating_edge_sets(
+            w5, w5.m
+        )
+
+    def test_edge_cut_from_side(self):
+        g = Hypergraph.of(5, [(0, 1), (1, 2, 3), (3, 4), (0, 4)])
+        cut = conn.EdgeCut.from_side(g, [3, 0, 3, 4])
+        # edges in canonical order: (0, 1), (0, 4), (1, 2, 3), (3, 4)
+        assert cut == conn.EdgeCut(x=(0, 3, 4), y=(1, 2), f=(0, 2), x_f=(0, 3), y_f=(1, 2))
 
     def test_edge_cut_for_orients_lexicographically(self):
         g = Hypergraph.of(4, [(0, 1), (1, 2), (2, 3), (3, 0)])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -152,6 +154,57 @@ class TestHgrFormat:
         with pytest.raises(HgrFormatError) as exc:
             Hypergraph.from_hgr(text)
         assert exc.value.line_no == line
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "line 1: empty input, expected header 'HGR 1'"),
+            ("HGR 2\n", "line 1: expected header 'HGR 1'"),
+            ("HGR 1\n", "line 1: missing vertex-count line"),
+            ("HGR 1\ne 0 1\n", "line 2: edge before vertex-count line"),
+            ("HGR 1\nn\n", "line 2: expected 'n <count>'"),
+            ("HGR 1\nn 3 4\n", "line 2: expected 'n <count>'"),
+            ("HGR 1\nn 3\ne 1 0\n", "line 3: vertex ids not strictly increasing"),
+            ("HGR 1\nn 3\ne 1 1\n", "line 3: vertex ids not strictly increasing"),
+            ("HGR 1\nn 3\ne 0 3\n", "line 3: vertex id out of range"),
+            ("HGR 1\nn 3\ne 0\n", "line 3: edge has fewer than 2 vertices"),
+            ("HGR 1\nn 3\ne\n", "line 3: edge has fewer than 2 vertices"),
+            ("HGR 1\nn 3\nn 4\n", "line 3: duplicate vertex-count line"),
+            ("HGR 1\nn 3\nx 0 1\n", "line 3: unknown directive 'x'"),
+            ("HGR 1\nn 3\ne 0 1\ne 0 1\n", "line 4: duplicate edge (0, 1)"),
+            ("HGR 1\nn 3\ne 0 2\ne 2 0\n", "line 4: vertex ids not strictly increasing"),
+            ("HGR 1\nn 12\ne -1 2\n", "line 3: counts and vertex ids must be ASCII digits"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(HgrFormatError) as exc:
+            Hypergraph.from_hgr(text)
+        assert str(exc.value) == message
+
+    def test_parse_checks_each_line_once(self, monkeypatch):
+        # the line checks establish every invariant, so the parsed value
+        # skips the constructor's second pass
+        def refuse(self):
+            raise AssertionError("__post_init__ ran")
+
+        text = "HGR 1\nn 5\ne 3 4\ne 0 1 2\ne 1 3\n"
+        expected = Hypergraph.of(5, [(0, 1, 2), (1, 3), (3, 4)])
+        monkeypatch.setattr(Hypergraph, "__post_init__", refuse)
+        parsed = Hypergraph.from_hgr(text)
+        monkeypatch.undo()
+        assert parsed == expected and hash(parsed) == hash(expected)
+        assert parsed.incidence == expected.incidence
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            parsed.n = 6
+
+    @pytest.mark.parametrize(
+        "n,edges",
+        [(-1, ()), (3, ((0,),)), (3, ((1, 0),)), (3, ((0, 3),)), (3, ((0, 1), (0, 1))),
+         (3, ((1, 2), (0, 1)))],
+    )
+    def test_direct_construction_still_validates(self, n, edges):
+        with pytest.raises(ValueError):
+            Hypergraph(n, edges)
 
     @given(hypergraphs(sizes=(2, 3, 4)))
     def test_round_trip_property(self, g):
