@@ -23,8 +23,8 @@ class CertificateError(ValueError):
 
 class InternalError(RuntimeError):
     """An internal invariant broke: a bug, not bad input, such as a
-    built certificate that does not replay, or a tight instance with no
-    block that certifies."""
+    built certificate that does not replay, or an input with lambda >= 3
+    that has neither a block that certifies nor a lambda-coloring."""
 
 
 # -- certificates ----------------------------------------------------------
@@ -217,7 +217,27 @@ def _build_certificate(g: Hypergraph, k: int, ids) -> Certificate | None:
     return cert
 
 
+def _may_be_member(n: int, m: int, k: int) -> bool:
+    """A counting test every member of the class at k passes.  A join
+    has n = n1 + n2 - 1 and m = m1 + m2 - 1, so n - 1 and m - 1 add up
+    over the t leaves of a certificate.  For k >= 4 the leaves are
+    K_{k+1}, each with n_i - 1 = k and m_i - 1 = k(k+1)/2 - 1.  For
+    k = 3 they are odd wheels, each with an odd rim r_i = n_i - 1 >= 3
+    and m_i - 1 = 2 r_i - 1, so t = 2(n - 1) - (m - 1), n - 1 >= 3t
+    and n - 1 has the parity of t."""
+    if k == 3:
+        t = 2 * n - m - 1
+        return t >= 1 and n - 1 >= 3 * t and (n - 1 - t) % 2 == 0
+    t, rest = divmod(n - 1, k)
+    return rest == 0 and m - 1 == t * (k * (k + 1) // 2 - 1)
+
+
 def _certify(g: Hypergraph, k: int, ids) -> Certificate | None:
+    """Certificate of g in target ids, or None; the caller replays it.
+    g is connected: the root is checked or is a block, and each part of
+    a decomposition of a connected hypergraph is connected."""
+    if not _may_be_member(g.n, g.m, k):
+        return None
     # A base shape has no separating (vertex, edge) pair; in the class,
     # one exists iff g is a join.
     if k == 3:
@@ -228,7 +248,7 @@ def _certify(g: Hypergraph, k: int, ids) -> Certificate | None:
         leaf = None
     if leaf is not None:
         return leaf
-    first = next(conn._mixed_pairs(g), None)
+    first = next(conn._skip_edge_pairs(g), None)
     if first is None:
         return None
     v_star, e_star = first
@@ -305,20 +325,28 @@ class ClassifyOutcome:
 
 def classify(g: Hypergraph, force: bool = False, h2_info: bool = False) -> ClassifyOutcome:
     """Decide whether chi(G) = lambda(G)+1, with a witness either way
-    when lambda >= 3.  With no lambda-coloring, the tight block is found
-    by certification: the first block, by descending first edge ref,
-    whose certificate replays (the block ``extract_critical`` keeps).  A
-    replay proves membership, and members are (lambda+1)-critical."""
+    when lambda >= 3.
+
+    For lambda >= 3, chi(G) = lambda + 1 iff some block of G is in the
+    class at lambda, so the blocks are certified first, by descending
+    first edge ref, and the first whose certificate replays is the
+    tight block (the block ``extract_critical`` keeps): a replay proves
+    membership, and members are (lambda+1)-critical.  A block that
+    fails the counting test ``_may_be_member`` costs O(1).  Only when no
+    block certifies does the lambda-coloring search run, and then it
+    must succeed."""
     lam = conn.max_local_edge_connectivity(g)
     if lam >= 3:
-        phi = col.find_k_coloring(g, lam)
-        if phi is not None:
-            return ClassifyOutcome(lam, _chi_below(g, lam), "colorable", coloring=phi)
         for b in sorted((b for b in conn.blocks(g) if b.edge_refs), key=lambda b: -b.edge_refs[0]):
+            if not _may_be_member(len(b.vertices), len(b.edge_refs), lam):
+                continue
             cert = _build_certificate(b.graph(g), lam, b.vertices)
             if cert is not None:
                 return ClassifyOutcome(lam, lam + 1, "tight", block=b.vertices, certificate=cert)
-        raise InternalError("no block of a tight instance certifies; internal bug")
+        phi = col.find_k_coloring(g, lam)
+        if phi is None:
+            raise InternalError("no block certifies and no lambda-coloring exists; internal bug")
+        return ClassifyOutcome(lam, _chi_below(g, lam), "colorable", coloring=phi)
     chi = col.chromatic_number(g, force=force)
     if lam == 0:
         note = (

@@ -420,10 +420,24 @@ def _whole_graph_blocks(g: Hypergraph) -> tuple[tuple[Block, ...], tuple[int, ..
     return cached
 
 
-def _block_pass(g: Hypergraph, skip: int | None = None) -> tuple[list[list[int]], list[bool]]:
+def _pair_lists(g: Hypergraph) -> list[list[tuple[int, int]]]:
+    """Per vertex v, the 2-section pairs (edge ref, neighbour w) of v in
+    incidence order: edges by ascending ref, then w by ascending id."""
+    edges = g.edges
+    return [
+        [(r, w) for r in refs for w in edges[r] if w != v]
+        for v, refs in enumerate(g.incidence)
+    ]
+
+
+def _block_pass(
+    g: Hypergraph, skip: int | None = None, pairs: list[list[tuple[int, int]]] | None = None
+) -> tuple[list[list[int]], list[bool]]:
     """Hopcroft-Tarjan depth-first search for the biconnected components
-    of the 2-section, walked through the incidence table without building
-    it, with edge ``skip`` treated as deleted.
+    of the 2-section, walked through ``pairs`` (``_pair_lists(g)``,
+    built here when not given), with edge ``skip`` treated as deleted.
+    Each vertex on the search path keeps an index into its own pair
+    list, where its scan resumes when the search returns to it.
 
     Returns the edge refs of each block that has an edge, and per vertex
     whether it lies in two or more of them (an articulation point).
@@ -437,55 +451,64 @@ def _block_pass(g: Hypergraph, skip: int | None = None) -> tuple[list[list[int]]
     edge (v, w) belongs to.  Either block holds a pair of the edge, whose
     vertices form a clique, so it is the edge's block.
     """
-    edges = g.edges
-    incidence = g.incidence
-
-    def pairs(v: int):
-        return ((r, w) for r in incidence[v] if r != skip for w in edges[r] if w != v)
-
-    disc = [-1] * g.n
-    low = [0] * g.n
+    if pairs is None:
+        pairs = _pair_lists(g)
+    n = g.n
+    disc = [-1] * n
+    low = [0] * n
+    # next unexamined pair of each vertex on the path
+    nxt = [0] * n
+    # stack height at each non-root vertex's tree edge
+    mark = [0] * n
     # blocks containing v: one above a non-root v, plus one per block
     # closed at v
-    count = [1] * g.n
+    count = [1] * n
     pushed = [False] * g.m
     stack: list[int] = []
     out: list[list[int]] = []
     timer = 0
-    for root in range(g.n):
+    for root in range(n):
         if disc[root] >= 0:
             continue
         disc[root] = low[root] = timer
         timer += 1
         count[root] = 0
-        # (vertex, stack height at its tree edge, its unexamined pairs)
-        frames = [(root, 0, pairs(root))]
-        while frames:
-            v, v_mark, todo = frames[-1]
-            for r, w in todo:
-                if disc[w] < 0:
-                    frames.append((w, len(stack), pairs(w)))
-                    if not pushed[r]:
-                        pushed[r] = True
-                        stack.append(r)
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    break
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
+        path = [root]
+        while path:
+            v = path[-1]
+            todo = pairs[v]
+            i = nxt[v]
+            while i < len(todo):
+                r, w = todo[i]
+                i += 1
+                if r == skip:
+                    continue
                 if not pushed[r]:
                     pushed[r] = True
                     stack.append(r)
+                    if disc[w] < 0:
+                        mark[w] = len(stack) - 1
+                        break
+                elif disc[w] < 0:
+                    mark[w] = len(stack)
+                    break
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
             else:
-                frames.pop()
-                if frames:
-                    u = frames[-1][0]
+                path.pop()
+                if path:
+                    u = path[-1]
                     if low[v] < low[u]:
                         low[u] = low[v]
                     if low[v] >= disc[u]:
-                        out.append(stack[v_mark:])
-                        del stack[v_mark:]
+                        out.append(stack[mark[v]:])
+                        del stack[mark[v]:]
                         count[u] += 1
+                continue
+            nxt[v] = i
+            disc[w] = low[w] = timer
+            timer += 1
+            path.append(w)
     return out, [c > 1 for c in count]
 
 
@@ -590,11 +613,19 @@ def mixed_separating_sets(g: Hypergraph) -> list[tuple[int, int]]:
 
 
 def _mixed_pairs(g: Hypergraph):
-    """The pairs of ``mixed_separating_sets`` lazily, in the same order,
-    one block pass with the edge skipped per edge as it is reached."""
+    """The pairs of ``mixed_separating_sets`` lazily, in the same order:
+    one block pass with the edge skipped per edge as it is reached, all
+    on one pair list."""
     if not is_connected(g):
         raise ValueError("hypergraph must be connected")
+    return _skip_edge_pairs(g)
+
+
+def _skip_edge_pairs(g: Hypergraph):
+    """``_mixed_pairs`` without the connectivity check, for callers whose
+    hypergraph is connected by construction."""
+    pairs = _pair_lists(g)
     for ref in range(g.m):
-        for v, is_cut in enumerate(_block_pass(g, skip=ref)[1]):
+        for v, is_cut in enumerate(_block_pass(g, ref, pairs)[1]):
             if is_cut:
                 yield v, ref

@@ -225,31 +225,52 @@ class MixedDecomposition:
 def hajos_decompose_mixed(g: Hypergraph, v_star: int, e_star: int) -> MixedDecomposition:
     """Peel one Hajos-join layer at a mixed separating set: G - e* is
     the union of two parts meeting exactly at v*, and each part plus
-    its half of e* (through v*) is an operand of the join."""
-    estar_vs = set(g.edge(e_star))
-    rest = g.delete_edge(e_star)
-    div, div_old = rest.div_vertices((v_star,))
-    comps = [{div_old[v] for v in c} for c in conn.components(div)]
-    if len(comps) < 2:
+    its half of e* (through v*) is an operand of the join.
+
+    The first side is the component of (G - e*) / v* holding the
+    smallest vertex other than v*, found by one search over the
+    incidence table that skips e* and v*; the second side is the rest.
+    Every other edge lies in one side plus v*, so each part is built
+    once, from its edges and its half of e*."""
+    estar_vs = g.edge(e_star)
+    g._check_vertex(v_star)
+    # g has an edge, so a vertex other than v* exists; the search is
+    # kept out of v* by marking it, and the mark is cleared after
+    queue = [1 if v_star == 0 else 0]
+    in_side1 = [False] * g.n
+    in_side1[v_star] = in_side1[queue[0]] = True
+    for u in queue:  # the list iterator also visits appended vertices
+        for ref in g.incidence[u]:
+            if ref != e_star:
+                for w in g.edges[ref]:
+                    if not in_side1[w]:
+                        in_side1[w] = True
+                        queue.append(w)
+    in_side1[v_star] = False
+    if len(queue) == g.n - 1:
         raise ValueError(f"({v_star}, edge {e_star}) is not a mixed separating set")
-    side1 = comps[0]
-    side2 = set().union(*comps[1:])
-    if not (estar_vs - {v_star}) & side1 or not (estar_vs - {v_star}) & side2:
+    tips = [u for u in estar_vs if u != v_star]
+    if all(in_side1[u] for u in tips) or not any(in_side1[u] for u in tips):
         raise ValueError("deleted edge does not meet both sides")
     parts = []
-    for side in (side1, side2):
-        vs = sorted(side | {v_star})
-        sub, old = rest.induced(vs)
-        pos = {u: i for i, u in enumerate(old)}
-        half = tuple(sorted({pos[u] for u in estar_vs if u in side} | {pos[v_star]}))
-        if half in set(sub.edges):
+    for first in (True, False):
+        old = tuple(u for u in range(g.n) if u == v_star or in_side1[u] == first)
+        pos = dict(zip(old, range(len(old))))
+        edges = [
+            tuple(pos[u] for u in e)
+            for ref, e in enumerate(g.edges)
+            if ref != e_star and in_side1[e[1] if e[0] == v_star else e[0]] == first
+        ]
+        half = tuple(sorted([pos[v_star]] + [pos[u] for u in tips if in_side1[u] == first]))
+        if half in edges:
             raise ValueError(
                 "half edge already present; input violates the decomposition"
             )
-        parts.append((Hypergraph.of(sub.n, sub.edges + (half,)), old, pos, half))
-    (p1, old1, pos1, half1), (p2, old2, pos2, half2) = parts
+        edges.append(half)
+        parts.append((Hypergraph.of(len(old), edges), old, pos[v_star], half))
+    (p1, old1, v1, half1), (p2, old2, v2, half2) = parts
     spec = HajosJoinSpec(
-        p1, p2, pos1[v_star], pos2[v_star], p1.edge_ref(half1), p2.edge_ref(half2),
+        p1, p2, v1, v2, p1.edge_ref(half1), p2.edge_ref(half2),
         include_vstar=v_star in estar_vs,
     )
     return MixedDecomposition(spec, old1, old2, v_star, e_star)

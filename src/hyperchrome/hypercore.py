@@ -18,6 +18,10 @@ from typing import Iterable, NamedTuple
 
 Edge = tuple[int, ...]
 
+# Largest vertex count HGR input may declare: every verb spends time and
+# memory linear in n, so a short line must not ask for more.
+MAX_VERTICES = 10**6
+
 
 class HgrFormatError(ValueError):
     """Malformed HGR input; carries the offending line number."""
@@ -241,7 +245,13 @@ class Hypergraph:
                     raise HgrFormatError(line_no, "duplicate vertex-count line")
                 if len(parts) != 2:
                     raise HgrFormatError(line_no, "expected 'n <count>'")
-                n = int(parts[1])
+                # the length test comes first: int() refuses over 4300 digits
+                count = parts[1].lstrip("0") or "0"
+                if len(count) > len(str(MAX_VERTICES)) or int(count) > MAX_VERTICES:
+                    raise HgrFormatError(
+                        line_no, f"vertex count exceeds the limit of {MAX_VERTICES}"
+                    )
+                n = int(count)
             elif parts[0] == "e":
                 if n is None:
                     raise HgrFormatError(line_no, "edge before vertex-count line")

@@ -56,8 +56,12 @@ def seeded_random_hypergraph(rng: random.Random, n: int, sizes, m_max: int) -> H
     return Hypergraph.of(n, rng.sample(pool, m))
 
 
-def random_nested_join(rng: random.Random, k: int, n_max: int, joins: int) -> Hypergraph:
-    """Nested Hajos joins over the base shapes for the given k."""
+def random_nested_join(
+    rng: random.Random, k: int, n_max: int, joins: int, include_vstar: bool | None = None
+) -> Hypergraph:
+    """Nested Hajos joins over the base shapes for the given k; every
+    join keeps v* on the merged edge or drops it as ``include_vstar``
+    says, or at random when it is None (the draw is made either way)."""
     from hyperchrome import constructions as cons
 
     if k == 3:
@@ -73,6 +77,8 @@ def random_nested_join(rng: random.Random, k: int, n_max: int, joins: int) -> Hy
             e1, e2 = rng.randrange(g.m), rng.randrange(other.m)
             v1, v2 = rng.choice(g.edge(e1)), rng.choice(other.edge(e2))
             include = rng.random() < 0.5
+            if include_vstar is not None:
+                include = include_vstar
             try:
                 g = cons.hajos_join(
                     cons.HajosJoinSpec(g, other, v1, v2, e1, e2, include)
@@ -81,3 +87,28 @@ def random_nested_join(rng: random.Random, k: int, n_max: int, joins: int) -> Hy
             except ValueError:
                 continue
     return g
+
+
+def perturbed_join(rng: random.Random, k: int) -> Hypergraph:
+    """A nested join with one edge deleted, one edge added, one edge
+    grown by a vertex, or a degree-2 vertex added; a drawn edge that is
+    already present leaves the join as it was."""
+    g = random_nested_join(rng, k, 14, rng.randint(0, 2))
+    edges, n = list(g.edges), g.n
+    how = rng.choice(["delete", "add", "grow", "degree-2"])
+    if how == "delete":
+        edges.pop(rng.randrange(len(edges)))
+    elif how == "add":
+        e = tuple(sorted(rng.sample(range(n), rng.choice([2, 3]))))
+        if e not in edges:
+            edges.append(e)
+    elif how == "grow":
+        i = rng.randrange(len(edges))
+        grown = tuple(sorted(edges[i] + (rng.choice([v for v in range(n) if v not in edges[i]]),)))
+        if grown not in edges:
+            edges[i] = grown
+    else:
+        u, w = rng.sample(range(n), 2)
+        edges += [(u, n), (w, n)]
+        n += 1
+    return Hypergraph.of(n, edges)

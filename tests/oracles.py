@@ -17,6 +17,11 @@ and groups edges by the biconnected component of their first pair.
 ``hyperchrome.connectivity`` replaced: built arc by arc, searched with a
 fresh predecessor dict and seen set per augmenting path, run to a
 failing search with no limit, and a second search for the cut side.
+``reference_classify`` is the colour-first classifier that the
+certify-first one in ``hyperchrome.classifier`` replaced, and
+``reference_decompose_mixed`` the mixed-pair decomposition built from
+``delete_edge``, ``div_vertices``, ``components`` and ``induced`` that
+the one-search version in ``hyperchrome.constructions`` replaced.
 """
 
 from __future__ import annotations
@@ -24,8 +29,12 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
+from hyperchrome import classifier as cls
+from hyperchrome import coloring as col
+from hyperchrome import connectivity as conn
 from hyperchrome.coloring import Coloring
 from hyperchrome.connectivity import Block, FlowResult, _FlowNet
+from hyperchrome.constructions import HajosJoinSpec, MixedDecomposition
 from hyperchrome.hypercore import Hypergraph
 
 
@@ -399,3 +408,52 @@ def reference_pair_lambdas(g: Hypergraph) -> list[int]:
         net = ReferenceFlowNet(g)
         out.append(net.max_flow(v, w))
     return out
+
+
+def reference_classify(g: Hypergraph) -> cls.ClassifyOutcome:
+    """For lambda >= 3, search for a lambda-coloring first and certify
+    the blocks, by descending first edge ref, only when there is none;
+    below 3 the classifier's own branch, which did not change."""
+    lam = conn.max_local_edge_connectivity(g)
+    if lam < 3:
+        return cls.classify(g)
+    phi = col.find_k_coloring(g, lam)
+    if phi is not None:
+        return cls.ClassifyOutcome(lam, cls._chi_below(g, lam), "colorable", coloring=phi)
+    for b in sorted((b for b in conn.blocks(g) if b.edge_refs), key=lambda b: -b.edge_refs[0]):
+        cert = cls._build_certificate(b.graph(g), lam, b.vertices)
+        if cert is not None:
+            return cls.ClassifyOutcome(lam, lam + 1, "tight", block=b.vertices, certificate=cert)
+    raise cls.InternalError("no block of a tight instance certifies; internal bug")
+
+
+def reference_decompose_mixed(g: Hypergraph, v_star: int, e_star: int) -> MixedDecomposition:
+    """The decomposition through the derived values G - e*, (G - e*) / v*,
+    its components and the induced parts, each part validated twice."""
+    estar_vs = set(g.edge(e_star))
+    rest = g.delete_edge(e_star)
+    div, div_old = rest.div_vertices((v_star,))
+    comps = [{div_old[v] for v in c} for c in conn.components(div)]
+    if len(comps) < 2:
+        raise ValueError(f"({v_star}, edge {e_star}) is not a mixed separating set")
+    side1 = comps[0]
+    side2 = set().union(*comps[1:])
+    if not (estar_vs - {v_star}) & side1 or not (estar_vs - {v_star}) & side2:
+        raise ValueError("deleted edge does not meet both sides")
+    parts = []
+    for side in (side1, side2):
+        vs = sorted(side | {v_star})
+        sub, old = rest.induced(vs)
+        pos = {u: i for i, u in enumerate(old)}
+        half = tuple(sorted({pos[u] for u in estar_vs if u in side} | {pos[v_star]}))
+        if half in set(sub.edges):
+            raise ValueError(
+                "half edge already present; input violates the decomposition"
+            )
+        parts.append((Hypergraph.of(sub.n, sub.edges + (half,)), old, pos, half))
+    (p1, old1, pos1, half1), (p2, old2, pos2, half2) = parts
+    spec = HajosJoinSpec(
+        p1, p2, pos1[v_star], pos2[v_star], p1.edge_ref(half1), p2.edge_ref(half2),
+        include_vstar=v_star in estar_vs,
+    )
+    return MixedDecomposition(spec, old1, old2, v_star, e_star)

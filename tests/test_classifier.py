@@ -11,8 +11,11 @@ from hyperchrome import classifier as cls
 from hyperchrome import coloring as col
 from hyperchrome import connectivity as conn
 from hyperchrome import constructions as cons
+from hyperchrome import corpus
 
+import oracles
 from conftest import hypergraphs, random_nested_join, seeded_random_hypergraph
+from conftest import perturbed_join as _perturbed_join
 
 
 class TestCertificateReplay:
@@ -175,31 +178,6 @@ class TestHkCertificate:
             sub = _replayed_graph(node)
             listed = conn.mixed_separating_sets(sub)
             assert next(conn._mixed_pairs(sub), None) == (listed[0] if listed else None)
-
-
-def _perturbed_join(rng, k):
-    """A nested join with one edge deleted, one edge added, one edge
-    grown by a vertex, or a degree-2 vertex added; a drawn edge that is
-    already present leaves the join as it was."""
-    g = random_nested_join(rng, k, 14, rng.randint(0, 2))
-    edges, n = list(g.edges), g.n
-    how = rng.choice(["delete", "add", "grow", "degree-2"])
-    if how == "delete":
-        edges.pop(rng.randrange(len(edges)))
-    elif how == "add":
-        e = tuple(sorted(rng.sample(range(n), rng.choice([2, 3]))))
-        if e not in edges:
-            edges.append(e)
-    elif how == "grow":
-        i = rng.randrange(len(edges))
-        grown = tuple(sorted(edges[i] + (rng.choice([v for v in range(n) if v not in edges[i]]),)))
-        if grown not in edges:
-            edges[i] = grown
-    else:
-        u, w = rng.sample(range(n), 2)
-        edges += [(u, n), (w, n)]
-        n += 1
-    return Hypergraph.of(n, edges)
 
 
 class TestHkCertificateByReplay:
@@ -603,7 +581,8 @@ class TestClassify:
         assert calls["enumerate_separating_sets"] == 0
         assert calls["extract_critical"] == 0
         assert calls["chromatic_number"] == 0
-        assert calls["find_k_coloring"] == 1
+        # certified first, so the lambda-coloring search never runs
+        assert calls["find_k_coloring"] == 0
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
@@ -615,6 +594,76 @@ class TestClassify:
         if out.verdict == "tight":
             assert out.chi == out.lam + 1
             assert col.find_k_coloring(g, out.lam) is None
+
+
+def _certify_first_sweep():
+    """Nested joins at k = 3, 4, 5, with v* kept on and dropped from
+    every merged edge, up to the largest n at which the colour-first
+    search stays fast (it is unsatisfiable on them); one-edge
+    perturbations of nested joins; and criterion-01 random instances."""
+    for k, n_max in ((3, 30), (4, 21), (5, 16)):
+        for include in (True, False):
+            for seed in range(10):
+                yield k, random_nested_join(random.Random(seed), k, n_max, 8, include)
+    for k in (3, 4, 5):
+        for seed in range(40):
+            yield k, _perturbed_join(random.Random(1000 * k + seed), k)
+    rng = random.Random(20240824)
+    for _ in range(150):
+        yield None, corpus.random_hypergraph(rng, 12, sizes=(2, 3, 4))
+
+
+class TestCertifyFirst:
+    """``classify`` certifies the blocks before it searches for a
+    colouring, and it is pinned to the colour-first classifier it
+    replaced (``oracles.reference_classify``).  The counting filter
+    ``_may_be_member`` is checked to pass every graph that certifies."""
+
+    def test_matches_the_colour_first_reference(self):
+        verdicts = collections.Counter()
+        for _, g in _certify_first_sweep():
+            out = cls.classify(g)
+            assert out == oracles.reference_classify(g), g
+            verdicts[out.verdict, out.lam >= 3] += 1
+        assert verdicts["tight", True] >= 70, verdicts
+        assert verdicts["colorable", True] >= 150, verdicts
+
+    def test_every_certified_graph_passes_the_counting_filter(self):
+        certified = 0
+        for target, g in _certify_first_sweep():
+            for k in (target,) if target else (3, 4, 5):
+                cert = cls.hk_certificate(g, k)
+                if cert is None:
+                    continue
+                certified += 1
+                assert cls._may_be_member(g.n, g.m, k)
+                for node in _subtrees(cert):
+                    sub = _replayed_graph(node)
+                    assert cls._may_be_member(sub.n, sub.m, k)
+        assert certified >= 70
+
+    def test_filter_rejects_the_7_cube_without_a_block_pass(self, monkeypatch):
+        cube = Hypergraph.of(128, [(v, v | 1 << i) for v in range(128) for i in range(7)
+                                   if not v >> i & 1])
+        assert (cube.n, cube.m, conn.max_local_edge_connectivity(cube)) == (128, 448, 7)
+        passes = []
+        block_pass = conn._block_pass
+
+        def counted(*args, **kwargs):
+            passes.append(1)
+            return block_pass(*args, **kwargs)
+
+        monkeypatch.setattr(conn, "_block_pass", counted)
+        assert not cls._may_be_member(cube.n, cube.m, 7)
+        assert cls.hk_certificate(cube, 7) is None
+        assert not passes
+
+    def test_no_certificate_and_no_coloring_is_internal(self, monkeypatch):
+        g = Hypergraph.of(6, [e for e in itertools.combinations(range(6), 2) if e != (0, 1)])
+        assert cls.classify(g).verdict == "colorable"
+        monkeypatch.setattr(col, "find_k_coloring", lambda *args, **kwargs: None)
+        with pytest.raises(cls.InternalError, match="no block certifies"):
+            cls.classify(g)
 
 
 class TestJones:

@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperchrome import classifier, cli
+from hyperchrome import connectivity as conn
 from hyperchrome import constructions as cons
 from hyperchrome import corpus
 from hyperchrome.hypercore import Hypergraph
@@ -103,6 +105,25 @@ class TestErrorPaths:
         path.write_text(f"HGR 1\nn {count}\n", encoding="utf-8")
         assert cli.main(["chi", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_huge_vertex_count_is_input_error(self, capsys, monkeypatch):
+        """Twenty bytes that ask for a billion vertices end at once."""
+        text = "HGR 1\nn 1000000000\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        start = time.perf_counter()
+        assert cli.main(["classify", "-"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "line 2" in err and "exceeds the limit" in err
+
+    def test_decompose_at_a_non_pair_is_input_error(self, tmp_path, capsys):
+        j = cons.figure1_join(False)
+        path = write_hgr(tmp_path, j.graph)
+        estar = j.graph.edge_ref(j.estar)
+        v = next(v for v in range(j.graph.n) if (v, estar) not in
+                 conn.mixed_separating_sets(j.graph))
+        assert cli.main(["decompose", path, "--mixed", f"{v},{estar}"]) == 2
+        assert "is not a mixed separating set" in capsys.readouterr().err
 
     def test_edge_ids_must_be_ascii_digits(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("HGR 1\nn 12\ne 0 1_0\ne +1 ０２\n"))

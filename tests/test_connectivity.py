@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -13,6 +14,7 @@ from hyperchrome import corpus
 from conftest import (
     connected_hypergraphs,
     hypergraphs,
+    perturbed_join,
     random_nested_join,
     seeded_random_hypergraph,
 )
@@ -348,6 +350,28 @@ class TestBlockPass:
             (v, ref) for ref in range(g.m) for v in conn.separating_vertices(g.delete_edge(ref))
         ]
         assert list(conn._mixed_pairs(g)) == listing
+
+    def test_mixed_pairs_skip_the_edge_in_place_on_hyperedge_joins(self):
+        """Nested joins that keep v* on every merged edge carry
+        hyperedges.  No pair of theirs lies on two edges, since a join
+        deletes the one edge on each pair it merges, so one-edge
+        perturbations of joins add the pairs that do, where the pair
+        list holds a neighbour once per edge."""
+        graphs = [
+            random_nested_join(random.Random(seed), k, n_max, 8, include_vstar=True)
+            for k, n_max in ((3, 22), (4, 17), (5, 16)) for seed in range(4)
+        ]
+        assert all(any(len(e) > 2 for e in g.edges) for g in graphs)
+        graphs += [perturbed_join(random.Random(seed), k) for k in (3, 4, 5) for seed in range(12)]
+        multi_covered = 0
+        for g in graphs:
+            listing = [
+                (v, ref) for ref in range(g.m) for v in conn.separating_vertices(g.delete_edge(ref))
+            ]
+            assert list(conn._mixed_pairs(g)) == listing
+            covers = collections.Counter(p for e in g.edges for p in itertools.combinations(e, 2))
+            multi_covered += max(covers.values()) > 1
+        assert multi_covered >= 6
 
     def test_one_pass_serves_blocks_and_separating_vertices(self, monkeypatch):
         passes = []

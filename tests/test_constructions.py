@@ -1,3 +1,5 @@
+import collections
+import itertools
 import random
 
 import pytest
@@ -7,6 +9,9 @@ from hyperchrome.hypercore import Hypergraph
 from hyperchrome import coloring as col
 from hyperchrome import connectivity as conn
 from hyperchrome import constructions as cons
+
+import oracles
+from conftest import perturbed_join, random_nested_join
 
 
 class TestGenerators:
@@ -243,6 +248,61 @@ class TestDecompositions:
         merged = cons.identify_vertices(g, 0, 3)
         assert merged.n == 3
         assert (0, 1) in merged.edges
+
+
+def _decomposition_or_message(decompose, g, v, e):
+    try:
+        return decompose(g, v, e)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestDecomposeMixed:
+    """``hajos_decompose_mixed`` finds the sides by one search and builds
+    each part once; it is pinned to the decomposition through derived
+    values that it replaced (``oracles.reference_decompose_mixed``),
+    on every mixed pair and with the same message on other pairs."""
+
+    def _check(self, g, v, e, seen):
+        got = _decomposition_or_message(cons.hajos_decompose_mixed, g, v, e)
+        assert got == _decomposition_or_message(oracles.reference_decompose_mixed, g, v, e)
+        seen[got.spec.include_vstar if isinstance(got, cons.MixedDecomposition) else got] += 1
+
+    def test_matches_reference_on_nested_joins(self):
+        rng = random.Random(3)
+        seen = collections.Counter()
+        for k, n_max in ((3, 30), (4, 29), (5, 31)):
+            for include in (True, False):
+                for seed in range(2):
+                    g = random_nested_join(random.Random(seed), k, n_max, 8, include)
+                    pairs = conn.mixed_separating_sets(g)
+                    for v, e in pairs:
+                        self._check(g, v, e, seen)
+                    others = sorted(
+                        set(itertools.product(range(g.n), range(g.m))) - set(pairs)
+                    )
+                    for v, e in rng.sample(others, 25):
+                        self._check(g, v, e, seen)
+        assert seen[True] >= 20 and seen[False] >= 20, seen
+        assert sum(c for key, c in seen.items() if isinstance(key, str)) >= 12 * 25
+
+    def test_matches_reference_on_every_pair_of_perturbed_joins(self):
+        seen = collections.Counter()
+        graphs = [perturbed_join(random.Random(1000 * k + seed), k)
+                  for k in (3, 4, 5) for seed in range(4)]
+        # two triangles at vertex 0, and a disconnected pair of edges
+        graphs.append(Hypergraph.of(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)]))
+        graphs.append(Hypergraph.of(5, [(0, 1, 2), (3, 4)]))
+        for g in graphs:
+            for v in range(-1, g.n + 1):
+                for e in range(-1, g.m + 1):
+                    self._check(g, v, e, seen)
+        assert seen[True] and seen[False], seen
+        for message in (
+            "is not a mixed separating set", "does not meet both sides",
+            "half edge already present", "out of range",
+        ):
+            assert any(message in key for key in seen if isinstance(key, str)), message
 
 
 class TestUniversalVertex:

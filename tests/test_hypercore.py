@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from hyperchrome.hypercore import HgrFormatError, Hypergraph, canonical_edges
+from hyperchrome.hypercore import MAX_VERTICES, HgrFormatError, Hypergraph, canonical_edges
 from conftest import hypergraphs
 
 
@@ -154,6 +154,14 @@ class TestHgrFormat:
         with pytest.raises(HgrFormatError) as exc:
             Hypergraph.from_hgr(text)
         assert exc.value.line_no == line
+
+    def test_vertex_count_is_bounded(self):
+        assert Hypergraph.from_hgr(f"HGR 1\nn {MAX_VERTICES}\ne 0 1\n").n == MAX_VERTICES
+        assert Hypergraph.from_hgr("HGR 1\nn 000000003\ne 0 2\n").n == 3
+        for count in (MAX_VERTICES + 1, 10**9, "9" * 5000):
+            with pytest.raises(HgrFormatError) as exc:
+                Hypergraph.from_hgr(f"HGR 1\nn {count}\ne 0 1\n")
+            assert str(exc.value) == f"line 2: vertex count exceeds the limit of {MAX_VERTICES}"
 
     @pytest.mark.parametrize(
         "text,message",
