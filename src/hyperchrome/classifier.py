@@ -164,37 +164,21 @@ def certificate_from_json(data: dict) -> Certificate:
 # -- membership and certification ------------------------------------------
 
 
-def is_in_Ck(g: Hypergraph, k: int, force: bool = False) -> bool:
-    """Semantic membership oracle: (k+1)-critical with local edge
-    connectivity at most k.  Only k >= 3 is decided."""
+def is_in_Ck(g: Hypergraph, k: int) -> bool:
+    """Membership in the class at k, by the one decider: a certificate
+    builds.  The semantic definition, (k+1)-critical with local edge
+    connectivity at most k, is a reference in the tests.  Only k >= 3
+    is decided."""
     if k < 3:
         raise ValueError("membership is only decided for k >= 3")
-    if not col.is_critical(g, k + 1, force=force).is_critical:
-        return False
-    return conn.max_local_edge_connectivity(g) <= k
-
-
-def _wheel_leaf(g: Hypergraph, ids) -> Leaf | None:
-    hub = shapes.wheel_hub(g)
-    if hub is None:
-        return None
-    rim = [v for v in range(g.n) if v != hub]
-    adj = {v: [] for v in rim}
-    for e in g.edges:
-        if hub not in e:
-            adj[e[0]].append(e[1])
-            adj[e[1]].append(e[0])
-    order = [rim[0], min(adj[rim[0]])]
-    while len(order) < len(rim):
-        a, b = order[-2], order[-1]
-        order.append(next(u for u in adj[b] if u != a))
-    return Leaf("odd_wheel", tuple(ids[v] for v in order) + (ids[hub],))
+    return hk_certificate(g, k) is not None
 
 
 def hk_certificate(g: Hypergraph, k: int) -> Certificate | None:
     """A replayable join decomposition over the base shapes, or None
     outside the class.  The class is the join closure of the base
-    shapes, so a certificate that replays proves membership."""
+    shapes, so a certificate that replays proves membership.  This is
+    the library's one membership decider; ``is_in_Ck`` reads it."""
     if k < 3:
         raise ValueError("certificates exist only for k >= 3")
     if not conn.is_connected(g):
@@ -241,13 +225,11 @@ def _certify(g: Hypergraph, k: int, ids) -> Certificate | None:
     # A base shape has no separating (vertex, edge) pair; in the class,
     # one exists iff g is a join.
     if k == 3:
-        leaf = _wheel_leaf(g, ids)
+        layout = shapes._odd_wheel_layout(g)
+        if layout is not None:
+            return Leaf("odd_wheel", tuple(ids[v] for v in layout))
     elif shapes.is_complete_graph(g) and g.n == k + 1:
-        leaf = Leaf("complete", tuple(ids))
-    else:
-        leaf = None
-    if leaf is not None:
-        return leaf
+        return Leaf("complete", tuple(ids))
     first = next(conn._skip_edge_pairs(g), None)
     if first is None:
         return None

@@ -128,7 +128,7 @@ def _cmd_construct(args) -> int:
     count, build = builders[name]
     if count is not None and len(params) != count:
         raise ValueError(f"construction {name!r} takes {count} parameter(s), got {len(params)}")
-    sys.stdout.write(build(*(int(p) for p in params)).to_hgr())
+    sys.stdout.write(build(*params).to_hgr())
     return OK
 
 
@@ -146,12 +146,15 @@ def _cmd_join(args) -> int:
     return OK
 
 
-def _parse_split_map(items: list[str]) -> dict[int, tuple[int, ...]]:
-    out: dict[int, tuple[int, ...]] = {}
-    for item in items:
-        ref_s, _, vs = item.partition("=")
-        out[int(ref_s)] = tuple(int(v) for v in vs.split(",") if v)
-    return out
+def _map_item(text: str) -> tuple[int, tuple[int, ...]]:
+    """One ``--map`` value: an edge ref and the ids of its image."""
+    ref, sep, vs = text.partition("=")
+    try:
+        if sep:
+            return int(ref), tuple(int(v) for v in vs.split(",") if v)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected REF=V1,V2 with integer ids, got {text!r}")
 
 
 def _cmd_split(args) -> int:
@@ -160,7 +163,7 @@ def _cmd_split(args) -> int:
         args.edge,
         _read_graph(args.file2),
         args.vertex,
-        _parse_split_map(args.map),
+        dict(args.map),
     )
     sys.stdout.write(cons.split(spec).graph.to_hgr())
     return OK
@@ -315,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("construct", _cmd_construct, help="emit a named family as HGR")
     p.add_argument("name")
-    p.add_argument("params", nargs="*")
+    p.add_argument("params", nargs="*", type=int)
     p.add_argument("--no-vstar", action="store_true")
 
     p = add("join", _cmd_join, help="join two hypergraphs at a vertex/edge pair")
@@ -332,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file2")
     p.add_argument("--edge", type=int, required=True)
     p.add_argument("--vertex", type=int, required=True)
-    p.add_argument("--map", action="append", default=[], metavar="REF=V1,V2")
+    p.add_argument("--map", action="append", default=[], type=_map_item, metavar="REF=V1,V2")
 
     p = add("decompose", _cmd_decompose, help="decompose at a separator")
     p.add_argument("file")

@@ -609,21 +609,16 @@ def edge_cut_for(g: Hypergraph, refs) -> EdgeCut:
 def mixed_separating_sets(g: Hypergraph) -> list[tuple[int, int]]:
     """All pairs (v, e) with v a separating vertex of G - e, sorted by
     (edge ref, vertex id)."""
-    return list(_mixed_pairs(g))
-
-
-def _mixed_pairs(g: Hypergraph):
-    """The pairs of ``mixed_separating_sets`` lazily, in the same order:
-    one block pass with the edge skipped per edge as it is reached, all
-    on one pair list."""
     if not is_connected(g):
         raise ValueError("hypergraph must be connected")
-    return _skip_edge_pairs(g)
+    return list(_skip_edge_pairs(g))
 
 
 def _skip_edge_pairs(g: Hypergraph):
-    """``_mixed_pairs`` without the connectivity check, for callers whose
-    hypergraph is connected by construction."""
+    """The pairs of ``mixed_separating_sets`` lazily, in the same order,
+    for callers whose hypergraph is connected by construction: one block
+    pass with the edge skipped per edge as it is reached, all on one
+    pair list."""
     pairs = _pair_lists(g)
     for ref in range(g.m):
         for v, is_cut in enumerate(_block_pass(g, ref, pairs)[1]):

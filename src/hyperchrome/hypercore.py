@@ -255,7 +255,10 @@ class Hypergraph:
             elif parts[0] == "e":
                 if n is None:
                     raise HgrFormatError(line_no, "edge before vertex-count line")
-                vs = tuple(map(int, ids))
+                try:
+                    vs = tuple(map(int, ids))
+                except ValueError:  # ASCII digits already, so over int()'s 4300-digit limit
+                    raise HgrFormatError(line_no, "vertex id out of range") from None
                 if len(vs) < 2:
                     raise HgrFormatError(line_no, "edge has fewer than 2 vertices")
                 if len(set(vs)) != len(vs) or list(vs) != sorted(vs):

@@ -29,29 +29,43 @@ def is_single_edge(g: Hypergraph) -> bool:
     return g.m == 1 and g.n == len(g.edges[0])
 
 
+def _odd_wheel_layout(g: Hypergraph) -> tuple[int, ...] | None:
+    """An odd wheel's leaf layout: the rim in cyclic order from its
+    smallest id, stepping first to that vertex's smaller rim neighbour,
+    then the hub; None for any other hypergraph.  The hub is the first
+    vertex of degree n - 1: for n > 4 any other fails the degree-3 test
+    that follows, and in K_4 it is 0.  The rim is then 2-regular, so it
+    is an odd cycle iff one walk round it reaches all n - 1 vertices."""
+    n = g.n
+    if n < 4 or n % 2 or g.m != 2 * (n - 1) or not g.is_graph():
+        return None
+    degrees = [len(refs) for refs in g.incidence]
+    hub = next((v for v in range(n) if degrees[v] == n - 1), None)
+    if hub is None or any(d != 3 for v, d in enumerate(degrees) if v != hub):
+        return None
+
+    def rim_neighbours(v: int) -> list[int]:
+        return [w for ref in g.incidence[v] for w in g.edges[ref] if w != v and w != hub]
+
+    start = 1 if hub == 0 else 0
+    order = [start]
+    prev, cur = start, min(rim_neighbours(start))
+    while cur != start:
+        order.append(cur)
+        prev, cur = cur, next(w for w in rim_neighbours(cur) if w != prev)
+    return (*order, hub) if len(order) == n - 1 else None
+
+
 def wheel_hub(g: Hypergraph) -> int | None:
     """The hub of an odd wheel: rim vertices have degree 3 and the hub
     is adjacent to all of them by ordinary edges.  For K_4 (= the wheel
     over a triangle) any vertex qualifies; the smallest id is returned."""
-    if not g.is_graph() or g.n < 4 or g.n % 2 == 1:
-        return None
-    rim_len = g.n - 1
-    if g.m != 2 * rim_len:
-        return None
-    for hub in range(g.n):
-        if g.degree(hub) != rim_len:
-            continue
-        rim = [v for v in range(g.n) if v != hub]
-        if any(g.degree(v) != 3 for v in rim):
-            continue
-        rim_graph, _ = g.induced(rim)
-        if is_odd_cycle(rim_graph):
-            return hub
-    return None
+    layout = _odd_wheel_layout(g)
+    return None if layout is None else layout[-1]
 
 
 def is_odd_wheel(g: Hypergraph) -> bool:
-    return wheel_hub(g) is not None
+    return _odd_wheel_layout(g) is not None
 
 
 def is_hyperwheel(g: Hypergraph) -> bool:

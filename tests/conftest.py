@@ -90,10 +90,14 @@ def random_nested_join(
 
 
 def perturbed_join(rng: random.Random, k: int) -> Hypergraph:
-    """A nested join with one edge deleted, one edge added, one edge
-    grown by a vertex, or a degree-2 vertex added; a drawn edge that is
-    already present leaves the join as it was."""
-    g = random_nested_join(rng, k, 14, rng.randint(0, 2))
+    """A nested join, perturbed as ``perturb`` says."""
+    return perturb(rng, random_nested_join(rng, k, 14, rng.randint(0, 2)))
+
+
+def perturb(rng: random.Random, g: Hypergraph) -> Hypergraph:
+    """g with one edge deleted, one edge added, one edge grown by a
+    vertex, or a degree-2 vertex added; a drawn edge that is already
+    present leaves g as it was."""
     edges, n = list(g.edges), g.n
     how = rng.choice(["delete", "add", "grow", "degree-2"])
     if how == "delete":

@@ -22,6 +22,11 @@ certify-first one in ``hyperchrome.classifier`` replaced, and
 ``reference_decompose_mixed`` the mixed-pair decomposition built from
 ``delete_edge``, ``div_vertices``, ``components`` and ``induced`` that
 the one-search version in ``hyperchrome.constructions`` replaced.
+``reference_is_in_Ck`` is the semantic membership test ((k+1)-critical
+with lambda <= k) that ``classifier.is_in_Ck`` was before it read the
+certifier, and ``reference_wheel_hub`` / ``reference_wheel_leaf`` the
+odd-wheel recognition through the induced rim and a second rim walk
+that ``shapes._odd_wheel_layout`` replaced.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from collections import deque
 from hyperchrome import classifier as cls
 from hyperchrome import coloring as col
 from hyperchrome import connectivity as conn
+from hyperchrome import shapes
 from hyperchrome.coloring import Coloring
 from hyperchrome.connectivity import Block, FlowResult, _FlowNet
 from hyperchrome.constructions import HajosJoinSpec, MixedDecomposition
@@ -457,3 +463,51 @@ def reference_decompose_mixed(g: Hypergraph, v_star: int, e_star: int) -> MixedD
         include_vstar=v_star in estar_vs,
     )
     return MixedDecomposition(spec, old1, old2, v_star, e_star)
+
+
+def reference_is_in_Ck(g: Hypergraph, k: int, force: bool = False) -> bool:
+    """Semantic membership oracle: (k+1)-critical with local edge
+    connectivity at most k.  Only k >= 3 is decided."""
+    if k < 3:
+        raise ValueError("membership is only decided for k >= 3")
+    if not col.is_critical(g, k + 1, force=force).is_critical:
+        return False
+    return conn.max_local_edge_connectivity(g) <= k
+
+
+def reference_wheel_hub(g: Hypergraph) -> int | None:
+    """The hub of an odd wheel: rim vertices have degree 3 and the hub
+    is adjacent to all of them by ordinary edges.  For K_4 (= the wheel
+    over a triangle) any vertex qualifies; the smallest id is returned."""
+    if not g.is_graph() or g.n < 4 or g.n % 2 == 1:
+        return None
+    rim_len = g.n - 1
+    if g.m != 2 * rim_len:
+        return None
+    for hub in range(g.n):
+        if g.degree(hub) != rim_len:
+            continue
+        rim = [v for v in range(g.n) if v != hub]
+        if any(g.degree(v) != 3 for v in rim):
+            continue
+        rim_graph, _ = g.induced(rim)
+        if shapes.is_odd_cycle(rim_graph):
+            return hub
+    return None
+
+
+def reference_wheel_leaf(g: Hypergraph, ids) -> cls.Leaf | None:
+    hub = reference_wheel_hub(g)
+    if hub is None:
+        return None
+    rim = [v for v in range(g.n) if v != hub]
+    adj = {v: [] for v in rim}
+    for e in g.edges:
+        if hub not in e:
+            adj[e[0]].append(e[1])
+            adj[e[1]].append(e[0])
+    order = [rim[0], min(adj[rim[0]])]
+    while len(order) < len(rim):
+        a, b = order[-2], order[-1]
+        order.append(next(u for u in adj[b] if u != a))
+    return cls.Leaf("odd_wheel", tuple(ids[v] for v in order) + (ids[hub],))

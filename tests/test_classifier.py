@@ -12,10 +12,12 @@ from hyperchrome import coloring as col
 from hyperchrome import connectivity as conn
 from hyperchrome import constructions as cons
 from hyperchrome import corpus
+from hyperchrome import shapes
 
 import oracles
-from conftest import hypergraphs, random_nested_join, seeded_random_hypergraph
+from conftest import hypergraphs, perturb, random_nested_join, seeded_random_hypergraph
 from conftest import perturbed_join as _perturbed_join
+from test_acceptance import _all_hypergraphs
 
 
 class TestCertificateReplay:
@@ -94,6 +96,66 @@ class TestMembership:
         with pytest.raises(ValueError):
             cls.is_in_Ck(cons.hyperwheel(3), 2)
 
+    def test_pinned_to_the_semantic_reference(self):
+        """``is_in_Ck`` reads the certifier; pin it to the semantic
+        definition on members and non-members alike."""
+        verdicts = collections.Counter()
+        for k, g in _membership_sweep():
+            member = oracles.reference_is_in_Ck(g, k)
+            assert cls.is_in_Ck(g, k) == member, (k, g)
+            verdicts[member] += 1
+        assert verdicts[True] >= 100 and verdicts[False] >= 100, verdicts
+
+    def test_pinned_on_the_criterion_02_sweep(self):
+        """The graphs of the acceptance test's criterion 02, whose right
+        hand side reads ``is_in_Ck``, and their blocks."""
+        checked = 0
+        for g in _criterion_02_sweep():
+            lam = conn.max_local_edge_connectivity(g) if conn.is_connected(g) else 0
+            for h in [g] + [b.graph(g) for b in conn.blocks(g) if b.edge_refs]:
+                for k in sorted({3, 4, 5, max(lam, 3)}):
+                    assert cls.is_in_Ck(h, k) == oracles.reference_is_in_Ck(h, k), (k, h)
+                    checked += 1
+        assert checked >= 10_000
+
+    def test_reads_only_the_certifier(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("is_in_Ck ran an oracle")
+
+        for owner, name in [
+            (col, "chromatic_number"), (col, "is_critical"), (conn, "max_local_edge_connectivity"),
+        ]:
+            monkeypatch.setattr(owner, name, refuse)
+        verdicts = collections.Counter(cls.is_in_Ck(g, k) for k, g in _membership_sweep())
+        assert verdicts[True] >= 100 and verdicts[False] >= 100, verdicts
+
+    def test_odd_wheel_past_the_chi_guard(self):
+        g = cons.odd_wheel(29)
+        assert cls.is_in_Ck(g, 3)
+        with pytest.raises(col.GuardExceeded):
+            oracles.reference_is_in_Ck(g, 3)
+
+
+def _membership_sweep():
+    """Nested joins at k = 3, 4, 5 with v* kept on and dropped from every
+    merged edge, each followed by a one-edge perturbation of it."""
+    for k, n_max in ((3, 20), (4, 17), (5, 16)):
+        for include in (True, False):
+            for seed in range(20):
+                rng = random.Random(seed)
+                g = random_nested_join(rng, k, n_max, 8, include)
+                yield k, g
+                yield k, perturb(rng, g)
+
+
+def _criterion_02_sweep():
+    for n in range(1, 5):
+        yield from _all_hypergraphs(n, (2, 3))
+    rng = random.Random(2)
+    for n in (5, 6, 7):
+        for _ in range(400):
+            yield seeded_random_hypergraph(rng, n, (2, 3), 14)
+
 
 def _subtrees(cert):
     stack = [cert]
@@ -165,7 +227,7 @@ class TestHkCertificate:
         assert isinstance(cert, cls.Join)
         for node in _subtrees(cert):
             sub = _replayed_graph(node)
-            assert cls.is_in_Ck(sub, k)
+            assert oracles.reference_is_in_Ck(sub, k)
             assert isinstance(node, cls.Join) == bool(conn.enumerate_separating_sets(sub, 2))
 
 
@@ -177,7 +239,7 @@ class TestHkCertificate:
         for node in _subtrees(cls.hk_certificate(g, k)):
             sub = _replayed_graph(node)
             listed = conn.mixed_separating_sets(sub)
-            assert next(conn._mixed_pairs(sub), None) == (listed[0] if listed else None)
+            assert next(conn._skip_edge_pairs(sub), None) == (listed[0] if listed else None)
 
 
 class TestHkCertificateByReplay:
@@ -207,7 +269,7 @@ class TestHkCertificateByReplay:
         for k in (3, 4, 5):
             for seed in range(134):
                 g = _perturbed_join(random.Random(1000 * k + seed), k)
-                member = cls.is_in_Ck(g, k)
+                member = oracles.reference_is_in_Ck(g, k)
                 assert (cls.hk_certificate(g, k) is not None) == member, (k, seed)
                 verdicts[member] += 1
         assert verdicts[True] >= 20 and verdicts[False] >= 300, verdicts
@@ -227,6 +289,52 @@ class TestHkCertificateByReplay:
                 verdicts[cls.hk_certificate(g, k) is not None] += 1
         assert verdicts[True] >= 30 and verdicts[False] >= 20, verdicts
         assert not calls
+
+    def test_every_node_wheel_layout_matches_the_reference(self, monkeypatch):
+        """The rim walk gives the layout of the recognition it replaced
+        at every node the certifier visits."""
+        nodes = []
+        certify = cls._certify
+
+        def recorded(g, k, ids):
+            nodes.append(g)
+            return certify(g, k, ids)
+
+        monkeypatch.setattr(cls, "_certify", recorded)
+        for k in (3, 4, 5):
+            for seed in range(6):
+                for include in (True, False):
+                    g = random_nested_join(random.Random(seed), k, 20, 8, include)
+                    assert cls.hk_certificate(g, k) is not None
+        wheels = 0
+        for g in nodes:
+            leaf = oracles.reference_wheel_leaf(g, range(g.n))
+            assert shapes._odd_wheel_layout(g) == (leaf and leaf.labels), g
+            wheels += leaf is not None
+        assert wheels >= 30 and len(nodes) - wheels >= 30
+
+    def test_wheel_leaf_derives_no_hypergraph(self, monkeypatch):
+        """An odd wheel is recognised from degree counts and one rim
+        walk: no induced rim, and no components beyond the root's
+        connectivity test."""
+        calls = collections.Counter()
+        induced, components = Hypergraph.induced, conn.components
+
+        def counted_induced(*args, **kwargs):
+            calls["induced"] += 1
+            return induced(*args, **kwargs)
+
+        def counted_components(*args, **kwargs):
+            calls["components"] += 1
+            return components(*args, **kwargs)
+
+        monkeypatch.setattr(Hypergraph, "induced", counted_induced)
+        monkeypatch.setattr(conn, "components", counted_components)
+        g = cons.odd_wheel(21)
+        assert isinstance(cls._build_certificate(g, 3, range(g.n)), cls.Leaf)
+        assert calls == {}
+        assert isinstance(cls.hk_certificate(g, 3), cls.Leaf)
+        assert calls == {"components": 1}
 
     def test_past_the_chi_guard(self):
         g = cons.odd_wheel(29)
@@ -698,7 +806,7 @@ def test_three_way_agreement_sampled():
         if not conn.is_connected(g):
             continue
         seen += 1
-        semantic = cls.is_in_Ck(g, 3)
+        semantic = oracles.reference_is_in_Ck(g, 3)
         direct = (
             col.chromatic_number(g) == 4
             and conn.max_local_edge_connectivity(g) == 3

@@ -130,6 +130,35 @@ class TestErrorPaths:
         assert cli.main(["blocks", "-"]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_huge_edge_id_reports_its_line(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("HGR 1\nn 3\ne 0 " + "9" * 5000 + "\n"))
+        assert cli.main(["blocks", "-"]) == 2
+        assert "line 3: vertex id out of range" in capsys.readouterr().err
+
+    def test_split_reads_its_map(self, tmp_path, capsys):
+        k4 = cons.complete_graph(4)
+        path = write_hgr(tmp_path, k4)
+        refs = k4.incident(0)
+        maps = [f"{refs[0]}=0", f"{refs[1]}=1", f"{refs[2]}=0,1"]
+        argv = ["split", path, path, "--edge", str(k4.edge_ref((0, 1))), "--vertex", "0"]
+        code, out = run(capsys, argv + [a for m in maps for a in ("--map", m)])
+        assert code == 0
+        spec = cons.SplitSpec(k4, k4.edge_ref((0, 1)), k4, 0,
+                              {refs[0]: (0,), refs[1]: (1,), refs[2]: (0, 1)})
+        assert Hypergraph.from_hgr(out) == cons.split(spec).graph
+
+    @pytest.mark.parametrize("item", ["a=1", "0=x", "0"])
+    def test_bad_split_map_is_input_error(self, tmp_path, capsys, item):
+        path = write_hgr(tmp_path, cons.complete_graph(4))
+        argv = ["split", path, path, "--edge", "0", "--vertex", "0", "--map", item]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"argument --map: expected REF=V1,V2 with integer ids, got {item!r}" in err
+
+    def test_non_integer_construct_parameter_is_input_error(self, capsys):
+        assert cli.main(["construct", "c2-tree", "-1", "x"]) == 2
+        assert "argument params: invalid int value: 'x'" in capsys.readouterr().err
+
     @pytest.mark.usefixtures("default_recursion_limit")
     def test_chi_on_a_deep_path(self, tmp_path, capsys):
         path = write_hgr(tmp_path, Hypergraph.of(3000, [(i, i + 1) for i in range(2999)]))

@@ -349,7 +349,7 @@ class TestBlockPass:
         listing = [
             (v, ref) for ref in range(g.m) for v in conn.separating_vertices(g.delete_edge(ref))
         ]
-        assert list(conn._mixed_pairs(g)) == listing
+        assert conn.mixed_separating_sets(g) == listing
 
     def test_mixed_pairs_skip_the_edge_in_place_on_hyperedge_joins(self):
         """Nested joins that keep v* on every merged edge carry
@@ -368,7 +368,7 @@ class TestBlockPass:
             listing = [
                 (v, ref) for ref in range(g.m) for v in conn.separating_vertices(g.delete_edge(ref))
             ]
-            assert list(conn._mixed_pairs(g)) == listing
+            assert conn.mixed_separating_sets(g) == listing
             covers = collections.Counter(p for e in g.edges for p in itertools.combinations(e, 2))
             multi_covered += max(covers.values()) > 1
         assert multi_covered >= 6
@@ -475,10 +475,8 @@ class TestSeparators:
         assert pairs == sorted(pairs, key=lambda p: (p[1], p[0]))
 
     def test_mixed_separating_sets_require_connected(self):
-        with pytest.raises(ValueError):
-            conn.mixed_separating_sets(Hypergraph.of(4, [(0, 1), (2, 3)]))
         with pytest.raises(ValueError, match="connected"):
-            next(conn._mixed_pairs(Hypergraph.of(4, [(0, 1), (2, 3)])))
+            conn.mixed_separating_sets(Hypergraph.of(4, [(0, 1), (2, 3)]))
 
 
 def test_randomized_flow_oracle_consistency():

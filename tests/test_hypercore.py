@@ -148,6 +148,7 @@ class TestHgrFormat:
             ("HGR 1\nn 12\ne 1 ０２\n", 3),
             ("HGR 1\nn 12\ne 0 ²\n", 3),
             ("HGR 1\nn 12\ne -1 2\n", 3),
+            ("HGR 1\nn 3\ne 0 " + "9" * 5000 + "\n", 3),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line):

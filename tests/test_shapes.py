@@ -1,6 +1,10 @@
+import random
+
 from hyperchrome.hypercore import Hypergraph
 from hyperchrome import constructions as cons
 from hyperchrome import shapes
+
+import oracles
 
 
 def test_complete_graph():
@@ -32,6 +36,44 @@ def test_wheels():
     assert shapes.wheel_hub(cons.cycle(6)) is None
     assert shapes.is_odd_wheel(cons.odd_wheel(9))
     assert not shapes.is_odd_wheel(cons.hyperwheel(5))
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Hypergraph.of(g.n, [[perm[v] for v in e] for e in g.edges])
+
+
+def _hub_over_triangles(count):
+    """A hub joined to every vertex of disjoint triangles: the degrees and
+    edge count of an odd wheel, but a rim of several cycles."""
+    rim = 3 * count
+    edges = [(3 * t + i, 3 * t + (i + 1) % 3) for t in range(count) for i in range(3)]
+    return Hypergraph.of(rim + 1, edges + [(v, rim) for v in range(rim)])
+
+
+def test_wheel_layout_matches_the_reference():
+    """The one rim walk gives the leaf layout of the induced-rim test
+    and second walk it replaced, and the same hub."""
+    rng = random.Random(12)
+    wheels = [_relabelled(cons.odd_wheel(rim), rng) for rim in range(3, 24, 2) for _ in range(5)]
+    others = [cons.complete_graph(4), _hub_over_triangles(3)]
+    others += [cons.cycle(n) for n in range(4, 13, 2)]
+    others += [cons.hyperwheel(size) for size in range(3, 8)]
+    for g in wheels + others:
+        leaf = oracles.reference_wheel_leaf(g, range(g.n))
+        assert shapes._odd_wheel_layout(g) == (leaf and leaf.labels), g
+        assert shapes.wheel_hub(g) == oracles.reference_wheel_hub(g)
+        assert shapes.is_odd_wheel(g) == (leaf is not None)
+    assert all(shapes.is_odd_wheel(g) for g in wheels)
+    assert shapes._odd_wheel_layout(cons.complete_graph(4)) == (1, 2, 3, 0)
+
+
+def test_wheel_layout_walks_the_whole_rim():
+    g = _hub_over_triangles(3)
+    assert sorted(g.degree(v) for v in range(g.n)) == [3] * 9 + [9]
+    assert g.m == 2 * (g.n - 1)
+    assert shapes._odd_wheel_layout(g) is None
 
 
 def test_hyperwheels():
