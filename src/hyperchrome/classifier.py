@@ -128,12 +128,13 @@ def certificate_to_json(cert: Certificate) -> dict:
     }
 
 
-def _vertex_ids(values) -> tuple[int, ...]:
-    ids = tuple(values)
-    bad = [v for v in ids if type(v) is not int]
+def _vertex_ids(values, where: str) -> tuple[int, ...]:
+    if type(values) is not list:
+        raise CertificateError(f"{where} is not a list")
+    bad = [v for v in values if type(v) is not int]
     if bad:
         raise CertificateError(f"vertex id {bad[0]!r} is not an integer")
-    return ids
+    return tuple(values)
 
 
 def _flag(value) -> bool:
@@ -143,22 +144,31 @@ def _flag(value) -> bool:
     return value
 
 
-def certificate_from_json(data: dict) -> Certificate:
+def certificate_from_json(data) -> Certificate:
+    """The certificate a JSON value describes; a malformed one raises
+    ``CertificateError`` naming the node at fault by its path from the
+    root, such as ``certificate.right.labels``."""
+    return _node_from_json(data, "certificate")
+
+
+def _node_from_json(data, where: str) -> Certificate:
+    if type(data) is not dict:
+        raise CertificateError(f"{where} is not a JSON object")
     try:
         if data["type"] == "leaf":
-            return Leaf(data["kind"], _vertex_ids(data["labels"]))
+            return Leaf(data["kind"], _vertex_ids(data["labels"], f"{where}.labels"))
         if data["type"] == "join":
             return Join(
-                certificate_from_json(data["left"]),
-                certificate_from_json(data["right"]),
-                _vertex_ids([data["vstar"]])[0],
-                _vertex_ids(data["e1"]),
-                _vertex_ids(data["e2"]),
+                _node_from_json(data["left"], f"{where}.left"),
+                _node_from_json(data["right"], f"{where}.right"),
+                _vertex_ids([data["vstar"]], f"{where}.vstar")[0],
+                _vertex_ids(data["e1"], f"{where}.e1"),
+                _vertex_ids(data["e2"], f"{where}.e2"),
                 _flag(data["include_vstar"]),
             )
-    except (KeyError, TypeError) as exc:
-        raise CertificateError(f"malformed certificate JSON: {exc}") from None
-    raise CertificateError(f"unknown certificate node type {data.get('type')!r}")
+    except KeyError as exc:
+        raise CertificateError(f"malformed certificate JSON: {where} has no {exc}") from None
+    raise CertificateError(f"unknown certificate node type {data['type']!r}")
 
 
 # -- membership and certification ------------------------------------------
@@ -230,7 +240,7 @@ def _certify(g: Hypergraph, k: int, ids) -> Certificate | None:
             return Leaf("odd_wheel", tuple(ids[v] for v in layout))
     elif shapes.is_complete_graph(g) and g.n == k + 1:
         return Leaf("complete", tuple(ids))
-    first = next(conn._skip_edge_pairs(g), None)
+    first = _first_mixed_pair(g, k)
     if first is None:
         return None
     v_star, e_star = first
@@ -250,6 +260,37 @@ def _certify(g: Hypergraph, k: int, ids) -> Certificate | None:
         tuple(sorted(ids2[u] for u in dec.spec.g2.edge(dec.spec.e2))),
         include_vstar=v_star in g.edge(e_star),
     )
+
+
+def _first_mixed_pair(g: Hypergraph, k: int) -> tuple[int, int] | None:
+    """The first pair (v, e) of ``mixed_separating_sets``, by least edge
+    ref and then least vertex, when g is in the class at k.  On any
+    other g it is None or a pair that the caller's decomposition or
+    recursion rejects, since every certificate built at a node replays
+    to that node's graph.
+
+    Members are (k+1)-critical: every vertex has degree at least k, G
+    is 2-connected, and deleting no one edge disconnects it.  In a
+    (k+1)-critical G with k >= 3, every mixed pair (v, e) has
+    deg v >= 2k - 2 >= k + 1.  Split G - e - v into
+    sides A and B, and let G_A hold the edges other than e inside A + v.
+    Every k-colouring of G_A makes (e & A) + v monochromatic; otherwise
+    it glues to a k-colouring of G_B that agrees at v, with two colours
+    other than v's swapped in G_B if e needs it, and G would be
+    k-colourable.  With at most k - 2 edges in G_A, v could be
+    recoloured away from that colour, so v has at least k - 1 edges on
+    each side.  One articulation pass per vertex of degree > k thus
+    finds every pair."""
+    deg = [len(refs) for refs in g.incidence]
+    if min(deg) < k:
+        return None
+    best = None
+    for v, d in enumerate(deg):
+        if d > k:
+            refs = conn._bridges_without(g, v)
+            if refs and (best is None or refs[0] < best[1]):
+                best = (v, refs[0])
+    return best
 
 
 # -- critical subhypergraph extraction -------------------------------------
@@ -322,7 +363,8 @@ def classify(g: Hypergraph, force: bool = False, h2_info: bool = False) -> Class
         for b in sorted((b for b in conn.blocks(g) if b.edge_refs), key=lambda b: -b.edge_refs[0]):
             if not _may_be_member(len(b.vertices), len(b.edge_refs), lam):
                 continue
-            cert = _build_certificate(b.graph(g), lam, b.vertices)
+            whole = len(b.vertices) == g.n and len(b.edge_refs) == g.m
+            cert = _build_certificate(g if whole else b.graph(g), lam, b.vertices)
             if cert is not None:
                 return ClassifyOutcome(lam, lam + 1, "tight", block=b.vertices, certificate=cert)
         phi = col.find_k_coloring(g, lam)

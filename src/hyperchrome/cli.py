@@ -30,8 +30,8 @@ def _read_graph(path: str) -> Hypergraph:
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    # json.dumps takes the C encoder; json.dump always encodes in Python
+    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _cmd_chi(args) -> int:

@@ -608,19 +608,78 @@ def edge_cut_for(g: Hypergraph, refs) -> EdgeCut:
 
 def mixed_separating_sets(g: Hypergraph) -> list[tuple[int, int]]:
     """All pairs (v, e) with v a separating vertex of G - e, sorted by
-    (edge ref, vertex id)."""
+    (edge ref, vertex id): one block pass with the edge skipped per
+    edge, all on one pair list."""
     if not is_connected(g):
         raise ValueError("hypergraph must be connected")
-    return list(_skip_edge_pairs(g))
-
-
-def _skip_edge_pairs(g: Hypergraph):
-    """The pairs of ``mixed_separating_sets`` lazily, in the same order,
-    for callers whose hypergraph is connected by construction: one block
-    pass with the edge skipped per edge as it is reached, all on one
-    pair list."""
     pairs = _pair_lists(g)
-    for ref in range(g.m):
-        for v, is_cut in enumerate(_block_pass(g, ref, pairs)[1]):
-            if is_cut:
-                yield v, ref
+    return [
+        (v, ref)
+        for ref in range(g.m)
+        for v, is_cut in enumerate(_block_pass(g, ref, pairs)[1])
+        if is_cut
+    ]
+
+
+def _bridges_without(g: Hypergraph, v: int) -> list[int]:
+    """Refs, ascending, of the edges e such that G - v - e has more
+    components than G - v.  When G is 2-connected and deleting no one
+    edge disconnects it, these are exactly the e for which (v, e) is a
+    pair of ``mixed_separating_sets``: G - v and G - e are connected,
+    so v separates G - e iff G - v - e is disconnected.
+
+    One Hopcroft-Tarjan search for articulation points on the incidence
+    graph with v deleted: node u < n is vertex u and node n + r is edge
+    r.  Each node on the search path keeps an index into its own
+    neighbour tuple, ``g.incidence[u]`` or ``g.edges[r]``, where its
+    scan resumes when the search returns to it.  Every root is a vertex
+    node, so each edge node is reached from a vertex and is a cut node
+    iff some child c has low[c] >= disc[edge node].  The graph is
+    bipartite and simple, so the tree edge back to the parent may count
+    as a back edge: it lowers low[c] to disc[parent] at most, which
+    leaves that test unchanged."""
+    n = g.n
+    incidence, edges = g.incidence, g.edges
+    size = n + g.m
+    disc = [-1] * size
+    low = [0] * size
+    # next unexamined neighbour of each node on the path
+    nxt = [0] * size
+    cut = [False] * g.m
+    timer = 0
+    for root in range(n):
+        if root == v or disc[root] >= 0:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        path = [root]
+        while path:
+            x = path[-1]
+            if x < n:
+                todo, off = incidence[x], n
+            else:
+                todo, off = edges[x - n], 0
+            i = nxt[x]
+            while i < len(todo):
+                w = todo[i] + off
+                i += 1
+                if w == v:  # only edge nodes list vertex ids
+                    continue
+                if disc[w] < 0:
+                    break
+                if disc[w] < low[x]:
+                    low[x] = disc[w]
+            else:
+                path.pop()
+                if path:
+                    p = path[-1]
+                    if low[x] < low[p]:
+                        low[p] = low[x]
+                    elif p >= n and low[x] >= disc[p]:
+                        cut[p - n] = True
+                continue
+            nxt[x] = i
+            disc[w] = low[w] = timer
+            timer += 1
+            path.append(w)
+    return [r for r, c in enumerate(cut) if c]

@@ -1,7 +1,11 @@
 import collections
+import importlib.util
 import itertools
 import json
 import random
+import sys
+import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,6 +176,18 @@ def _replayed_graph(cert) -> Hypergraph:
     return Hypergraph.of(len(vs), [[pos[v] for v in e] for e in es])
 
 
+def _count_passes(monkeypatch) -> collections.Counter:
+    """Count the block passes and the per-vertex articulation passes."""
+    passes = collections.Counter()
+    for name in ("_block_pass", "_bridges_without"):
+        def counted(*args, _name=name, _pass=getattr(conn, name), **kwargs):
+            passes[_name] += 1
+            return _pass(*args, **kwargs)
+
+        monkeypatch.setattr(conn, name, counted)
+    return passes
+
+
 class TestHkCertificate:
     def test_wheel_leaves(self):
         for rim in (3, 5, 7):
@@ -233,13 +249,110 @@ class TestHkCertificate:
 
     @pytest.mark.parametrize("k,seed", [(k, seed) for k in (3, 4, 5) for seed in range(4)])
     def test_first_mixed_pair_is_the_listed_first(self, k, seed):
-        """The builder takes the lazy generator's first pair instead of
-        listing every pair."""
+        """The builder takes the first pair from one articulation pass
+        per vertex of degree > k instead of listing every pair."""
         g = random_nested_join(random.Random(seed), k, 16, 3)
         for node in _subtrees(cls.hk_certificate(g, k)):
             sub = _replayed_graph(node)
             listed = conn.mixed_separating_sets(sub)
-            assert next(conn._skip_edge_pairs(sub), None) == (listed[0] if listed else None)
+            assert cls._first_mixed_pair(sub, k) == (listed[0] if listed else None)
+
+
+def _tight_joins(seed: int) -> list:
+    """The benchmark's ``tight-joins`` instances for a seed, as
+    (k, hypergraph) pairs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    workloads = sys.modules.get("perfbench_workloads")
+    if workloads is None:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    prog = types.SimpleNamespace(constructions=cons)
+    items = workloads.tight_joins(prog, seed, None).items
+    return [(inst.k, Hypergraph.of(inst.n, inst.edges)) for inst in items]
+
+
+class TestFirstMixedPair:
+    """The certifier looks for its mixed pair (v, e) only at vertices of
+    degree > k: in a (k+1)-critical hypergraph with k >= 3 the vertex of
+    every mixed pair has degree at least 2k - 2 >= k + 1."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([3, 4, 5]), st.booleans())
+    def test_mixed_pair_vertices_have_degree_at_least_2k_minus_2(self, seed, k, include):
+        g = random_nested_join(random.Random(seed), k, 20, 8, include)
+        deg = [len(refs) for refs in g.incidence]
+        pairs = conn.mixed_separating_sets(g)
+        assert pairs or g.n == k + 1 or k == 3 and shapes.is_odd_wheel(g)
+        for v, _ in pairs:
+            assert deg[v] >= 2 * k - 2, (v, g)
+
+    def test_first_pair_is_the_listed_first_at_every_node(self, monkeypatch):
+        """At every node the certifier visits on nested joins and their
+        perturbations, the first pair is the first listed one wherever
+        the node is a member.  On other nodes it may differ, and the
+        certifier returns None there either way."""
+        nodes = []
+        certify = cls._certify
+
+        def recorded(g, k, ids):
+            cert = certify(g, k, ids)
+            nodes.append((g, k, cert is not None))
+            return cert
+
+        monkeypatch.setattr(cls, "_certify", recorded)
+        for k, g in _membership_sweep():
+            cls.hk_certificate(g, k)
+        joins = 0
+        verdicts = collections.Counter()
+        for g, k, certified in nodes:
+            member = certified or conn.is_connected(g) and oracles.reference_is_in_Ck(g, k)
+            assert certified == member, (k, g)
+            verdicts[member] += 1
+            if member:
+                listed = conn.mixed_separating_sets(g)
+                assert cls._first_mixed_pair(g, k) == (listed[0] if listed else None), (k, g)
+                joins += bool(listed)
+        assert joins >= 300 and verdicts[False] >= 100, (joins, verdicts)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_a_vertex_below_degree_k_ends_the_search_without_a_pass(self, k, monkeypatch):
+        """Members are (k+1)-critical, so their minimum degree is k."""
+        g = random_nested_join(random.Random(k), k, 20, 8)
+        assert cls._first_mixed_pair(g, k) is not None
+        passes = _count_passes(monkeypatch)
+        cut = g.delete_edge(0)
+        assert min(len(refs) for refs in cut.incidence) == k - 1
+        assert cls._first_mixed_pair(cut, k) is None and not passes
+        assert cls.hk_certificate(cut, k) is None
+
+    def test_one_pass_per_high_degree_vertex_on_tight_joins(self, monkeypatch):
+        """On the benchmark's seed-1 ``tight-joins`` pass, each join node
+        makes at most one articulation pass per vertex of degree > k and
+        no block pass, and at most two passes on average."""
+        passes = _count_passes(monkeypatch)
+        first_pair = cls._first_mixed_pair
+        join_nodes = bridge_passes = 0
+
+        def counted(g, k):
+            nonlocal join_nodes, bridge_passes
+            before = passes["_bridges_without"]
+            pair = first_pair(g, k)
+            made = passes["_bridges_without"] - before
+            assert made <= sum(len(refs) > k for refs in g.incidence)
+            if pair is not None:
+                join_nodes += 1
+                bridge_passes += made
+            return pair
+
+        monkeypatch.setattr(cls, "_first_mixed_pair", counted)
+        instances = _tight_joins(1)
+        for k, g in instances:
+            out = cls.classify(g)
+            assert out.verdict == "tight" and out.lam == k
+        assert passes["_block_pass"] == len(instances)  # the blocks of each input
+        assert join_nodes >= 50
+        assert bridge_passes <= 2 * join_nodes, (bridge_passes, join_nodes)
 
 
 class TestHkCertificateByReplay:
@@ -251,14 +364,7 @@ class TestHkCertificateByReplay:
         + [(cons.odd_wheel(rim), 3) for rim in range(3, 23, 2)],
     )
     def test_base_shape_makes_no_block_pass(self, g, k, monkeypatch):
-        passes = []
-        block_pass = conn._block_pass
-
-        def counted(*args, **kwargs):
-            passes.append(1)
-            return block_pass(*args, **kwargs)
-
-        monkeypatch.setattr(conn, "_block_pass", counted)
+        passes = _count_passes(monkeypatch)
         cert = cls.hk_certificate(g, k)
         assert isinstance(cert, cls.Leaf) and cls.verify_certificate(g, cert)
         assert not passes
@@ -600,6 +706,25 @@ class TestClassify:
             out.certificate, range(6), cons.odd_wheel(5).edges
         )
 
+    def test_a_block_that_is_the_whole_input_is_not_rebuilt(self, monkeypatch):
+        """A 2-connected input is its own only block and is certified as
+        given; a block of a larger input is still built from it."""
+        rebuilt = []
+        graph = conn.Block.graph
+
+        def recorded(b, g):
+            rebuilt.append(b.vertices)
+            return graph(b, g)
+
+        monkeypatch.setattr(conn.Block, "graph", recorded)
+        g = random_nested_join(random.Random(3), 4, 13, 2)
+        out = cls.classify(g)
+        assert out.verdict == "tight" and out.block == tuple(range(g.n)) and not rebuilt
+        assert cls.verify_certificate(g, out.certificate)
+        padded = Hypergraph.of(g.n + 1, list(g.edges) + [(0, g.n)])
+        assert cls.classify(padded) == out
+        assert rebuilt == [tuple(range(g.n))]
+
     def test_w5_plus_pendant_tree(self):
         w5 = cons.odd_wheel(5)
         g = Hypergraph.of(8, list(w5.edges) + [(1, 6), (6, 7)])
@@ -754,14 +879,7 @@ class TestCertifyFirst:
         cube = Hypergraph.of(128, [(v, v | 1 << i) for v in range(128) for i in range(7)
                                    if not v >> i & 1])
         assert (cube.n, cube.m, conn.max_local_edge_connectivity(cube)) == (128, 448, 7)
-        passes = []
-        block_pass = conn._block_pass
-
-        def counted(*args, **kwargs):
-            passes.append(1)
-            return block_pass(*args, **kwargs)
-
-        monkeypatch.setattr(conn, "_block_pass", counted)
+        passes = _count_passes(monkeypatch)
         assert not cls._may_be_member(cube.n, cube.m, 7)
         assert cls.hk_certificate(cube, 7) is None
         assert not passes

@@ -258,6 +258,37 @@ class TestErrorPaths:
         cert_path.write_text(json.dumps(cert))
         assert cli.main(["verify-cert", str(cert_path), path]) == 2
 
+    @pytest.mark.parametrize(
+        "cert,message",
+        [
+            ([], "certificate is not a JSON object"),
+            (None, "certificate is not a JSON object"),
+            ("leaf", "certificate is not a JSON object"),
+            (dict(JOIN, right=[]), "certificate.right is not a JSON object"),
+            (dict(JOIN, left=dict(JOIN, left=7)), "certificate.left.left is not a JSON object"),
+            (dict(JOIN["left"], labels=None), "certificate.labels is not a list"),
+            (dict(JOIN["left"], labels="0123"), "certificate.labels is not a list"),
+            (dict(JOIN, right=dict(JOIN["right"], labels={"3": 4})),
+             "certificate.right.labels is not a list"),
+            (dict(JOIN, e1=5), "certificate.e1 is not a list"),
+            (dict(JOIN, e2=None), "certificate.e2 is not a list"),
+            ({"kind": "complete"}, "certificate has no 'type'"),
+            (dict(JOIN, left={"type": "leaf"}), "certificate.left has no 'kind'"),
+        ],
+        ids=[
+            "list-root", "null-root", "string-root", "list-right", "int-left-left",
+            "null-labels", "string-labels", "object-labels", "int-e1", "null-e2",
+            "no-type", "no-kind",
+        ],
+    )
+    def test_malformed_certificate_message_names_the_node(self, tmp_path, capsys, cert, message):
+        path = write_hgr(tmp_path, cons.odd_wheel(5))
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(cert))
+        assert cli.main(["verify-cert", str(cert_path), path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+
     @pytest.mark.usefixtures("default_recursion_limit")
     def test_deeply_nested_certificate_is_input_error(self, tmp_path, capsys):
         path = write_hgr(tmp_path, cons.odd_wheel(5))

@@ -479,6 +479,56 @@ class TestSeparators:
             conn.mixed_separating_sets(Hypergraph.of(4, [(0, 1), (2, 3)]))
 
 
+def _bridges_without_by_definition(g: Hypergraph, v: int) -> list[int]:
+    """Edges e such that G - v - e has more components than G - v."""
+    base = len(conn.components(g.div_vertices([v]).graph))
+    return [
+        ref for ref in range(g.m)
+        if len(conn.components(g.delete_edge(ref).div_vertices([v]).graph)) > base
+    ]
+
+
+def _disconnecting_edges(g: Hypergraph) -> list[int]:
+    return [ref for ref in range(g.m) if not conn.is_connected(g.delete_edge(ref))]
+
+
+class TestBridgesWithout:
+    @given(hypergraphs(min_n=1, max_n=8, sizes=(2, 3, 4)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_definition(self, g):
+        for v in range(g.n):
+            assert conn._bridges_without(g, v) == _bridges_without_by_definition(g, v), v
+
+    def test_gives_the_mixed_pairs_of_bridgeless_2_connected_graphs(self):
+        """Nested joins and their one-edge perturbations that stay
+        2-connected with no bridge edge: (v, e) is a mixed pair exactly
+        when e is among v's bridges."""
+        graphs = [
+            random_nested_join(random.Random(seed), k, 18, 8)
+            for k in (3, 4, 5) for seed in range(6)
+        ] + [perturbed_join(random.Random(seed), k) for k in (3, 4, 5) for seed in range(20)]
+        checked = 0
+        for g in graphs:
+            if conn.separating_vertices(g) or _disconnecting_edges(g):
+                continue
+            pairs = sorted(
+                ((v, ref) for v in range(g.n) for ref in conn._bridges_without(g, v)),
+                key=lambda p: (p[1], p[0]),
+            )
+            assert pairs == conn.mixed_separating_sets(g)
+            checked += 1
+        assert checked >= 40
+
+    def test_a_disconnecting_edge_is_not_a_mixed_pair(self):
+        """Deleting the edge e = (0, 1, 2) disconnects a 2-connected
+        graph.  It disconnects G - 0 too, but 0 does not separate G - e."""
+        g = Hypergraph.of(4, [(0, 1, 2), (0, 3), (1, 3)])
+        assert not conn.separating_vertices(g) and _disconnecting_edges(g) == [0]
+        assert conn._bridges_without(g, 0) == [0, 2]
+        assert (0, 0) not in conn.mixed_separating_sets(g)
+        assert {(0, 2), (3, 0)} <= set(conn.mixed_separating_sets(g))
+
+
 def test_randomized_flow_oracle_consistency():
     rng = random.Random(7)
     for _ in range(40):
