@@ -351,26 +351,59 @@ def classify(g: Hypergraph, force: bool = False, h2_info: bool = False) -> Class
     when lambda >= 3.
 
     For lambda >= 3, chi(G) = lambda + 1 iff some block of G is in the
-    class at lambda, so the blocks are certified first, by descending
-    first edge ref, and the first whose certificate replays is the
-    tight block (the block ``extract_critical`` keeps): a replay proves
-    membership, and members are (lambda+1)-critical.  A block that
-    fails the counting test ``_may_be_member`` costs O(1).  Only when no
-    block certifies does the lambda-coloring search run, and then it
-    must succeed."""
-    lam = conn.max_local_edge_connectivity(g)
+    class at lambda.  The blocks are therefore certified first, by
+    descending first edge ref, each at the one class its counting test
+    ``_candidate_class`` allows; a block that fails it costs O(1).  A
+    block whose certificate replays is in the class at k, and then its
+    lambda is k:
+
+    - members are (k+1)-critical, so Toft's bound chi <= lambda + 1
+      gives lambda >= k;
+    - a join never raises lambda.  Let G join G1 and G2 at v*, with
+      merged edge e*.  For x, y in G1, at most one of a set of
+      edge-disjoint x-y hyperpaths uses e*, and only that one can enter
+      G2 - v*, since it must go in and out through {v*, e*}; replacing
+      its excursion, or its use of e*, by e1 gives as many x-y paths in
+      G1.  For x in G1 - v* and y in G2 - v*, cutting each path at its
+      first use of v* or of e* (read as e1) gives as many edge-disjoint
+      x-v* paths in G1.  So lambda(G) <= max(lambda(G1), lambda(G2)),
+      and the base shapes have lambda = k: K_{k+1} has k, and in an odd
+      wheel every pair holds a rim vertex, of degree 3.
+
+    lambda(G) is the max of lambda over the blocks, and a block with
+    one edge has lambda 1.  So when every block with two or more edges
+    certifies, lambda is known without a flow, and an input whose
+    blocks are single edges has lambda = 1 and chi = 2 with no search.
+    Otherwise lambda comes from the flows, and the first block certified
+    at lambda is the tight block (the block ``extract_critical``
+    keeps).  Only when there is none does the lambda-coloring search
+    run, and then it must succeed."""
+    certified = []  # (k, certificate, block), in visit order
+    flows_needed = False
+    for b in sorted((b for b in conn.blocks(g) if len(b.edge_refs) > 1),
+                    key=lambda b: -b.edge_refs[0]):
+        found = _block_certificate(g, b)
+        if found is None:
+            flows_needed = True
+        else:
+            certified.append((*found, b))
+    if flows_needed:
+        lam = conn.max_local_edge_connectivity(g)
+    else:
+        lam = max((k for k, _, _ in certified), default=min(g.m, 1))
     if lam >= 3:
-        for b in sorted((b for b in conn.blocks(g) if b.edge_refs), key=lambda b: -b.edge_refs[0]):
-            if not _may_be_member(len(b.vertices), len(b.edge_refs), lam):
-                continue
-            whole = len(b.vertices) == g.n and len(b.edge_refs) == g.m
-            cert = _build_certificate(g if whole else b.graph(g), lam, b.vertices)
-            if cert is not None:
+        for k, cert, b in certified:
+            if k == lam:
                 return ClassifyOutcome(lam, lam + 1, "tight", block=b.vertices, certificate=cert)
         phi = col.find_k_coloring(g, lam)
         if phi is None:
             raise InternalError("no block certifies and no lambda-coloring exists; internal bug")
         return ClassifyOutcome(lam, _chi_below(g, lam), "colorable", coloring=phi)
+    if lam == 1:
+        return ClassifyOutcome(
+            lam, 2, "small-lambda",
+            note="every block is a single edge, chi = 2 = lambda + 1",
+        )
     chi = col.chromatic_number(g, force=force)
     if lam == 0:
         note = (
@@ -378,13 +411,6 @@ def classify(g: Hypergraph, force: bool = False, h2_info: bool = False) -> Class
             if g.n else "empty hypergraph"
         )
         return ClassifyOutcome(lam, chi, "small-lambda", note=note)
-    if lam == 1:
-        if chi != 2 or any(len(b.edge_refs) != 1 for b in conn.blocks(g) if b.edge_refs):
-            raise InternalError("lambda=1 characterization failed; internal bug")
-        return ClassifyOutcome(
-            lam, chi, "small-lambda",
-            note="every block is a single edge, chi = 2 = lambda + 1",
-        )
     note = (
         "chi = 3 = lambda + 1; no certificate family is known at lambda = 2"
         if chi == 3 else "chi <= lambda"
@@ -393,6 +419,32 @@ def classify(g: Hypergraph, force: bool = False, h2_info: bool = False) -> Class
     if h2_info and chi == 3:
         h2 = _h2_closure_hint(g, force=force)
     return ClassifyOutcome(lam, chi, "small-lambda", note=note, h2_closure=h2)
+
+
+def _block_certificate(g: Hypergraph, b: conn.Block) -> tuple[int, Certificate] | None:
+    """(k, certificate) for a block of g in the class at k, in g's ids,
+    or None.  The block's graph is built only when the counting test
+    passes, and g itself stands for a block that is all of g."""
+    n, m = len(b.vertices), len(b.edge_refs)
+    k = _candidate_class(n, m)
+    if k is None:
+        return None
+    cert = _build_certificate(g if n == g.n and m == g.m else b.graph(g), k, b.vertices)
+    return None if cert is None else (k, cert)
+
+
+def _candidate_class(n: int, m: int) -> int | None:
+    """The one k >= 3 at which ``_may_be_member`` passes a hypergraph
+    with n >= 2 vertices and m edges, or None.  A member at k = 3 has
+    m - 1 < 2(n - 1); one at k >= 4 has (m - 1)/(n - 1) =
+    (k + 1)/2 - 1/k >= 9/4, which increases with k, so at most one k
+    passes, and it is the first k >= 4 at which that ratio is reached."""
+    if _may_be_member(n, m, 3):
+        return 3
+    k = 4
+    while (k * (k + 1) // 2 - 1) * (n - 1) < (m - 1) * k:
+        k += 1
+    return k if _may_be_member(n, m, k) else None
 
 
 def _chi_below(g: Hypergraph, lam: int) -> int:

@@ -4,6 +4,7 @@ families used throughout the calculus."""
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -231,7 +232,9 @@ def hajos_decompose_mixed(g: Hypergraph, v_star: int, e_star: int) -> MixedDecom
     smallest vertex other than v*, found by one search over the
     incidence table that skips e* and v*; the second side is the rest.
     Every other edge lies in one side plus v*, so each part is built
-    once, from its edges and its half of e*."""
+    once, from its edges and its half of e*.  A side's vertices keep
+    their order when renumbered, so its edges stay strictly sorted and
+    in canonical order, and the half edge is inserted at its place."""
     estar_vs = g.edge(e_star)
     g._check_vertex(v_star)
     # g has an edge, so a vertex other than v* exists; the search is
@@ -262,17 +265,15 @@ def hajos_decompose_mixed(g: Hypergraph, v_star: int, e_star: int) -> MixedDecom
             if ref != e_star and in_side1[e[1] if e[0] == v_star else e[0]] == first
         ]
         half = tuple(sorted([pos[v_star]] + [pos[u] for u in tips if in_side1[u] == first]))
-        if half in edges:
+        ref = bisect.bisect_left(edges, half)
+        if ref < len(edges) and edges[ref] == half:
             raise ValueError(
                 "half edge already present; input violates the decomposition"
             )
-        edges.append(half)
-        parts.append((Hypergraph.of(len(old), edges), old, pos[v_star], half))
-    (p1, old1, v1, half1), (p2, old2, v2, half2) = parts
-    spec = HajosJoinSpec(
-        p1, p2, v1, v2, p1.edge_ref(half1), p2.edge_ref(half2),
-        include_vstar=v_star in estar_vs,
-    )
+        edges.insert(ref, half)
+        parts.append((Hypergraph._trusted(len(old), tuple(edges)), old, pos[v_star], ref))
+    (p1, old1, v1, ref1), (p2, old2, v2, ref2) = parts
+    spec = HajosJoinSpec(p1, p2, v1, v2, ref1, ref2, include_vstar=v_star in estar_vs)
     return MixedDecomposition(spec, old1, old2, v_star, e_star)
 
 

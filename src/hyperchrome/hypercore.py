@@ -78,6 +78,16 @@ class Hypergraph:
         """Build a hypergraph, canonicalizing the edge list."""
         return cls(n, canonical_edges(edges))
 
+    @classmethod
+    def _trusted(cls, n: int, edges: tuple[Edge, ...]) -> "Hypergraph":
+        """The value with these fields, without the checks of
+        ``__post_init__``: for a caller whose edges already meet every
+        invariant, in canonical order."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        return g
+
     # -- basic accessors ---------------------------------------------------
 
     @property
@@ -277,9 +287,5 @@ class Hypergraph:
             raise HgrFormatError(1, "missing vertex-count line")
         # each edge is already strictly increasing; only the list needs sorting
         edges.sort()
-        # the line checks above establish every invariant, so the value is
-        # built without the second pass of __post_init__
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "edges", tuple(edges))
-        return g
+        # the line checks above establish every invariant
+        return cls._trusted(n, tuple(edges))

@@ -188,6 +188,19 @@ def _count_passes(monkeypatch) -> collections.Counter:
     return passes
 
 
+def _count_flow_nets(monkeypatch) -> list:
+    """Record the hypergraph of every flow network built."""
+    built = []
+
+    class Counted(conn._FlowNet):
+        def __init__(self, g):
+            built.append(g)
+            super().__init__(g)
+
+    monkeypatch.setattr(conn, "_FlowNet", Counted)
+    return built
+
+
 class TestHkCertificate:
     def test_wheel_leaves(self):
         for rim in (3, 5, 7):
@@ -788,7 +801,7 @@ class TestClassify:
                 multi_block += len(conn.blocks(g)) > 1
         assert multi_block >= 20
 
-    def test_tight_classify_runs_lambda_once_and_no_oracle(self, monkeypatch):
+    def test_tight_classify_runs_no_flow_and_no_oracle(self, monkeypatch):
         calls = collections.Counter()
 
         def count(owner, name):
@@ -806,16 +819,72 @@ class TestClassify:
         count(cls, "extract_critical")
         count(col, "chromatic_number")
         count(col, "find_k_coloring")
+        nets = _count_flow_nets(monkeypatch)
         g = random_nested_join(random.Random(7), 3, 16, 3)
         out = cls.classify(g)
         assert out.verdict == "tight" and isinstance(out.certificate, cls.Join)
-        assert calls["max_local_edge_connectivity"] == 1
+        # the one block certifies, so its lambda is known without a flow
+        assert out.lam == 3 and not nets
+        assert calls["max_local_edge_connectivity"] == 0
         assert calls["is_in_Ck"] == 0
         assert calls["enumerate_separating_sets"] == 0
         assert calls["extract_critical"] == 0
         assert calls["chromatic_number"] == 0
         # certified first, so the lambda-coloring search never runs
         assert calls["find_k_coloring"] == 0
+
+    @pytest.mark.parametrize("other", ["cycle", "toft"])
+    def test_an_uncertified_block_runs_lambda_once(self, monkeypatch, other):
+        """A block with two or more edges that does not certify leaves
+        lambda to the flows, run once on the whole input; the tight
+        block is still the one certified at that lambda."""
+        lams = []
+        lam = conn.max_local_edge_connectivity
+
+        def counted(g):
+            lams.append(lam(g))
+            return lams[-1]
+
+        monkeypatch.setattr(conn, "max_local_edge_connectivity", counted)
+        nets = _count_flow_nets(monkeypatch)
+        part = cons.cycle(5) if other == "cycle" else cons.toft_graph(1)
+        g = _glue([K5, part], random.Random(4))
+        out = cls.classify(g)
+        assert lams == [4] and len(nets) == 1
+        assert out.verdict == "tight" and out.lam == 4 and len(out.block) == 5
+        assert out == _classify_by_extraction(g)
+
+    def test_member_blocks_alone_run_no_flow(self, monkeypatch):
+        nets = _count_flow_nets(monkeypatch)
+        g = _pendant_tree(_glue([K4, K5, W5], random.Random(2)), random.Random(2), 3)
+        out = cls.classify(g)
+        assert not nets
+        assert out.verdict == "tight" and out.lam == 4
+        assert out == _classify_by_extraction(g)
+        assert out.lam == conn.max_local_edge_connectivity(g)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_lambda1_is_decided_by_the_blocks(self, monkeypatch, seed):
+        """A hyperforest (every block one edge) has lambda 1 and chi 2,
+        pinned to the flows and the exact chromatic number, which
+        ``classify`` itself no longer runs on it."""
+        rng = random.Random(seed)
+        n, edges = 1, []
+        for _ in range(rng.randint(1, 8)):
+            grow = rng.choice([1, 1, 2])
+            edges.append((rng.randrange(n), *range(n, n + grow)))
+            n += grow
+        g = Hypergraph.of(n + rng.randint(0, 2), edges)
+        nets = _count_flow_nets(monkeypatch)
+        chi_calls = []
+        chromatic_number = col.chromatic_number
+        monkeypatch.setattr(col, "chromatic_number", lambda *a, **kw: chi_calls.append(1))
+        out = cls.classify(g)
+        assert not nets and not chi_calls
+        monkeypatch.undo()
+        assert (out.lam, out.chi, out.verdict) == (1, 2, "small-lambda")
+        assert conn.max_local_edge_connectivity(g) == 1
+        assert chromatic_number(g) == 2
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
@@ -890,6 +959,54 @@ class TestCertifyFirst:
         monkeypatch.setattr(col, "find_k_coloring", lambda *args, **kwargs: None)
         with pytest.raises(cls.InternalError, match="no block certifies"):
             cls.classify(g)
+
+
+def _lemma_sweep():
+    """Nested joins at k = 3, 4, 5 with v* kept and dropped, one
+    perturbation of each, and glued multi-block instances."""
+    for k, n_max in ((3, 20), (4, 17), (5, 16)):
+        for include in (True, False):
+            for seed in range(12):
+                rng = random.Random(seed)
+                g = random_nested_join(rng, k, n_max, rng.randint(0, 3), include)
+                yield g
+                yield perturb(rng, g)
+    for seed in range(120):
+        yield glued_instance(random.Random(seed))
+
+
+class TestLambdaOfCertifiedBlocks:
+    """A block in the class at k has lambda = k, so ``classify`` reads
+    lambda from the certified blocks when every block with two or more
+    edges certifies; pinned to the flows."""
+
+    def test_a_block_certified_at_k_has_lambda_k(self):
+        certified = collections.Counter()
+        for g in _lemma_sweep():
+            for b in conn.blocks(g):
+                if len(b.edge_refs) < 2:
+                    continue
+                found = cls._block_certificate(g, b)
+                if found is not None:
+                    assert conn.max_local_edge_connectivity(b.graph(g)) == found[0], g
+                    certified[found[0]] += 1
+            assert cls.classify(g).lam == conn.max_local_edge_connectivity(g), g
+        assert min(certified[k] for k in (3, 4, 5)) >= 20, certified
+
+    def test_candidate_class_is_the_only_k_the_filter_passes(self):
+        for n in range(2, 40):
+            for m in range(2, n * (n - 1) // 2 + 1):
+                passing = [k for k in range(3, n) if cls._may_be_member(n, m, k)]
+                assert len(passing) <= 1, (n, m, passing)
+                assert cls._candidate_class(n, m) == (passing[0] if passing else None)
+
+    def test_benchmark_tight_joins_build_no_flow_net(self, monkeypatch):
+        graphs = _tight_joins(1)
+        nets = _count_flow_nets(monkeypatch)
+        for k, g in graphs:
+            out = cls.classify(g)
+            assert out.verdict == "tight" and out.lam == k
+        assert len(graphs) == 50 and not nets
 
 
 class TestJones:

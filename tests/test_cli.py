@@ -335,6 +335,19 @@ class TestErrorPaths:
         assert code == 0 and payload["verdict"] == "tight"
         assert payload["block"] == list(range(6))
 
+    @pytest.mark.parametrize(
+        "g",
+        [Hypergraph.of(30, [(i, i + 1) for i in range(29)]),
+         Hypergraph.of(31, [(i, i + 1, i + 2) for i in range(0, 29, 2)])],
+        ids=["path-30", "3-uniform-hyperpath-31"],
+    )
+    def test_lambda1_classify_needs_no_force_past_the_chi_guard(self, tmp_path, capsys, g):
+        """Every block is one edge, so chi = 2 without the guarded search
+        (this exited 3 when chi came from ``chromatic_number``)."""
+        code, payload = run_json(capsys, ["classify", write_hgr(tmp_path, g)])
+        assert code == 0
+        assert (payload["lambda"], payload["chi"], payload["verdict"]) == (1, 2, "small-lambda")
+
 
 class TestPipelines:
     def test_construct_then_classify(self, capsys, monkeypatch):

@@ -11,7 +11,7 @@ from hyperchrome import connectivity as conn
 from hyperchrome import constructions as cons
 
 import oracles
-from conftest import perturbed_join, random_nested_join
+from conftest import connected_hypergraphs, perturbed_join, random_nested_join
 
 
 class TestGenerators:
@@ -303,6 +303,48 @@ class TestDecomposeMixed:
             "half edge already present", "out of range",
         ):
             assert any(message in key for key in seen if isinstance(key, str)), message
+
+
+def _check_parts_canonical(g, v, e):
+    """Each part the decomposition builds without validation is the
+    value ``Hypergraph.of`` builds from its edges, it passes the full
+    checks, and its e1 or e2 is its half of e*."""
+    try:
+        dec = cons.hajos_decompose_mixed(g, v, e)
+    except ValueError:
+        return False
+    spec = dec.spec
+    for part, half_ref, vstar in ((spec.g1, spec.e1, spec.v1), (spec.g2, spec.e2, spec.v2)):
+        assert part == Hypergraph.of(part.n, part.edges)
+        Hypergraph(part.n, part.edges)  # raises on a broken invariant
+        assert vstar in part.edge(half_ref)
+    halves = {dec.g1_old[u] for u in spec.g1.edge(spec.e1)}
+    halves |= {dec.g2_old[u] for u in spec.g2.edge(spec.e2)}
+    assert halves == set(g.edge(e)) | {v}
+    return True
+
+
+class TestDecomposedPartsAreCanonical:
+    """The parts are built with ``Hypergraph._trusted``, skipping the
+    sort and the checks of ``Hypergraph.of``; they must be the values
+    those would build."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_hypergraphs(min_n=3, max_n=7, sizes=(2, 3, 4)))
+    def test_hypothesis_inputs(self, g):
+        for v in range(g.n):
+            for e in range(g.m):
+                _check_parts_canonical(g, v, e)
+
+    def test_nested_joins(self):
+        built = 0
+        for k, n_max in ((3, 30), (4, 29), (5, 31)):
+            for include in (True, False):
+                for seed in range(4):
+                    g = random_nested_join(random.Random(seed), k, n_max, 8, include)
+                    for v, e in conn.mixed_separating_sets(g):
+                        built += _check_parts_canonical(g, v, e)
+        assert built >= 100, built
 
 
 class TestUniversalVertex:
