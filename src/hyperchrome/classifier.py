@@ -284,12 +284,15 @@ def _first_mixed_pair(g: Hypergraph, k: int) -> tuple[int, int] | None:
     deg = [len(refs) for refs in g.incidence]
     if min(deg) < k:
         return None
+    n = g.n
     best = None
     for v, d in enumerate(deg):
         if d > k:
-            refs = conn._bridges_without(g, v)
-            if refs and (best is None or refs[0] < best[1]):
-                best = (v, refs[0])
+            count = conn._articulation(g, v)[1]
+            # the least ref e such that G - v - e has more components than G - v
+            ref = next((ref for ref in range(g.m) if count[n + ref] > 1), None)
+            if ref is not None and (best is None or ref < best[1]):
+                best = (v, ref)
     return best
 
 

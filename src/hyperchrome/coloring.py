@@ -45,7 +45,7 @@ class Coloring:
     palette: int
 
     def __post_init__(self) -> None:
-        if any(c < 1 or c > self.palette for c in self.colors):
+        if self.colors and (min(self.colors) < 1 or max(self.colors) > self.palette):
             raise ValueError("color out of palette range")
 
     def is_valid_for(self, g: Hypergraph) -> bool:
@@ -82,7 +82,8 @@ def find_k_coloring(
         g._check_vertex(v)
         if not 1 <= c <= k:
             raise ValueError(f"preset color {c} outside 1..{k}")
-    order = sorted(range(g.n), key=lambda v: (-len(g.incidence[v]), v))
+    # descending degree, ties by ascending id: a reversed sort is stable
+    order = sorted(range(g.n), key=list(map(len, g.incidence)).__getitem__, reverse=True)
     return next(_colorings(g, k, order, preset, symmetric=not preset), None)
 
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .hypercore import Hypergraph
@@ -108,23 +107,22 @@ class FlowResult:
 
 def components(g: Hypergraph) -> list[tuple[int, ...]]:
     """Partition of V(G) into maximal hyperpath-connected classes."""
-    seen: set[int] = set()
+    incidence, edges = g.incidence, g.edges
+    seen = [False] * g.n
     out = []
     for start in range(g.n):
-        if start in seen:
+        if seen[start]:
             continue
-        comp = {start}
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            v = queue.popleft()
-            for ref in g.incidence[v]:
-                for w in g.edges[ref]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.add(w)
-                        queue.append(w)
-        out.append(tuple(sorted(comp)))
+        seen[start] = True
+        comp = [start]
+        for v in comp:  # the list iterator also visits appended vertices
+            for ref in incidence[v]:
+                for w in edges[ref]:
+                    if not seen[w]:
+                        seen[w] = True
+                        comp.append(w)
+        comp.sort()
+        out.append(tuple(comp))
     return out
 
 
@@ -381,9 +379,13 @@ class Block:
     edge_refs: tuple[int, ...]
 
     def graph(self, g: Hypergraph) -> Hypergraph:
+        """The block as a hypergraph on 0..|vertices|-1.  A block of g
+        lists its vertices and refs ascending, and renumbering by rank
+        keeps each edge strictly sorted and the edges in g's order, so
+        the renumbered edges are already canonical."""
         pos = {v: i for i, v in enumerate(self.vertices)}
-        return Hypergraph.of(
-            len(self.vertices), [tuple(pos[v] for v in g.edge(r)) for r in self.edge_refs]
+        return Hypergraph._trusted(
+            len(self.vertices), tuple(tuple(pos[v] for v in g.edge(r)) for r in self.edge_refs)
         )
 
 
@@ -405,7 +407,7 @@ def _whole_graph_blocks(g: Hypergraph) -> tuple[tuple[Block, ...], tuple[int, ..
     equality and hashing ignore it."""
     cached = g.__dict__.get("_whole_graph_blocks")
     if cached is None:
-        block_refs, cut = _block_pass(g)
+        block_refs, count = _articulation(g)
         edges = g.edges
         out = [
             Block(edges[refs[0]], (refs[0],))  # edges are stored strictly sorted
@@ -415,55 +417,60 @@ def _whole_graph_blocks(g: Hypergraph) -> tuple[tuple[Block, ...], tuple[int, ..
         ]
         out.extend(Block((v,), ()) for v in range(g.n) if not g.incidence[v])
         out.sort(key=lambda b: b.vertices)
-        seps = tuple(v for v in range(g.n) if cut[v])
+        seps = tuple(v for v in range(g.n) if count[v] > 1)
         cached = g.__dict__["_whole_graph_blocks"] = (tuple(out), seps)
     return cached
 
 
-def _pair_lists(g: Hypergraph) -> list[list[tuple[int, int]]]:
-    """Per vertex v, the 2-section pairs (edge ref, neighbour w) of v in
-    incidence order: edges by ascending ref, then w by ascending id."""
-    edges = g.edges
-    return [
-        [(r, w) for r in refs for w in edges[r] if w != v]
-        for v, refs in enumerate(g.incidence)
-    ]
+def _articulation(g: Hypergraph, dead: int | None = None) -> tuple[list[list[int]], list[int]]:
+    """Hopcroft-Tarjan depth-first search for the articulation points of
+    the incidence graph B(G), with node ``dead`` deleted: node u < n is
+    vertex u and node n + r is edge r.  Each node on the search path
+    keeps an index into its own neighbour tuple, ``g.incidence[u]`` or
+    ``g.edges[r]``, where its scan resumes when the search returns to
+    it.
 
+    Returns the edge refs of each block of G that has an edge, and per
+    node the number of blocks of B(G) it lies in, two or more for a cut
+    node.  Only the whole graph keeps a block stack and lists blocks.
+    With a node deleted, the callers read only the cut nodes: the
+    separating vertices of G - e for ``dead = n + e``, and for
+    ``dead = v`` the cut edges of G - v, those e for which G - v - e has
+    more components than G - v.
 
-def _block_pass(
-    g: Hypergraph, skip: int | None = None, pairs: list[list[tuple[int, int]]] | None = None
-) -> tuple[list[list[int]], list[bool]]:
-    """Hopcroft-Tarjan depth-first search for the biconnected components
-    of the 2-section, walked through ``pairs`` (``_pair_lists(g)``,
-    built here when not given), with edge ``skip`` treated as deleted.
-    Each vertex on the search path keeps an index into its own pair
-    list, where its scan resumes when the search returns to it.
+    The blocks of G are those of B(G) glued at edge nodes.  A hyperedge's
+    vertices form a clique of the 2-section, so the 2-section block of an
+    edge holds every block of B(G) through that edge's node, and blocks
+    of B(G) glued at an edge node lie in one block of G.  Two blocks of
+    B(G) that contain a vertex node v are never joined by a chain of such
+    gluings, since that chain and v would close a cycle in the block-cut
+    tree.  So v separates G iff its node is a cut node of B(G).
 
-    Returns the edge refs of each block that has an edge, and per vertex
-    whether it lies in two or more of them (an articulation point).
-
-    The stack holds edge refs, each pushed once, when the first of its
-    2-section pairs, (v, w), is examined.  Every discovered vertex of the
-    edge is then still on the search path, since a finished one would
-    have examined the edge.  If w is new, the ref lands above w's mark
-    and closes with the tree edge (v, w); otherwise w is an ancestor of
-    v and the ref closes with v's own tree edge, whose block the back
-    edge (v, w) belongs to.  Either block holds a pair of the edge, whose
-    vertices form a clique, so it is the edge's block.
-    """
-    if pairs is None:
-        pairs = _pair_lists(g)
+    Every root is a vertex node, so each edge node is reached from a
+    vertex, and its ref is pushed on a stack when it is discovered.  A
+    block closes only under a vertex node u, when a child c has
+    low[c] >= disc[u]; it is the refs pushed since c.  An edge node with
+    such a child is a cut node, but no block closes there.  Each node
+    counts the blocks of B(G) it lies in, one above a non-root plus one
+    per child closed at it, and is a cut node when it lies in two or
+    more.  The graph is bipartite and simple, so the tree edge back to
+    the parent may count as a back edge: it lowers low[c] to disc[parent]
+    at most, which leaves that test unchanged."""
     n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    # next unexamined pair of each vertex on the path
-    nxt = [0] * n
-    # stack height at each non-root vertex's tree edge
-    mark = [0] * n
-    # blocks containing v: one above a non-root v, plus one per block
-    # closed at v
-    count = [1] * n
-    pushed = [False] * g.m
+    incidence, edges = g.incidence, g.edges
+    size = n + g.m
+    keep = dead is None
+    disc = [-1] * size
+    if not keep:
+        # as if discovered after every other node: the search never
+        # enters it, and it lowers no low value
+        disc[dead] = size
+    low = [0] * size
+    # next unexamined neighbour of each node on the path
+    nxt = [0] * size
+    count = [1] * size
+    # stack height when each edge node was discovered
+    mark = [0] * size if keep else None
     stack: list[int] = []
     out: list[list[int]] = []
     timer = 0
@@ -475,41 +482,40 @@ def _block_pass(
         count[root] = 0
         path = [root]
         while path:
-            v = path[-1]
-            todo = pairs[v]
-            i = nxt[v]
+            x = path[-1]
+            if x < n:
+                todo, off = incidence[x], n
+            else:
+                todo, off = edges[x - n], 0
+            i = nxt[x]
             while i < len(todo):
-                r, w = todo[i]
+                w = todo[i] + off
                 i += 1
-                if r == skip:
-                    continue
-                if not pushed[r]:
-                    pushed[r] = True
-                    stack.append(r)
-                    if disc[w] < 0:
-                        mark[w] = len(stack) - 1
-                        break
-                elif disc[w] < 0:
-                    mark[w] = len(stack)
+                d = disc[w]
+                if d < 0:
                     break
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
+                if d < low[x]:
+                    low[x] = d
             else:
                 path.pop()
                 if path:
-                    u = path[-1]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                    if low[v] >= disc[u]:
-                        out.append(stack[mark[v]:])
-                        del stack[mark[v]:]
-                        count[u] += 1
+                    p = path[-1]
+                    if low[x] < low[p]:
+                        low[p] = low[x]
+                    elif low[x] >= disc[p]:
+                        count[p] += 1
+                        if keep and p < n:
+                            out.append(stack[mark[x]:])
+                            del stack[mark[x]:]
                 continue
-            nxt[v] = i
+            nxt[x] = i
             disc[w] = low[w] = timer
             timer += 1
+            if keep and w >= n:
+                mark[w] = len(stack)
+                stack.append(w - n)
             path.append(w)
-    return out, [c > 1 for c in count]
+    return out, count
 
 
 # -- separating structures -------------------------------------------------
@@ -608,78 +614,13 @@ def edge_cut_for(g: Hypergraph, refs) -> EdgeCut:
 
 def mixed_separating_sets(g: Hypergraph) -> list[tuple[int, int]]:
     """All pairs (v, e) with v a separating vertex of G - e, sorted by
-    (edge ref, vertex id): one block pass with the edge skipped per
-    edge, all on one pair list."""
+    (edge ref, vertex id): one articulation pass with the edge's node
+    deleted per edge."""
     if not is_connected(g):
         raise ValueError("hypergraph must be connected")
-    pairs = _pair_lists(g)
-    return [
-        (v, ref)
-        for ref in range(g.m)
-        for v, is_cut in enumerate(_block_pass(g, ref, pairs)[1])
-        if is_cut
-    ]
-
-
-def _bridges_without(g: Hypergraph, v: int) -> list[int]:
-    """Refs, ascending, of the edges e such that G - v - e has more
-    components than G - v.  When G is 2-connected and deleting no one
-    edge disconnects it, these are exactly the e for which (v, e) is a
-    pair of ``mixed_separating_sets``: G - v and G - e are connected,
-    so v separates G - e iff G - v - e is disconnected.
-
-    One Hopcroft-Tarjan search for articulation points on the incidence
-    graph with v deleted: node u < n is vertex u and node n + r is edge
-    r.  Each node on the search path keeps an index into its own
-    neighbour tuple, ``g.incidence[u]`` or ``g.edges[r]``, where its
-    scan resumes when the search returns to it.  Every root is a vertex
-    node, so each edge node is reached from a vertex and is a cut node
-    iff some child c has low[c] >= disc[edge node].  The graph is
-    bipartite and simple, so the tree edge back to the parent may count
-    as a back edge: it lowers low[c] to disc[parent] at most, which
-    leaves that test unchanged."""
     n = g.n
-    incidence, edges = g.incidence, g.edges
-    size = n + g.m
-    disc = [-1] * size
-    low = [0] * size
-    # next unexamined neighbour of each node on the path
-    nxt = [0] * size
-    cut = [False] * g.m
-    timer = 0
-    for root in range(n):
-        if root == v or disc[root] >= 0:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        path = [root]
-        while path:
-            x = path[-1]
-            if x < n:
-                todo, off = incidence[x], n
-            else:
-                todo, off = edges[x - n], 0
-            i = nxt[x]
-            while i < len(todo):
-                w = todo[i] + off
-                i += 1
-                if w == v:  # only edge nodes list vertex ids
-                    continue
-                if disc[w] < 0:
-                    break
-                if disc[w] < low[x]:
-                    low[x] = disc[w]
-            else:
-                path.pop()
-                if path:
-                    p = path[-1]
-                    if low[x] < low[p]:
-                        low[p] = low[x]
-                    elif p >= n and low[x] >= disc[p]:
-                        cut[p - n] = True
-                continue
-            nxt[x] = i
-            disc[w] = low[w] = timer
-            timer += 1
-            path.append(w)
-    return [r for r, c in enumerate(cut) if c]
+    out = []
+    for ref in range(g.m):
+        count = _articulation(g, n + ref)[1]
+        out += ((v, ref) for v in range(n) if count[v] > 1)
+    return out

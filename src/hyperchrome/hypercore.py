@@ -12,6 +12,7 @@ value; it is not a field, so equality and hashing ignore it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -236,21 +237,38 @@ class Hypergraph:
         seen: set[Edge] = set()
         got_header = False
         for line_no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            parts = raw.split()
+            if not parts or parts[0][0] == "#":  # a blank line or a comment
                 continue
             if not got_header:
-                if line != "HGR 1":
+                if raw.strip() != "HGR 1":
                     raise HgrFormatError(line_no, "expected header 'HGR 1'")
                 got_header = True
                 continue
-            parts = line.split()
             ids = parts[1:]
             # int() alone also takes '+1', '1_0' and non-ASCII digits such as '０２'
             digits = "".join(ids)
             if parts[0] in ("n", "e") and ids and not (digits.isascii() and digits.isdigit()):
                 raise HgrFormatError(line_no, "counts and vertex ids must be ASCII digits")
-            if parts[0] == "n":
+            if parts[0] == "e":  # tested first: all lines but two are edge lines
+                if n is None:
+                    raise HgrFormatError(line_no, "edge before vertex-count line")
+                try:
+                    vs = tuple(map(int, ids))
+                except ValueError:  # ASCII digits already, so over int()'s 4300-digit limit
+                    raise HgrFormatError(line_no, "vertex id out of range") from None
+                if len(vs) < 2:
+                    raise HgrFormatError(line_no, "edge has fewer than 2 vertices")
+                if not all(map(operator.lt, vs, vs[1:])):
+                    raise HgrFormatError(line_no, "vertex ids not strictly increasing")
+                if vs[-1] >= n:
+                    raise HgrFormatError(line_no, "vertex id out of range")
+                size = len(seen)
+                seen.add(vs)
+                if len(seen) == size:
+                    raise HgrFormatError(line_no, f"duplicate edge {vs}")
+                edges.append(vs)
+            elif parts[0] == "n":
                 if n is not None:
                     raise HgrFormatError(line_no, "duplicate vertex-count line")
                 if len(parts) != 2:
@@ -262,23 +280,6 @@ class Hypergraph:
                         line_no, f"vertex count exceeds the limit of {MAX_VERTICES}"
                     )
                 n = int(count)
-            elif parts[0] == "e":
-                if n is None:
-                    raise HgrFormatError(line_no, "edge before vertex-count line")
-                try:
-                    vs = tuple(map(int, ids))
-                except ValueError:  # ASCII digits already, so over int()'s 4300-digit limit
-                    raise HgrFormatError(line_no, "vertex id out of range") from None
-                if len(vs) < 2:
-                    raise HgrFormatError(line_no, "edge has fewer than 2 vertices")
-                if len(set(vs)) != len(vs) or list(vs) != sorted(vs):
-                    raise HgrFormatError(line_no, "vertex ids not strictly increasing")
-                if vs[-1] >= n:
-                    raise HgrFormatError(line_no, "vertex id out of range")
-                if vs in seen:
-                    raise HgrFormatError(line_no, f"duplicate edge {vs}")
-                seen.add(vs)
-                edges.append(vs)
             else:
                 raise HgrFormatError(line_no, f"unknown directive {parts[0]!r}")
         if not got_header:

@@ -26,7 +26,12 @@ the one-search version in ``hyperchrome.constructions`` replaced.
 with lambda <= k) that ``classifier.is_in_Ck`` was before it read the
 certifier, and ``reference_wheel_hub`` / ``reference_wheel_leaf`` the
 odd-wheel recognition through the induced rim and a second rim walk
-that ``shapes._odd_wheel_layout`` replaced.
+that ``shapes._odd_wheel_layout`` replaced.  ``reference_block_pass``
+is the articulation search on the 2-section, walked through per-vertex
+lists of (edge ref, neighbour) pairs with one edge skipped, that the
+incidence-graph search ``connectivity._articulation`` replaced, and
+``reference_from_hgr`` the HGR parser that the one-loop
+``Hypergraph.from_hgr`` replaced.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from hyperchrome import shapes
 from hyperchrome.coloring import Coloring
 from hyperchrome.connectivity import Block, FlowResult, _FlowNet
 from hyperchrome.constructions import HajosJoinSpec, MixedDecomposition
-from hyperchrome.hypercore import Hypergraph
+from hyperchrome.hypercore import MAX_VERTICES, Edge, HgrFormatError, Hypergraph
 
 
 def brute_valid(g: Hypergraph, colors) -> bool:
@@ -281,6 +286,155 @@ def reference_separating_vertices(g: Hypergraph) -> tuple[int, ...]:
         for v in b.vertices:
             count[v] = count.get(v, 0) + 1
     return tuple(sorted(v for v, c in count.items() if c > 1))
+
+
+def _reference_pair_lists(g: Hypergraph) -> list[list[tuple[int, int]]]:
+    """Per vertex v, the 2-section pairs (edge ref, neighbour w) of v in
+    incidence order: edges by ascending ref, then w by ascending id."""
+    edges = g.edges
+    return [
+        [(r, w) for r in refs for w in edges[r] if w != v]
+        for v, refs in enumerate(g.incidence)
+    ]
+
+
+def reference_block_pass(
+    g: Hypergraph, skip: int | None = None
+) -> tuple[list[list[int]], list[bool]]:
+    """Hopcroft-Tarjan depth-first search for the biconnected components
+    of the 2-section, walked through per-vertex pair lists, with edge
+    ``skip`` treated as deleted.  Each vertex on the search path keeps an
+    index into its own pair list, where its scan resumes when the search
+    returns to it.
+
+    Returns the edge refs of each block that has an edge, and per vertex
+    whether it lies in two or more of them (an articulation point).
+
+    The stack holds edge refs, each pushed once, when the first of its
+    2-section pairs, (v, w), is examined.  Every discovered vertex of the
+    edge is then still on the search path, since a finished one would
+    have examined the edge.  If w is new, the ref lands above w's mark
+    and closes with the tree edge (v, w); otherwise w is an ancestor of
+    v and the ref closes with v's own tree edge, whose block the back
+    edge (v, w) belongs to.  Either block holds a pair of the edge, whose
+    vertices form a clique, so it is the edge's block.
+    """
+    pairs = _reference_pair_lists(g)
+    n = g.n
+    disc = [-1] * n
+    low = [0] * n
+    # next unexamined pair of each vertex on the path
+    nxt = [0] * n
+    # stack height at each non-root vertex's tree edge
+    mark = [0] * n
+    # blocks containing v: one above a non-root v, plus one per block
+    # closed at v
+    count = [1] * n
+    pushed = [False] * g.m
+    stack: list[int] = []
+    out: list[list[int]] = []
+    timer = 0
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        count[root] = 0
+        path = [root]
+        while path:
+            v = path[-1]
+            todo = pairs[v]
+            i = nxt[v]
+            while i < len(todo):
+                r, w = todo[i]
+                i += 1
+                if r == skip:
+                    continue
+                if not pushed[r]:
+                    pushed[r] = True
+                    stack.append(r)
+                    if disc[w] < 0:
+                        mark[w] = len(stack) - 1
+                        break
+                elif disc[w] < 0:
+                    mark[w] = len(stack)
+                    break
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                path.pop()
+                if path:
+                    u = path[-1]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    if low[v] >= disc[u]:
+                        out.append(stack[mark[v]:])
+                        del stack[mark[v]:]
+                        count[u] += 1
+                continue
+            nxt[v] = i
+            disc[w] = low[w] = timer
+            timer += 1
+            path.append(w)
+    return out, [c > 1 for c in count]
+
+
+def reference_from_hgr(text: str) -> Hypergraph:
+    """The HGR parser with a per-line strip, a set and a sort per edge
+    for the order test, and a membership test for duplicates."""
+    n: int | None = None
+    edges: list[Edge] = []
+    seen: set[Edge] = set()
+    got_header = False
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not got_header:
+            if line != "HGR 1":
+                raise HgrFormatError(line_no, "expected header 'HGR 1'")
+            got_header = True
+            continue
+        parts = line.split()
+        ids = parts[1:]
+        # int() alone also takes '+1', '1_0' and non-ASCII digits such as '０２'
+        digits = "".join(ids)
+        if parts[0] in ("n", "e") and ids and not (digits.isascii() and digits.isdigit()):
+            raise HgrFormatError(line_no, "counts and vertex ids must be ASCII digits")
+        if parts[0] == "n":
+            if n is not None:
+                raise HgrFormatError(line_no, "duplicate vertex-count line")
+            if len(parts) != 2:
+                raise HgrFormatError(line_no, "expected 'n <count>'")
+            # the length test comes first: int() refuses over 4300 digits
+            count = parts[1].lstrip("0") or "0"
+            if len(count) > len(str(MAX_VERTICES)) or int(count) > MAX_VERTICES:
+                raise HgrFormatError(line_no, f"vertex count exceeds the limit of {MAX_VERTICES}")
+            n = int(count)
+        elif parts[0] == "e":
+            if n is None:
+                raise HgrFormatError(line_no, "edge before vertex-count line")
+            try:
+                vs = tuple(map(int, ids))
+            except ValueError:  # ASCII digits already, so over int()'s 4300-digit limit
+                raise HgrFormatError(line_no, "vertex id out of range") from None
+            if len(vs) < 2:
+                raise HgrFormatError(line_no, "edge has fewer than 2 vertices")
+            if len(set(vs)) != len(vs) or list(vs) != sorted(vs):
+                raise HgrFormatError(line_no, "vertex ids not strictly increasing")
+            if vs[-1] >= n:
+                raise HgrFormatError(line_no, "vertex id out of range")
+            if vs in seen:
+                raise HgrFormatError(line_no, f"duplicate edge {vs}")
+            seen.add(vs)
+            edges.append(vs)
+        else:
+            raise HgrFormatError(line_no, f"unknown directive {parts[0]!r}")
+    if not got_header:
+        raise HgrFormatError(1, "empty input, expected header 'HGR 1'")
+    if n is None:
+        raise HgrFormatError(1, "missing vertex-count line")
+    return Hypergraph.of(n, edges)
 
 
 def all_hyperpaths(g: Hypergraph, v: int, w: int):

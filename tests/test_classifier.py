@@ -177,14 +177,16 @@ def _replayed_graph(cert) -> Hypergraph:
 
 
 def _count_passes(monkeypatch) -> collections.Counter:
-    """Count the block passes and the per-vertex articulation passes."""
+    """Count the articulation passes: "block" for the block passes of G
+    or of G - e, "vertex" for the per-vertex passes on G - v."""
     passes = collections.Counter()
-    for name in ("_block_pass", "_bridges_without"):
-        def counted(*args, _name=name, _pass=getattr(conn, name), **kwargs):
-            passes[_name] += 1
-            return _pass(*args, **kwargs)
+    search = conn._articulation
 
-        monkeypatch.setattr(conn, name, counted)
+    def counted(g, dead=None):
+        passes["vertex" if dead is not None and dead < g.n else "block"] += 1
+        return search(g, dead)
+
+    monkeypatch.setattr(conn, "_articulation", counted)
     return passes
 
 
@@ -349,9 +351,9 @@ class TestFirstMixedPair:
 
         def counted(g, k):
             nonlocal join_nodes, bridge_passes
-            before = passes["_bridges_without"]
+            before = passes["vertex"]
             pair = first_pair(g, k)
-            made = passes["_bridges_without"] - before
+            made = passes["vertex"] - before
             assert made <= sum(len(refs) > k for refs in g.incidence)
             if pair is not None:
                 join_nodes += 1
@@ -363,7 +365,7 @@ class TestFirstMixedPair:
         for k, g in instances:
             out = cls.classify(g)
             assert out.verdict == "tight" and out.lam == k
-        assert passes["_block_pass"] == len(instances)  # the blocks of each input
+        assert passes["block"] == len(instances)  # the blocks of each input
         assert join_nodes >= 50
         assert bridge_passes <= 2 * join_nodes, (bridge_passes, join_nodes)
 
@@ -647,6 +649,20 @@ def _member_blocks(g, lam):
         b for b in conn.blocks(g)
         if b.edge_refs and cls.hk_certificate(b.graph(g), lam) is not None
     ]
+
+
+def test_block_graphs_of_glued_instances_are_canonical():
+    """A block's graph, built without the constructor's checks, equals
+    the value ``Hypergraph.of`` builds from the same edges."""
+    multi = 0
+    for seed in range(300):
+        g = glued_instance(random.Random(seed))
+        for b in conn.blocks(g):
+            pos = {v: i for i, v in enumerate(b.vertices)}
+            want = Hypergraph.of(len(b.vertices), [[pos[v] for v in g.edges[r]] for r in b.edge_refs])
+            assert b.graph(g) == want and hash(b.graph(g)) == hash(want), seed
+            multi += len(b.edge_refs) > 1
+    assert multi >= 600
 
 
 class TestTightBlockByCertification:

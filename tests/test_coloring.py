@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,6 +43,21 @@ class TestFindColoring:
     def test_deterministic(self):
         g = cons.odd_wheel(5)
         assert col.find_k_coloring(g, 4) == col.find_k_coloring(g, 4)
+
+    @given(hypergraphs(max_n=10, sizes=(2, 3, 4)))
+    @settings(max_examples=150, deadline=None)
+    def test_vertex_order_is_descending_degree_then_id(self, g):
+        orders = []
+        search = col._colorings
+
+        def recorded(g, k, order, *args, **kwargs):
+            orders.append(list(order))
+            return search(g, k, order, *args, **kwargs)
+
+        with mock.patch.object(col, "_colorings", recorded):
+            col.find_k_coloring(g, 3)
+        deg = [len(refs) for refs in g.incidence]
+        assert orders == ([sorted(range(g.n), key=lambda v: (-deg[v], v))] if g.n else [])
 
 
 class TestChromaticNumber:

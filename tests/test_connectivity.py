@@ -280,6 +280,18 @@ class TestBlocks:
         assert bs[0].vertices == tuple(range(6))
         assert bs[0].graph(w5) == w5
 
+    @given(hypergraphs(max_n=8, sizes=(2, 3, 4)))
+    @settings(max_examples=150, deadline=None)
+    def test_block_graph_is_the_canonical_value(self, g):
+        """Built without the constructor's checks, a block's graph equals
+        the value ``Hypergraph.of`` builds from the same edges."""
+        for b in conn.blocks(g):
+            pos = {v: i for i, v in enumerate(b.vertices)}
+            want = Hypergraph.of(len(b.vertices), [[pos[v] for v in g.edges[r]] for r in b.edge_refs])
+            got = b.graph(g)
+            assert got == want and hash(got) == hash(want)
+            assert got.incidence == want.incidence
+
     def test_k4_with_pendant_edge(self):
         g = Hypergraph.of(5, list(itertools.combinations(range(4), 2)) + [(3, 4)])
         bs = conn.blocks(g)
@@ -321,6 +333,23 @@ def _hyperpath(n):
     return Hypergraph.of(n, [(i, i + 1, i + 2) for i in range(0, n - 2, 2)])
 
 
+def _assert_articulation_matches(g: Hypergraph) -> None:
+    """The incidence-graph search against the pair-list pass it replaced
+    (``oracles.reference_block_pass``): the blocks and separating
+    vertices of G and of each G - e, and with each vertex v deleted, the
+    edges whose deletion splits G - v further."""
+    n = g.n
+    found, count = conn._articulation(g)
+    want, want_cut = oracles.reference_block_pass(g)
+    assert sorted(map(sorted, found)) == sorted(map(sorted, want))
+    assert [c > 1 for c in count[:n]] == want_cut
+    for ref in range(g.m):
+        count = conn._articulation(g, n + ref)[1]
+        assert [c > 1 for c in count[:n]] == oracles.reference_block_pass(g, ref)[1], ref
+    for v in range(n):
+        assert _cut_edges(g, v) == _bridges_without_by_definition(g, v), v
+
+
 class TestBlockPass:
     """The incidence-table pass is pinned to the 2-section computation
     it replaced (``oracles.reference_blocks``)."""
@@ -330,6 +359,21 @@ class TestBlockPass:
     def test_matches_reference(self, g):
         assert conn.blocks(g) == oracles.reference_blocks(g)
         assert conn.separating_vertices(g) == oracles.reference_separating_vertices(g)
+
+    @given(hypergraphs(max_n=8, sizes=(2, 3, 4, 5)))
+    @settings(max_examples=200, deadline=None)
+    def test_articulation_matches_the_pair_list_pass(self, g):
+        _assert_articulation_matches(g)
+
+    def test_articulation_matches_the_pair_list_pass_on_seeded_instances(self):
+        rng = random.Random(16)
+        isolated = five = 0
+        for _ in range(400):
+            g = seeded_random_hypergraph(rng, rng.randint(1, 12), (2, 3, 4, 5), 14)
+            isolated += any(not refs for refs in g.incidence)
+            five += any(len(e) == 5 for e in g.edges)
+            _assert_articulation_matches(g)
+        assert isolated >= 100 and five >= 100, (isolated, five)
 
     def test_matches_reference_on_seeded_instances(self):
         rng = random.Random(5)
@@ -375,13 +419,13 @@ class TestBlockPass:
 
     def test_one_pass_serves_blocks_and_separating_vertices(self, monkeypatch):
         passes = []
-        block_pass = conn._block_pass
+        search = conn._articulation
 
-        def counted(g, skip=None):
-            passes.append(skip)
-            return block_pass(g, skip)
+        def counted(g, dead=None):
+            passes.append(dead)
+            return search(g, dead)
 
-        monkeypatch.setattr(conn, "_block_pass", counted)
+        monkeypatch.setattr(conn, "_articulation", counted)
         g = Hypergraph.of(5, list(itertools.combinations(range(4), 2)) + [(3, 4)])
         assert conn.separating_vertices(g) == (3,)
         assert len(conn.blocks(g)) == 2
@@ -479,6 +523,12 @@ class TestSeparators:
             conn.mixed_separating_sets(Hypergraph.of(4, [(0, 1), (2, 3)]))
 
 
+def _cut_edges(g: Hypergraph, v: int) -> list[int]:
+    """The cut edge nodes of the incidence graph with v deleted."""
+    count = conn._articulation(g, v)[1]
+    return [ref for ref in range(g.m) if count[g.n + ref] > 1]
+
+
 def _bridges_without_by_definition(g: Hypergraph, v: int) -> list[int]:
     """Edges e such that G - v - e has more components than G - v."""
     base = len(conn.components(g.div_vertices([v]).graph))
@@ -497,7 +547,7 @@ class TestBridgesWithout:
     @settings(max_examples=150, deadline=None)
     def test_matches_the_definition(self, g):
         for v in range(g.n):
-            assert conn._bridges_without(g, v) == _bridges_without_by_definition(g, v), v
+            assert _cut_edges(g, v) == _bridges_without_by_definition(g, v), v
 
     def test_gives_the_mixed_pairs_of_bridgeless_2_connected_graphs(self):
         """Nested joins and their one-edge perturbations that stay
@@ -512,7 +562,7 @@ class TestBridgesWithout:
             if conn.separating_vertices(g) or _disconnecting_edges(g):
                 continue
             pairs = sorted(
-                ((v, ref) for v in range(g.n) for ref in conn._bridges_without(g, v)),
+                ((v, ref) for v in range(g.n) for ref in _cut_edges(g, v)),
                 key=lambda p: (p[1], p[0]),
             )
             assert pairs == conn.mixed_separating_sets(g)
@@ -524,7 +574,7 @@ class TestBridgesWithout:
         graph.  It disconnects G - 0 too, but 0 does not separate G - e."""
         g = Hypergraph.of(4, [(0, 1, 2), (0, 3), (1, 3)])
         assert not conn.separating_vertices(g) and _disconnecting_edges(g) == [0]
-        assert conn._bridges_without(g, 0) == [0, 2]
+        assert _cut_edges(g, 0) == [0, 2]
         assert (0, 0) not in conn.mixed_separating_sets(g)
         assert {(0, 2), (3, 0)} <= set(conn.mixed_separating_sets(g))
 

@@ -1,10 +1,13 @@
 import dataclasses
+import random
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hyperchrome.hypercore import MAX_VERTICES, HgrFormatError, Hypergraph, canonical_edges
-from conftest import hypergraphs
+from conftest import hypergraphs, seeded_random_hypergraph
+import oracles
 
 
 class TestConstruction:
@@ -226,6 +229,78 @@ class TestHgrFormat:
         rng.shuffle(edge_lines)
         parsed = Hypergraph.from_hgr("\n".join(lines[:2] + edge_lines) + "\n")
         assert parsed == g and hash(parsed) == hash(g)
+
+
+def _parsed(parse, text: str):
+    """The parsed value, or the text of the ``HgrFormatError``."""
+    try:
+        return parse(text)
+    except HgrFormatError as exc:
+        return str(exc)
+
+
+# tokens the parser must refuse or read as the reference parser does
+_ODD_TOKENS = ["+1", "1_0", "０２", "-1", "²", "01", "00", "9" * 5000, "#", "x", "e", "n", "1#"]
+
+
+def _mutated_hgr(rng: random.Random, g: Hypergraph) -> str:
+    """g's HGR text with a few random faults and decorations: blank and
+    comment lines, odd tokens, duplicate, unsorted, repeated and
+    out-of-range ids, duplicate lines, and other line separators."""
+    lines = g.to_hgr().splitlines()
+    for _ in range(rng.randint(0, 4)):
+        if not lines:
+            break
+        i = rng.randrange(len(lines))
+        parts = lines[i].split()
+        kind = rng.randrange(9)
+        if kind == 0:
+            lines.insert(i, rng.choice(["", "  ", "\t", "# note", "  # indented", "#", "\x0b"]))
+        elif kind == 1:
+            lines.insert(i, lines[i])  # a duplicate edge, count or header line
+        elif kind == 2 and parts:
+            parts[rng.randrange(len(parts))] = rng.choice(_ODD_TOKENS)
+            lines[i] = " ".join(parts)
+        elif kind == 3 and len(parts) > 2:
+            lines[i] = " ".join(parts[:1] + parts[:0:-1])  # ids unsorted
+        elif kind == 4 and len(parts) > 2:
+            j = rng.randrange(2, len(parts))
+            parts[j] = parts[j - 1]  # a repeated id
+            lines[i] = " ".join(parts)
+        elif kind == 5 and parts:
+            parts[-1] = str(g.n + rng.randrange(3))  # out of range, or a larger count
+            lines[i] = " ".join(parts)
+        elif kind == 6:
+            lines[i] = rng.choice([" ", "\t", "\u3000"]) + lines[i] + rng.choice(["", " ", "\t"])
+        elif kind == 7:
+            del lines[i]
+        else:
+            lines[i] = lines[i].replace(" ", rng.choice(["  ", "\t", " \x0c "]))
+    sep = rng.choice(["\n", "\r\n", "\r", "\u2028", "\x85"])
+    return sep.join(lines) + rng.choice(["", sep])
+
+
+class TestParserMatchesReference:
+    """``from_hgr`` gives the value, or the error text, of the parser it
+    replaced (``oracles.reference_from_hgr``)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hypergraphs(sizes=(2, 3, 4)), st.randoms(use_true_random=False))
+    def test_on_mutated_text(self, g, rng):
+        text = _mutated_hgr(rng, g)
+        assert _parsed(Hypergraph.from_hgr, text) == _parsed(oracles.reference_from_hgr, text)
+
+    def test_on_seeded_mutations(self):
+        rng = random.Random(16)
+        outcomes = set()
+        for _ in range(3000):
+            g = seeded_random_hypergraph(rng, rng.randint(0, 8), (2, 3, 4, 5), 10)
+            text = _mutated_hgr(rng, g)
+            got = _parsed(Hypergraph.from_hgr, text)
+            assert got == _parsed(oracles.reference_from_hgr, text), text
+            outcomes.add(re.sub(r"^line \d+: | [('].*", "", got) if isinstance(got, str) else "parsed")
+        # a value, and every message of the parser without its detail
+        assert len(outcomes) == 14, outcomes
 
 
 @given(hypergraphs())
