@@ -354,11 +354,57 @@ def classify(g: Hypergraph, force: bool = False, h2_info: bool = False) -> Class
     when lambda >= 3.
 
     For lambda >= 3, chi(G) = lambda + 1 iff some block of G is in the
-    class at lambda.  The blocks are therefore certified first, by
-    descending first edge ref, each at the one class its counting test
-    ``_candidate_class`` allows; a block that fails it costs O(1).  A
-    block whose certificate replays is in the class at k, and then its
-    lambda is k:
+    class at lambda, and ``_decide`` finds the first such block with
+    lambda.  Only when there is none does the lambda-coloring search
+    run, and then it must succeed; chi is then the least k from the
+    clique bound up at which a k-coloring exists, and at most lambda."""
+    lam, tight = _decide(g, need_lam=True)
+    if tight is not None:
+        cert, b = tight
+        return ClassifyOutcome(lam, lam + 1, "tight", block=b.vertices, certificate=cert)
+    if lam >= 3:
+        phi = col.find_k_coloring(g, lam)
+        if phi is None:
+            raise InternalError("no block certifies and no lambda-coloring exists; internal bug")
+        # the lambda-coloring search above has no size guard either
+        chi = col._chi_by_search(g, True, lam)
+        return ClassifyOutcome(lam, chi, "colorable", coloring=phi)
+    if lam == 1:
+        return ClassifyOutcome(
+            lam, 2, "small-lambda",
+            note="every block is a single edge, chi = 2 = lambda + 1",
+        )
+    chi = col._chi_by_search(g, force, lam)
+    if lam == 0:
+        note = (
+            "edgeless: every component is a single vertex, chi = lambda + 1"
+            if g.n else "empty hypergraph"
+        )
+        return ClassifyOutcome(lam, chi, "small-lambda", note=note)
+    note = (
+        "chi = 3 = lambda + 1; no certificate family is known at lambda = 2"
+        if chi == 3 else "chi <= lambda"
+    )
+    h2 = None
+    if h2_info and chi == 3:
+        h2 = _h2_closure_hint(g, force=force)
+    return ClassifyOutcome(lam, chi, "small-lambda", note=note, h2_closure=h2)
+
+
+def _decide(
+    g: Hypergraph, need_lam: bool
+) -> tuple[int | None, tuple[Certificate, conn.Block] | None]:
+    """(lambda, tight): lambda(G), and the first block of g, by
+    descending first edge ref, that certifies at lambda >= 3 with its
+    certificate in g's ids, or None.  By the theorem chi(G) = lambda + 1
+    iff there is such a block, and then that block is (lambda+1)-critical.
+    Without ``need_lam``, lambda is None when no block certifies, and
+    no flow runs then.
+
+    Each block with two or more edges is certified at the one class its
+    counting test ``_candidate_class`` allows; a block that fails it
+    costs O(1).  A block whose certificate replays is in the class at
+    k, and then its lambda is k:
 
     - members are (k+1)-critical, so Toft's bound chi <= lambda + 1
       gives lambda >= k;
@@ -376,64 +422,50 @@ def classify(g: Hypergraph, force: bool = False, h2_info: bool = False) -> Class
     lambda(G) is the max of lambda over the blocks, and a block with
     one edge has lambda 1.  So when every block with two or more edges
     certifies, lambda is known without a flow, and an input whose
-    blocks are single edges has lambda = 1 and chi = 2 with no search.
-    Otherwise lambda comes from the flows, and the first block certified
-    at lambda is the tight block (the block ``extract_critical``
-    keeps).  Only when there is none does the lambda-coloring search
-    run, and then it must succeed."""
-    certified = []  # (k, certificate, block), in visit order
-    flows_needed = False
-    for b in sorted((b for b in conn.blocks(g) if len(b.edge_refs) > 1),
-                    key=lambda b: -b.edge_refs[0]):
-        found = _block_certificate(g, b)
-        if found is None:
-            flows_needed = True
-        else:
-            certified.append((*found, b))
-    if flows_needed:
+    blocks are single edges has lambda = 1.  Otherwise the flows give
+    lambda, and the tight block is the first certified at lambda.  When
+    a block fails the counting test and lambda is needed, the flows are
+    needed anyway: they run first, and only the blocks whose class is
+    lambda are certified, in the same order, up to the first that
+    certifies."""
+    multi = sorted((b for b in conn.blocks(g) if len(b.edge_refs) > 1),
+                   key=lambda b: -b.edge_refs[0])
+    classes = [_candidate_class(len(b.vertices), len(b.edge_refs)) for b in multi]
+    lam = None
+    if need_lam and None in classes:
         lam = conn.max_local_edge_connectivity(g)
-    else:
-        lam = max((k for k, _, _ in certified), default=min(g.m, 1))
-    if lam >= 3:
-        for k, cert, b in certified:
-            if k == lam:
-                return ClassifyOutcome(lam, lam + 1, "tight", block=b.vertices, certificate=cert)
-        phi = col.find_k_coloring(g, lam)
-        if phi is None:
-            raise InternalError("no block certifies and no lambda-coloring exists; internal bug")
-        return ClassifyOutcome(lam, _chi_below(g, lam), "colorable", coloring=phi)
-    if lam == 1:
-        return ClassifyOutcome(
-            lam, 2, "small-lambda",
-            note="every block is a single edge, chi = 2 = lambda + 1",
-        )
-    chi = col.chromatic_number(g, force=force)
-    if lam == 0:
-        note = (
-            "edgeless: every component is a single vertex, chi = lambda + 1"
-            if g.n else "empty hypergraph"
-        )
-        return ClassifyOutcome(lam, chi, "small-lambda", note=note)
-    note = (
-        "chi = 3 = lambda + 1; no certificate family is known at lambda = 2"
-        if chi == 3 else "chi <= lambda"
-    )
-    h2 = None
-    if h2_info and chi == 3:
-        h2 = _h2_closure_hint(g, force=force)
-    return ClassifyOutcome(lam, chi, "small-lambda", note=note, h2_closure=h2)
+        multi = [b for b, k in zip(multi, classes) if k == lam]
+    certified = []  # (k, certificate, block), in visit order
+    for b in multi:
+        found = _block_certificate(g, b)
+        if found is not None:
+            certified.append((*found, b))
+            if lam is not None:
+                break
+    if lam is None:
+        if len(certified) == len(multi):
+            lam = max((k for k, _, _ in certified), default=min(g.m, 1))
+        elif certified or need_lam:
+            lam = conn.max_local_edge_connectivity(g)
+        else:
+            return None, None
+    return lam, next(((cert, b) for k, cert, b in certified if k == lam), None)
 
 
 def _block_certificate(g: Hypergraph, b: conn.Block) -> tuple[int, Certificate] | None:
     """(k, certificate) for a block of g in the class at k, in g's ids,
     or None.  The block's graph is built only when the counting test
     passes, and g itself stands for a block that is all of g."""
-    n, m = len(b.vertices), len(b.edge_refs)
-    k = _candidate_class(n, m)
+    k = _candidate_class(len(b.vertices), len(b.edge_refs))
     if k is None:
         return None
-    cert = _build_certificate(g if n == g.n and m == g.m else b.graph(g), k, b.vertices)
+    cert = _build_certificate(g if _is_all_of(b, g) else b.graph(g), k, b.vertices)
     return None if cert is None else (k, cert)
+
+
+def _is_all_of(b: conn.Block, g: Hypergraph) -> bool:
+    """Whether the block b of g is all of g."""
+    return len(b.vertices) == g.n and len(b.edge_refs) == g.m
 
 
 def _candidate_class(n: int, m: int) -> int | None:
@@ -448,14 +480,6 @@ def _candidate_class(n: int, m: int) -> int | None:
     while (k * (k + 1) // 2 - 1) * (n - 1) < (m - 1) * k:
         k += 1
     return k if _may_be_member(n, m, k) else None
-
-
-def _chi_below(g: Hypergraph, lam: int) -> int:
-    """chi given a valid lam-coloring exists: downward scan."""
-    chi = lam
-    while chi > 1 and col.find_k_coloring(g, chi - 1) is not None:
-        chi -= 1
-    return chi
 
 
 def _h2_closure_hint(g: Hypergraph, depth: int = 6, force: bool = False) -> bool:

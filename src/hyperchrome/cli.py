@@ -35,6 +35,10 @@ def _emit(payload: dict) -> None:
 
 
 def _cmd_chi(args) -> int:
+    """The exact chromatic number.  An input with a block in the class
+    at lambda >= 3 gets chi = lambda + 1 from the theorem; only an input
+    the theorem does not decide is searched, and past n = 24 only with
+    --force (exit 3 without)."""
     _emit({"chi": col.chromatic_number(_read_graph(args.file), force=args.force)})
     return OK
 
@@ -46,6 +50,9 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_critical(args) -> int:
+    """The criticality report for chi = k.  An input in the class at
+    k - 1 >= 3 is critical by the theorem; on any other input chi is
+    searched, and past n = 24 only with --force (exit 3 without)."""
     report = col.is_critical(_read_graph(args.file), args.k, force=args.force)
     _emit(
         {

@@ -10,14 +10,22 @@ with none ends the branch (unit propagation, as in DPLL).  This cuts
 only branches that hold no coloring, so colorings and enumerations come
 out in the order of the plain depth-first search.
 
-The criticality test needs a k-coloring of G - e for every edge e.  It
-searches G - e on G itself, with edge e skipped, but only for edges not
-already witnessed: from a coloring of G - e in which e is the only
-monochromatic edge, moving one vertex of e to another color gives a
-coloring of G - f whenever f is then the only monochromatic edge through
-that vertex.  Walking these moves witnesses most edges without a search
-(on odd wheels, complete graphs and KC graphs, all of them after the
-first), and the first edge whose search fails is the same as before.
+chi and criticality come from the classifier's decision first: by the
+theorem, chi(G) = lambda(G) + 1 >= 4 iff some block of G is in the
+class at lambda, whose members are (lambda+1)-critical, so a certified
+block gives chi with no search, and G is critical when that block is
+all of G.  Only other inputs are searched.
+
+The criticality test needs a k-coloring of G - e for every edge e, where
+chi(G) = k + 1.  It searches G - e on G itself, with edge e skipped and
+its vertices preset to color 1, since no k-coloring of G - e can color
+e properly.  It searches only edges not already witnessed: from a
+coloring of G - e in which e is the only monochromatic edge, moving one
+vertex of e to another color gives a coloring of G - f whenever f is
+then the only monochromatic edge through that vertex.  Walking these
+moves witnesses most edges without a search (on KC graphs, all of them
+after the first), and the first edge whose search fails is the same as
+if every edge were searched.
 """
 
 from __future__ import annotations
@@ -89,16 +97,44 @@ def find_k_coloring(
 
 def chromatic_number(g: Hypergraph, force: bool = False) -> int:
     """Least k admitting a valid coloring; 0 for the empty hypergraph,
-    1 for edgeless graphs of any size.  Otherwise refuses n > 24 unless
-    force is set."""
+    1 for edgeless graphs of any size.  When a block of g is in the
+    class at lambda >= 3, chi = lambda + 1 by the theorem, with no
+    search and no size guard; otherwise the search refuses n > 24
+    unless force is set."""
+    return _chi(g, force)[0]
+
+
+def _chi(g: Hypergraph, force: bool) -> tuple[int, bool]:
+    """(chi, member): chi of g, and whether g itself is in the class at
+    chi - 1 >= 3, so chi-critical.  The classifier's decision gives
+    both when a block certifies; it runs no flow when none does, and
+    then the search runs as ``_chi_by_search`` says."""
+    if g.m == 0:
+        return min(g.n, 1), False
+    from .classifier import _decide, _is_all_of  # the classifier imports this module
+
+    lam, tight = _decide(g, need_lam=False)
+    if tight is not None:
+        return lam + 1, _is_all_of(tight[1], g)
+    return _chi_by_search(g, force, lam), False
+
+
+def _chi_by_search(g: Hypergraph, force: bool = False, lam: int | None = None) -> int:
+    """chi of g by the coloring search alone; refuses n > 24 unless
+    force is set.  ``lam`` is lambda(G) when it is known and no block
+    of g is in the class at it: chi is then at most lambda for
+    lambda >= 3, by the theorem, and at most lambda + 1 below (Toft's
+    bound), and that bound is not searched.  The scan goes up from
+    max(2, clique bound)."""
     if g.n == 0:
         return 0
     if g.m == 0:
         return 1
     if g.n > CHI_GUARD_N and not force:
         raise GuardExceeded(f"exact chi refuses n={g.n} > {CHI_GUARD_N} without force")
+    cap = None if lam is None else lam if lam >= 3 else lam + 1
     k = max(2, _clique_lower_bound(g))
-    while find_k_coloring(g, k) is None:
+    while (cap is None or k < cap) and find_k_coloring(g, k) is None:
         k += 1
     return k
 
@@ -118,13 +154,6 @@ def _clique_lower_bound(g: Hypergraph) -> int:
                 clique.append(u)
         best = max(best, len(clique))
     return best
-
-
-def chromatic_number_by_blocks(g: Hypergraph, force: bool = False) -> int:
-    """Max of chi over blocks; agrees with the direct computation."""
-    if g.n == 0:
-        return 0
-    return max(chromatic_number(b.graph(g), force=force) for b in blocks(g))
 
 
 def enumerate_k_colorings(
@@ -201,7 +230,9 @@ class _Search:
     def colorings(self, order, preset: dict[int, int], symmetric: bool):
         """A preset vertex takes its preset color only; any other vertex
         tries 1..k in turn, or only up to one more than the largest
-        color at earlier positions when ``symmetric``."""
+        color at earlier positions or in the preset when ``symmetric``.
+        With a preset, that keeps a coloring of every class up to
+        renaming colors when the preset colors are 1..c for some c."""
         g, k, adj, hyper = self.g, self.k, self.adj, self.hyper
         n, edges = g.n, g.edges
         # free[ref] = (uncolored count) * big + (sum of their ids)
@@ -262,11 +293,13 @@ class _Search:
             if colors[v] != c and (ban[v] >> c & 1 or not propagate(v, c)):
                 return
         stack: list[list[int]] = []  # [pos, used, color tried, trail mark]
-        pos = used = decisions = 0
+        pos = decisions = 0
+        used = max(preset.values(), default=0)
         while True:
             # Pass through the forced vertices.  No forced color exceeds
             # used + 1: the first vertex forced on a branch sees k - 1
-            # colors in use, all from decisions at earlier positions.
+            # colors in use, all from the preset and from decisions at
+            # earlier positions.
             while pos < n:
                 c = colors[order[pos]]
                 if not c:
@@ -313,14 +346,18 @@ class _Search:
 
 def _failing_edge(g: Hypergraph, k: int) -> int | None:
     """The first edge ref whose deletion leaves g without a k-coloring,
-    or None.
+    or None, for a g with chromatic number k + 1.
 
     Edges are taken in ref order.  One not yet witnessed is searched on
-    g with the edge skipped, in the vertex order of G - e's degrees; a
-    coloring found is walked from (``_witnesses``), which marks every
-    edge f it reaches as witnessed, with a k-coloring of G - f in hand.
-    A witnessed edge's search would find a coloring too, so skipping it
-    leaves the answer as if every edge were searched."""
+    g with the edge skipped, in the vertex order of G - e's degrees.  G
+    has no k-coloring, so every k-coloring of G - e leaves e
+    monochromatic: the search presets e's vertices to color 1, which
+    counts as used from the start, and cuts only branches that hold no
+    coloring.  A coloring found is walked from (``_witnesses``), which
+    marks every edge f it reaches as witnessed, with a k-coloring of
+    G - f in hand.  A witnessed edge's search would find a coloring
+    too, so skipping it leaves the answer as if every edge were
+    searched."""
     degree = [len(refs) for refs in g.incidence]
     witnessed = [False] * g.m
     for ref, e in enumerate(g.edges):
@@ -331,7 +368,7 @@ def _failing_edge(g: Hypergraph, k: int) -> int | None:
         order = sorted(range(g.n), key=lambda v: (-degree[v], v))
         for v in e:
             degree[v] += 1
-        phi = next(_colorings(g, k, order, {}, True, skip=ref), None)
+        phi = next(_colorings(g, k, order, dict.fromkeys(e, 1), True, skip=ref), None)
         if phi is None:
             return ref
         witnessed[ref] = True
@@ -384,14 +421,18 @@ def _witnesses(g: Hypergraph, k: int, colors: list[int], ref: int, witnessed: li
 
 def is_critical(g: Hypergraph, k_plus_1: int, force: bool = False) -> CriticalityReport:
     """(k+1)-criticality via the per-edge test: connected, chi = k+1,
-    and chi(G - e) <= k for every edge."""
+    and chi(G - e) <= k for every edge.  A g in the class at k >= 3 is
+    critical by the theorem, with no search and no size guard; on any
+    other g, chi's search refuses n > 24 unless force is set."""
     if k_plus_1 < 1:
         raise ValueError("target chromatic number must be >= 1")
     if not is_connected(g):
         return CriticalityReport(False, -1, reason="not connected")
-    chi = chromatic_number(g, force=force)
+    chi, member = _chi(g, force)
     if chi != k_plus_1:
         return CriticalityReport(False, chi, reason=f"chi is {chi}, not {k_plus_1}")
+    if member:
+        return CriticalityReport(True, chi)
     return _critical_at_chi(g, chi)
 
 

@@ -340,9 +340,12 @@ def max_local_edge_connectivity(g: Hypergraph) -> int:
     Runs Gusfield on each component in descending degree order, on one
     reused network, and stops before the first vertex whose degree is
     at most the best value so far: every pair with an endpoint from
-    there on is bounded by that degree."""
-    if g.n <= 1:
-        return 0
+    there on is bounded by that degree.  Two edge-disjoint paths close
+    a cycle, which lies in one block, so without a block of two or more
+    edges lambda is min(m, 1) and no flow runs; the blocks are those
+    cached on the value."""
+    if all(len(b.edge_refs) < 2 for b in _whole_graph_blocks(g)[0]):
+        return min(g.m, 1)
     deg = [len(refs) for refs in g.incidence]
     net = _FlowNet(g)
     best = 0

@@ -31,7 +31,14 @@ is the articulation search on the 2-section, walked through per-vertex
 lists of (edge ref, neighbour) pairs with one edge skipped, that the
 incidence-graph search ``connectivity._articulation`` replaced, and
 ``reference_from_hgr`` the HGR parser that the one-loop
-``Hypergraph.from_hgr`` replaced.
+``Hypergraph.from_hgr`` replaced.  ``reference_chromatic_number`` and
+``reference_is_critical`` are ``chromatic_number`` and ``is_critical``
+by search alone, size guard included, as they were before they read
+the classifier's decision; the latter tests each derived G - e
+(``reference_failing_edge``).  ``reference_instance_stats`` builds the
+corpus entry from them, and ``reference_is_in_Ck`` and
+``chromatic_number_by_blocks`` use them too, so no pin compares the
+certifier with itself.
 """
 
 from __future__ import annotations
@@ -579,7 +586,10 @@ def reference_classify(g: Hypergraph) -> cls.ClassifyOutcome:
         return cls.classify(g)
     phi = col.find_k_coloring(g, lam)
     if phi is not None:
-        return cls.ClassifyOutcome(lam, cls._chi_below(g, lam), "colorable", coloring=phi)
+        chi = lam  # scanned down, as the classifier did
+        while chi > 1 and col.find_k_coloring(g, chi - 1) is not None:
+            chi -= 1
+        return cls.ClassifyOutcome(lam, chi, "colorable", coloring=phi)
     for b in sorted((b for b in conn.blocks(g) if b.edge_refs), key=lambda b: -b.edge_refs[0]):
         cert = cls._build_certificate(b.graph(g), lam, b.vertices)
         if cert is not None:
@@ -619,12 +629,76 @@ def reference_decompose_mixed(g: Hypergraph, v_star: int, e_star: int) -> MixedD
     return MixedDecomposition(spec, old1, old2, v_star, e_star)
 
 
+def reference_chromatic_number(g: Hypergraph, force: bool = False) -> int:
+    """chi by search alone, from the clique bound up, refusing n > 24
+    unless force is set."""
+    if g.n == 0:
+        return 0
+    if g.m == 0:
+        return 1
+    if g.n > col.CHI_GUARD_N and not force:
+        raise col.GuardExceeded(f"exact chi refuses n={g.n} > {col.CHI_GUARD_N} without force")
+    k = max(2, col._clique_lower_bound(g))
+    while col.find_k_coloring(g, k) is None:
+        k += 1
+    return k
+
+
+def chromatic_number_by_blocks(g: Hypergraph, force: bool = False) -> int:
+    """Max of the searched chi over the blocks."""
+    if g.n == 0:
+        return 0
+    return max(reference_chromatic_number(b.graph(g), force=force) for b in conn.blocks(g))
+
+
+def reference_failing_edge(g: Hypergraph, k: int) -> int | None:
+    """The first edge ref whose deletion leaves g without a k-coloring,
+    by one search on each derived G - e."""
+    for ref in range(g.m):
+        if col.find_k_coloring(g.delete_edge(ref), k) is None:
+            return ref
+    return None
+
+
+def reference_is_critical(g: Hypergraph, k_plus_1: int, force: bool = False) -> col.CriticalityReport:
+    """The criticality report by search alone: connected, chi = k+1 by
+    ``reference_chromatic_number``, and the first edge whose deletion
+    keeps chi by ``reference_failing_edge``."""
+    if k_plus_1 < 1:
+        raise ValueError("target chromatic number must be >= 1")
+    if not conn.is_connected(g):
+        return col.CriticalityReport(False, -1, reason="not connected")
+    chi = reference_chromatic_number(g, force=force)
+    if chi != k_plus_1:
+        return col.CriticalityReport(False, chi, reason=f"chi is {chi}, not {k_plus_1}")
+    ref = reference_failing_edge(g, chi - 1) if chi > 1 else None
+    if ref is not None:
+        return col.CriticalityReport(False, chi, failing_edge=ref, reason="edge deletion keeps chi")
+    return col.CriticalityReport(True, chi)
+
+
+def reference_instance_stats(g: Hypergraph, force: bool = False) -> dict:
+    """The corpus entry from the searched chi, lambda from the flows
+    and the searched criticality report."""
+    stats: dict = {"n": g.n, "m": g.m}
+    try:
+        chi = reference_chromatic_number(g, force=force)
+    except col.GuardExceeded:
+        return stats
+    stats["chi"] = chi
+    stats["lambda"] = conn.max_local_edge_connectivity(g)
+    if chi >= 1:
+        critical = reference_is_critical(g, chi, force=True).is_critical
+        stats["critical_k"] = chi if critical else None
+    return stats
+
+
 def reference_is_in_Ck(g: Hypergraph, k: int, force: bool = False) -> bool:
     """Semantic membership oracle: (k+1)-critical with local edge
-    connectivity at most k.  Only k >= 3 is decided."""
+    connectivity at most k, both by search.  Only k >= 3 is decided."""
     if k < 3:
         raise ValueError("membership is only decided for k >= 3")
-    if not col.is_critical(g, k + 1, force=force).is_critical:
+    if not reference_is_critical(g, k + 1, force=force).is_critical:
         return False
     return conn.max_local_edge_connectivity(g) <= k
 

@@ -44,7 +44,7 @@ def test_criterion_01_connectivity_bound_on_random_instances():
     rng = random.Random(20240824)
     for _ in range(1000):
         g = corp.random_hypergraph(rng, 12, sizes=(2, 3, 4))
-        chi = col.chromatic_number(g)
+        chi = oracles.reference_chromatic_number(g)
         lam = conn.max_local_edge_connectivity(g)
         assert chi <= lam + 1, f"bound violated on {g}"
 
@@ -53,7 +53,7 @@ def test_criterion_02_main_theorem_equivalence():
     def check(g):
         if not conn.is_connected(g):
             return
-        chi = col.chromatic_number(g)
+        chi = oracles.reference_chromatic_number(g)
         lam = conn.max_local_edge_connectivity(g)
         lhs = lam >= 3 and chi == lam + 1
         rhs = lam >= 3 and any(
@@ -89,7 +89,7 @@ def test_criterion_04_both_joins_of_two_k4():
     for include in (True, False):
         j = cons.figure1_join(include)
         assert (j.graph.n, j.graph.m) == (7, 11)
-        assert col.is_critical(j.graph, 4).is_critical
+        assert oracles.reference_is_critical(j.graph, 4).is_critical
         assert conn.max_local_edge_connectivity(j.graph) == 3
 
 
@@ -97,15 +97,15 @@ def test_criterion_05_toft_dense_graphs():
     t1 = cons.toft_graph(1)
     assert (t1.n, t1.m) == (12, 21)
     assert t1.m == t1.n**2 // 16 + t1.n
-    assert col.is_critical(t1, 4).is_critical
+    assert oracles.reference_is_critical(t1, 4).is_critical
     t2 = cons.toft_graph(2)
     assert (t2.n, t2.m) == (20, 45)
-    assert col.is_critical(t2, 4, force=True).is_critical
+    assert oracles.reference_is_critical(t2, 4, force=True).is_critical
 
 
 def test_criterion_06_tree_family_member_without_small_separators():
     g = cons.figure3()
-    assert col.is_critical(g, 3).is_critical
+    assert oracles.reference_is_critical(g, 3).is_critical
     assert conn.max_local_edge_connectivity(g) == 2
     assert conn.is_connected(g)
     assert conn.enumerate_separating_sets(g, 2) == []
@@ -130,9 +130,9 @@ def test_criterion_08_edge_cut_decomposition_on_4_critical_instances():
         cuts = [c for c in conn.minimal_separating_edge_sets(g, 3) if len(c.f) == 3]
         for cut in cuts[:12]:
             dec = cons.decompose_edge_cut(g, 3, cut.f, check_critical=False)
-            assert col.is_critical(dec.g2, 4).is_critical
+            assert oracles.reference_is_critical(dec.g2, 4).is_critical
             if dec.g1 is not None:
-                assert col.is_critical(dec.g1, 4).is_critical
+                assert oracles.reference_is_critical(dec.g1, 4).is_critical
             exercised += 1
     assert exercised >= 10
 
@@ -147,8 +147,8 @@ def test_criterion_09_vertex_pair_decomposition_on_4_critical_instances():
             continue
         # criticality of both derived graphs and the coloring dichotomy
         # are asserted inside; re-verify the headline facts here
-        assert col.is_critical(dec.g1_prime, 4).is_critical
-        assert col.is_critical(dec.g2_prime, 4).is_critical
+        assert oracles.reference_is_critical(dec.g1_prime, 4).is_critical
+        assert oracles.reference_is_critical(dec.g2_prime, 4).is_critical
         decomposed += 1
     assert decomposed >= 2
 
@@ -203,7 +203,7 @@ def test_criterion_11_low_vertex_splitting():
                 if "duplicate edge" in str(exc):
                     continue  # collision: spec forbids multi-edges; resample
                 raise
-            assert col.is_critical(res.graph, k + 1).is_critical
+            assert oracles.reference_is_critical(res.graph, k + 1).is_critical
             f = res.graph.boundary(range(g1.n))
             assert len(f) == k and conn.is_separating_edge_set(res.graph, f)
             done += 1
@@ -217,7 +217,7 @@ def test_criterion_11_low_vertex_splitting():
     }
     rebuilt = cons.split_vertex(g2, 8, 2, s).graph
     assert rebuilt == cons.figure2_g1()
-    assert col.is_critical(rebuilt, 4).is_critical
+    assert oracles.reference_is_critical(rebuilt, 4).is_critical
 
 
 def test_criterion_12_tree_hyperedge_family():
@@ -234,5 +234,5 @@ def test_criterion_12_tree_hyperedge_family():
     assert len(plans) == 10
     for arms, depth in plans:
         g = cons.c2_tree(spider(arms, depth))
-        assert col.is_critical(g, 3).is_critical, (arms, depth)
+        assert oracles.reference_is_critical(g, 3).is_critical, (arms, depth)
         assert conn.max_local_edge_connectivity(g) == 2, (arms, depth)

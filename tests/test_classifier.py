@@ -320,7 +320,7 @@ class TestFirstMixedPair:
             cls.hk_certificate(g, k)
         joins = 0
         verdicts = collections.Counter()
-        for g, k, certified in nodes:
+        for g, k, certified in list(nodes):
             member = certified or conn.is_connected(g) and oracles.reference_is_in_Ck(g, k)
             assert certified == member, (k, g)
             verdicts[member] += 1
@@ -783,13 +783,13 @@ class TestClassify:
 
     def test_h2_hint_proves_chi_once_per_block(self, monkeypatch):
         calls = []
-        chromatic_number = col.chromatic_number
+        search = col._chi_by_search
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return chromatic_number(*args, **kwargs)
+            return search(*args, **kwargs)
 
-        monkeypatch.setattr(col, "chromatic_number", counted)
+        monkeypatch.setattr(col, "_chi_by_search", counted)
         assert cls.classify(cons.hyperwheel(4), h2_info=True).h2_closure is True
         # classify's chi, then extract_critical's check and component loop
         assert len(calls) == 3
@@ -1009,6 +1009,31 @@ class TestLambdaOfCertifiedBlocks:
             assert cls.classify(g).lam == conn.max_local_edge_connectivity(g), g
         assert min(certified[k] for k in (3, 4, 5)) >= 20, certified
 
+    def test_flows_run_first_when_a_block_fails_the_filter(self, monkeypatch):
+        """A block that fails the counting filter leaves lambda to the
+        flows anyway, so they run first and only blocks whose class is
+        lambda are certified; the tight block stays the first certified
+        at lambda, as in the classifier that certified every block."""
+        built = []
+        real = cls._build_certificate
+
+        def recorded(g, k, ids):
+            built.append(k)
+            return real(g, k, ids)
+
+        monkeypatch.setattr(cls, "_build_certificate", recorded)
+        flows_first = 0
+        for seed in range(120):
+            g = glued_instance(random.Random(seed))
+            multi = [b for b in conn.blocks(g) if len(b.edge_refs) > 1]
+            built.clear()
+            out = cls.classify(g)
+            if any(cls._candidate_class(len(b.vertices), len(b.edge_refs)) is None for b in multi):
+                flows_first += 1
+                assert set(built) <= {out.lam}, (seed, built, out.lam)
+            assert out == oracles.reference_classify(g), seed
+        assert flows_first >= 40, flows_first
+
     def test_candidate_class_is_the_only_k_the_filter_passes(self):
         for n in range(2, 40):
             for m in range(2, n * (n - 1) // 2 + 1):
@@ -1059,9 +1084,9 @@ def test_three_way_agreement_sampled():
         seen += 1
         semantic = oracles.reference_is_in_Ck(g, 3)
         direct = (
-            col.chromatic_number(g) == 4
+            oracles.reference_chromatic_number(g) == 4
             and conn.max_local_edge_connectivity(g) == 3
-            and col.is_critical(g, 4).is_critical
+            and oracles.reference_is_critical(g, 4).is_critical
         )
         cert = cls.hk_certificate(g, 3)
         assert semantic == direct == (cert is not None)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ from hyperchrome import constructions as cons
 from hyperchrome import corpus
 from hyperchrome.hypercore import Hypergraph
 
-from conftest import hypergraphs
+from conftest import hypergraphs, random_nested_join
 
 
 # a join of two K4 leaves at vertex 3, as a user's certificate file holds it
@@ -347,6 +348,26 @@ class TestErrorPaths:
         code, payload = run_json(capsys, ["classify", write_hgr(tmp_path, g)])
         assert code == 0
         assert (payload["lambda"], payload["chi"], payload["verdict"]) == (1, 2, "small-lambda")
+
+
+    @pytest.mark.parametrize("verb", [["chi"], ["critical", "-k", "5"]])
+    def test_theorem_decided_chi_and_critical_need_no_force(self, tmp_path, capsys, verb):
+        """A k = 4 nested join with n = 41 is in the class at 4, so chi = 5
+        and it is 5-critical by the theorem; the guarded search, which
+        took minutes on it, does not run."""
+        g = random_nested_join(random.Random(1), 4, 41, 10**6)
+        assert g.n == 41
+        code, payload = run_json(capsys, [verb[0], write_hgr(tmp_path, g), *verb[1:]])
+        assert code == 0
+        assert payload["chi"] == 5
+        if verb[0] == "critical":
+            assert payload["critical"] and payload["failing_edge"] is None
+
+    def test_undecided_input_keeps_the_guard(self, tmp_path, capsys):
+        path = write_hgr(tmp_path, cons.cycle(31))
+        assert cli.main(["critical", path, "-k", "3"]) == 3
+        code, payload = run_json(capsys, ["critical", path, "-k", "3", "--force"])
+        assert code == 0 and payload["critical"]
 
 
 class TestPipelines:

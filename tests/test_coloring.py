@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from unittest import mock
@@ -6,12 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperchrome.hypercore import Hypergraph
+from hyperchrome import classifier as cls
 from hyperchrome import coloring as col
 from hyperchrome import constructions as cons
 from hyperchrome import corpus
 from hyperchrome.connectivity import is_connected
 
-from conftest import hypergraphs, random_nested_join
+from conftest import hypergraphs, perturb, random_nested_join
 import oracles
 
 
@@ -95,7 +97,7 @@ class TestChromaticNumber:
     @given(hypergraphs(min_n=1, max_n=6))
     @settings(max_examples=40, deadline=None)
     def test_block_decomposition_agrees(self, g):
-        assert col.chromatic_number_by_blocks(g) == col.chromatic_number(g)
+        assert oracles.chromatic_number_by_blocks(g) == col.chromatic_number(g)
 
 
 class TestEnumeration:
@@ -479,19 +481,31 @@ class TestCriticalityPinned:
         assert sum(r.reason == "not connected" for r in reports) >= 2
 
     def test_instance_stats_proves_chi_once(self, monkeypatch):
-        calls = []
-        real = col.chromatic_number
-        monkeypatch.setattr(col, "chromatic_number", lambda g, **kw: calls.append(g) or real(g, **kw))
+        """One decision of the classifier per instance, and no separate
+        chi or criticality call."""
+        calls = collections.Counter()
+
+        def count(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for owner, name in [(cls, "_decide"), (col, "chromatic_number"), (col, "is_critical")]:
+            count(owner, name)
         rng = random.Random(3)
         graphs = list(corpus.named_families().values())
         graphs += [corpus.random_hypergraph(rng, 8) for _ in range(20)]
         for g in graphs:
             calls.clear()
             stats = corpus.instance_stats(g)
-            assert len(calls) == 1
+            assert calls == {"_decide": 1}
             chi = stats["chi"]
             if chi >= 1:
-                report = col.is_critical(g, chi)
+                report = oracles.reference_is_critical(g, chi)
                 assert stats["critical_k"] == (chi if report.is_critical else None)
 
 
@@ -572,7 +586,7 @@ class TestWitnessWalk:
 
     @staticmethod
     def _searches(monkeypatch, g):
-        """The G - e searches of one is_critical call on a critical g."""
+        """The G - e searches of the per-edge test on a critical g."""
         chi = col.chromatic_number(g, force=True)
         skipped = []
         real = col._colorings
@@ -583,7 +597,7 @@ class TestWitnessWalk:
             return real(*args, skip=skip, **kw)
 
         monkeypatch.setattr(col, "_colorings", counted)
-        assert col.is_critical(g, chi, force=True).is_critical
+        assert col._critical_at_chi(g, chi).is_critical
         return skipped
 
     @pytest.mark.parametrize(
@@ -603,3 +617,123 @@ class TestWitnessWalk:
     @pytest.mark.usefixtures("default_recursion_limit")
     def test_long_odd_cycle_needs_one_search(self, monkeypatch):
         assert self._searches(monkeypatch, cons.cycle(1001)) == [0]
+
+
+def _theorem_inputs():
+    """Seeded nested joins for k = 3, 4 and 5, one perturbation of each,
+    and the corpus named families."""
+    out = []
+    for k, n_max in ((3, 20), (4, 17), (5, 16)):
+        for seed in range(8):
+            rng = random.Random(100 * k + seed)
+            g = random_nested_join(rng, k, n_max, rng.randint(0, 4))
+            out += [g, perturb(rng, g)]
+    return out + list(corpus.named_families().values())
+
+
+class TestChiAndCriticalityFromTheTheorem:
+    """A block certified at lambda >= 3 gives chi = lambda + 1 with no
+    search, and g is critical when that block is all of g; pinned to the
+    search-only references in ``oracles``, which reach no certifier."""
+
+    @given(hypergraphs(max_n=7, sizes=(2, 3, 4)))
+    @settings(max_examples=120, deadline=None)
+    def test_chromatic_number_matches_the_search(self, g):
+        assert col.chromatic_number(g) == oracles.reference_chromatic_number(g)
+
+    @given(hypergraphs(max_n=7, sizes=(2, 3, 4)))
+    @settings(max_examples=120, deadline=None)
+    def test_is_critical_matches_the_search(self, g):
+        chi = oracles.reference_chromatic_number(g)
+        for k_plus_1 in {max(1, chi - 1), max(1, chi), chi + 1}:
+            assert col.is_critical(g, k_plus_1) == oracles.reference_is_critical(g, k_plus_1)
+
+    @given(hypergraphs(max_n=7, sizes=(2, 3, 4)))
+    @settings(max_examples=120, deadline=None)
+    def test_instance_stats_matches_the_search(self, g):
+        assert corpus.instance_stats(g) == oracles.reference_instance_stats(g)
+
+    def test_joins_and_named_families(self):
+        verdicts = collections.Counter()
+        for g in _theorem_inputs():
+            chi = oracles.reference_chromatic_number(g, force=True)
+            assert col.chromatic_number(g, force=True) == chi, g
+            for k_plus_1 in {max(1, chi - 1), chi, chi + 1}:
+                report = col.is_critical(g, k_plus_1, force=True)
+                assert report == oracles.reference_is_critical(g, k_plus_1, force=True), g
+                verdicts[report.is_critical, report.failing_edge is not None] += 1
+            assert corpus.instance_stats(g) == oracles.reference_instance_stats(g), g
+        assert verdicts[True, False] >= 30 and verdicts[False, True] >= 10, verdicts
+
+    def test_instance_stats_on_seeded_random_hypergraphs(self):
+        rng = random.Random(17)
+        critical = collections.Counter()
+        for _ in range(400):
+            g = corpus.random_hypergraph(rng, 10)
+            stats = corpus.instance_stats(g)
+            assert stats == oracles.reference_instance_stats(g), g
+            critical[stats.get("critical_k")] += 1
+        assert critical[None] >= 100 and critical[2] + critical[3] >= 20, critical
+
+    def test_preset_failing_edge_matches_the_full_search(self):
+        found = 0
+        for g in _perturbations() + _critical_inputs():
+            if not is_connected(g) or g.m == 0:
+                continue
+            k = oracles.reference_chromatic_number(g, force=True) - 1
+            ref = col._failing_edge(g, k)
+            assert ref == oracles.reference_failing_edge(g, k), g
+            found += ref is not None
+        assert found >= 70
+
+    @staticmethod
+    def _refuse_search(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a coloring search ran")
+
+        monkeypatch.setattr(col, "_colorings", refuse)
+
+    @pytest.mark.parametrize(
+        "g,chi",
+        [(cons.complete_graph(9), 9)] + [(cons.odd_wheel(rim), 4) for rim in range(5, 20, 2)],
+    )
+    def test_members_run_no_coloring_search(self, monkeypatch, g, chi):
+        self._refuse_search(monkeypatch)
+        assert col.chromatic_number(g) == chi
+        assert col.is_critical(g, chi) == col.CriticalityReport(True, chi)
+
+    def test_decided_inputs_pass_the_guard(self, monkeypatch):
+        """Each took minutes by search, or was refused without force."""
+        wheel = cons.odd_wheel(29)
+        join = random_nested_join(random.Random(1), 4, 41, 10**6)
+        assert min(wheel.n, join.n) > col.CHI_GUARD_N and join.n == 41
+        self._refuse_search(monkeypatch)
+        assert col.chromatic_number(wheel) == 4
+        assert col.chromatic_number(join) == 5
+        assert col.is_critical(join, 5).is_critical
+        assert not col.is_critical(join, 4).is_critical
+
+    def test_undecided_inputs_keep_the_guard(self):
+        g = Hypergraph.of(31, list(cons.odd_wheel(5).edges) + [(i, i + 1) for i in range(5, 30)])
+        assert col.chromatic_number(g) == 4  # the wheel block certifies
+        for h in (cons.cycle(31), g.delete_edge(0)):
+            with pytest.raises(col.GuardExceeded):
+                col.chromatic_number(h)
+            with pytest.raises(col.GuardExceeded):
+                col.is_critical(h, 3)
+
+    @given(hypergraphs(max_n=7, sizes=(2, 3)))
+    @settings(max_examples=60, deadline=None)
+    def test_preset_search_finds_a_coloring_iff_one_exists(self, g):
+        """With e's vertices preset to color 1 and color 1 counted as
+        used, the search of G - e finds a coloring iff G - e has one in
+        which e is monochromatic."""
+        for ref, e in enumerate(g.edges):
+            for k in (2, 3):
+                phi = next(col._colorings(g, k, _degree_order(g, ref), dict.fromkeys(e, 1),
+                                          True, skip=ref), None)
+                preset = oracles.reference_find_k_coloring(
+                    g.delete_edge(ref), k, dict.fromkeys(e, 1))
+                assert (phi is None) == (preset is None), (g, ref, k)
+                if phi is not None:
+                    assert phi.is_valid_for(g.delete_edge(ref)) and set(phi.colors[v] for v in e) == {1}

@@ -234,9 +234,8 @@ class TestPrunedLambda:
         assert conn.local_edge_connectivity(cons.complete_graph(7), 0, 1).value == 6
         assert searches == [True] * 6 + [False]
 
-    def test_path_prunes_only_its_ends(self, monkeypatch):
-        # every inner vertex has degree 2 > lambda = 1: the prefix holds
-        # all of them, and only the two ends are pruned
+    def test_path_runs_no_flow(self, monkeypatch):
+        # every block is one edge, so lambda = 1 without a flow
         flows = []
         max_flow = conn._FlowNet.max_flow
 
@@ -246,7 +245,25 @@ class TestPrunedLambda:
 
         monkeypatch.setattr(conn._FlowNet, "max_flow", counted)
         assert conn.max_local_edge_connectivity(_path(12)) == 1
-        assert len(flows) == 9
+        assert flows == []
+
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_hyperforests_run_no_flow(self, monkeypatch, seed):
+        """Every block has at most one edge, so lambda = min(m, 1) without
+        a flow; pinned to per-pair flows of the replaced kernel."""
+        rng = random.Random(seed)
+        n, edges = 1, []
+        for _ in range(rng.randint(0, 6)):
+            grow = rng.choice([1, 1, 2])
+            edges.append((rng.randrange(n), *range(n, n + grow)))
+            n += grow
+        g = Hypergraph.of(n + rng.randint(0, 2), edges)
+        want = max(oracles.reference_pair_lambdas(g), default=0)
+        built = []
+        monkeypatch.setattr(conn._FlowNet, "__init__", lambda net, g: built.append(g))
+        assert conn.max_local_edge_connectivity(g) == want == min(g.m, 1)
+        assert built == []
 
 
 class TestFlowKernel:
