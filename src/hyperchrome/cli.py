@@ -51,8 +51,10 @@ def _cmd_color(args) -> int:
 
 def _cmd_critical(args) -> int:
     """The criticality report for chi = k.  An input in the class at
-    k - 1 >= 3 is critical by the theorem; on any other input chi is
-    searched, and past n = 24 only with --force (exit 3 without)."""
+    k - 1 >= 3 is critical by the theorem, and one with a block in the
+    class at lambda >= 3 has chi = lambda + 1.  Any other answer needs
+    a search, which past n = 24 runs only with --force (exit 3
+    without): chi's, or the first failing edge's when chi = k."""
     report = col.is_critical(_read_graph(args.file), args.k, force=args.force)
     _emit(
         {

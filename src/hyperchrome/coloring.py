@@ -104,19 +104,46 @@ def chromatic_number(g: Hypergraph, force: bool = False) -> int:
     return _chi(g, force)[0]
 
 
-def _chi(g: Hypergraph, force: bool) -> tuple[int, bool]:
-    """(chi, member): chi of g, and whether g itself is in the class at
-    chi - 1 >= 3, so chi-critical.  The classifier's decision gives
-    both when a block certifies; it runs no flow when none does, and
-    then the search runs as ``_chi_by_search`` says."""
-    if g.m == 0:
-        return min(g.n, 1), False
+def chi_lambda_critical(g: Hypergraph, force: bool = False) -> tuple[int, int, bool]:
+    """(chi, lambda, critical): chi and lambda of g, and whether g is
+    chi-critical, from one decision of the classifier (see ``_chi``).
+    When the theorem does not decide g, a critical g with chi <= 2 is a
+    single vertex or edge, and the per-edge test runs only on a g with
+    chi >= 3 that can be critical: 2-connected, with minimum degree at
+    least chi - 1.  ``is_critical`` cannot skip it so, since it reports
+    the first failing edge.  Past n = 24 without force, an input the
+    theorem does not decide raises GuardExceeded before any flow runs."""
+    chi, lam, critical = _chi(g, force, need_lam=True)
+    if critical is None:
+        if chi <= 2:
+            critical = g.n == 1 if chi == 1 else g.m == 1 and len(g.edges[0]) == g.n
+        else:
+            critical = (
+                min(map(len, g.incidence)) >= chi - 1
+                and len(blocks(g)) == 1
+                and _critical_at_chi(g, chi).is_critical
+            )
+    return chi, lam, critical
+
+
+def _chi(
+    g: Hypergraph, force: bool, need_lam: bool = False
+) -> tuple[int, int | None, bool | None]:
+    """(chi, lambda, critical) from the classifier's decision.  When a
+    block certifies at lambda >= 3, chi = lambda + 1 with no search and
+    no size guard, and critical says whether that block is all of g: g
+    is then in the class, so chi-critical, or has a proper subgraph with
+    its chi, so is not.  Otherwise critical is None and chi is searched
+    as ``_chi_by_search`` says, below the bound lambda gives.  lambda is
+    None when no block certifies and ``need_lam`` is false, and no flow
+    runs then; nor past the size guard without force, where the search
+    will refuse."""
     from .classifier import _decide, _is_all_of  # the classifier imports this module
 
-    lam, tight = _decide(g, need_lam=False)
+    lam, tight = _decide(g, need_lam and (force or g.n <= CHI_GUARD_N))
     if tight is not None:
-        return lam + 1, _is_all_of(tight[1], g)
-    return _chi_by_search(g, force, lam), False
+        return lam + 1, lam, _is_all_of(tight[1], g)
+    return _chi_by_search(g, force, lam), lam, None
 
 
 def _chi_by_search(g: Hypergraph, force: bool = False, lam: int | None = None) -> int:
@@ -422,17 +449,21 @@ def _witnesses(g: Hypergraph, k: int, colors: list[int], ref: int, witnessed: li
 def is_critical(g: Hypergraph, k_plus_1: int, force: bool = False) -> CriticalityReport:
     """(k+1)-criticality via the per-edge test: connected, chi = k+1,
     and chi(G - e) <= k for every edge.  A g in the class at k >= 3 is
-    critical by the theorem, with no search and no size guard; on any
-    other g, chi's search refuses n > 24 unless force is set."""
+    critical by the theorem, and a g with a block in the class at
+    lambda >= 3 has chi = lambda + 1, with no search and no size guard.
+    Any other answer needs a search, which refuses n > 24 unless force
+    is set: chi's, or the per-edge test's for the first failing edge."""
     if k_plus_1 < 1:
         raise ValueError("target chromatic number must be >= 1")
     if not is_connected(g):
         return CriticalityReport(False, -1, reason="not connected")
-    chi, member = _chi(g, force)
+    chi, _, critical = _chi(g, force)
     if chi != k_plus_1:
         return CriticalityReport(False, chi, reason=f"chi is {chi}, not {k_plus_1}")
-    if member:
+    if critical:
         return CriticalityReport(True, chi)
+    if g.n > CHI_GUARD_N and not force:
+        raise GuardExceeded(f"the per-edge test refuses n={g.n} > {CHI_GUARD_N} without force")
     return _critical_at_chi(g, chi)
 
 

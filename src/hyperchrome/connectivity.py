@@ -342,14 +342,16 @@ def max_local_edge_connectivity(g: Hypergraph) -> int:
     at most the best value so far: every pair with an endpoint from
     there on is bounded by that degree.  Two edge-disjoint paths close
     a cycle, which lies in one block, so without a block of two or more
-    edges lambda is min(m, 1) and no flow runs; the blocks are those
-    cached on the value."""
-    if all(len(b.edge_refs) < 2 for b in _whole_graph_blocks(g)[0]):
+    edges lambda is min(m, 1) and no flow runs.  That is when the
+    vertex-edge incidence graph is a forest: its sum(|e|) edges are its
+    n + m nodes less its components, which are g's."""
+    comps = components(g)
+    if sum(map(len, g.edges)) == g.n + g.m - len(comps):
         return min(g.m, 1)
     deg = [len(refs) for refs in g.incidence]
     net = _FlowNet(g)
     best = 0
-    for comp in components(g):
+    for comp in comps:
         order = _degree_order(comp, deg)
         flows = _tree_flows(net, order, deg)
         for s in order[1:]:

@@ -8,9 +8,7 @@ import random
 from pathlib import Path
 
 from .hypercore import Hypergraph
-from . import classifier as cls
 from . import coloring as col
-from . import connectivity as conn
 from . import constructions as cons
 
 
@@ -83,29 +81,14 @@ KNOWN = {
 
 def instance_stats(g: Hypergraph, force: bool = False) -> dict:
     """n, m, chi, lambda and critical_k (chi when g is chi-critical,
-    else None) from one decision of the classifier.  A block certified
-    at lambda gives chi = lambda + 1, and g is critical iff that block
-    is all of g.  Otherwise chi is searched, within the bound lambda
-    gives, and past n = 24 only with force (without, only n and m are
-    reported).  A critical g with chi >= 3 is 2-connected and has
-    minimum degree at least chi - 1, and one with chi <= 2 is a single
-    edge or vertex, so the per-edge test runs only on such g."""
+    else None) from one decision of the classifier
+    (``coloring.chi_lambda_critical``).  Past n = 24 without force, an
+    input the theorem does not decide gets n and m only."""
     stats: dict = {"n": g.n, "m": g.m}
-    lam, tight = cls._decide(g, need_lam=True)
-    if tight is not None:
-        chi = lam + 1
-        critical = cls._is_all_of(tight[1], g)
-    else:
-        try:
-            chi = col._chi_by_search(g, force, lam)
-        except col.GuardExceeded:
-            return stats
-        critical = (
-            chi >= 1
-            and len(conn.blocks(g)) == 1
-            and min(map(len, g.incidence)) >= chi - 1
-            and col._critical_at_chi(g, chi).is_critical
-        )
+    try:
+        chi, lam, critical = col.chi_lambda_critical(g, force)
+    except col.GuardExceeded:
+        return stats
     stats["chi"] = chi
     stats["lambda"] = lam
     if chi >= 1:

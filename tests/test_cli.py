@@ -363,6 +363,18 @@ class TestErrorPaths:
         if verb[0] == "critical":
             assert payload["critical"] and payload["failing_edge"] is None
 
+    def test_tight_block_short_of_the_input_keeps_the_edge_guard(self, tmp_path, capsys):
+        """chi = 5 comes from the join block, but the first failing edge
+        of the join with a pendant edge needs the guarded search."""
+        join = random_nested_join(random.Random(1), 4, 41, 10**6)
+        path = write_hgr(tmp_path, Hypergraph.of(42, list(join.edges) + [(0, 41)]))
+        assert cli.main(["critical", path, "-k", "5"]) == 3
+        assert "refuses n=42" in capsys.readouterr().err
+        code, payload = run_json(capsys, ["critical", path, "-k", "4"])
+        assert code == 1 and payload["chi"] == 5 and not payload["critical"]
+        code, payload = run_json(capsys, ["chi", path])
+        assert code == 0 and payload["chi"] == 5
+
     def test_undecided_input_keeps_the_guard(self, tmp_path, capsys):
         path = write_hgr(tmp_path, cons.cycle(31))
         assert cli.main(["critical", path, "-k", "3"]) == 3

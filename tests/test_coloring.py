@@ -11,6 +11,7 @@ from hyperchrome import classifier as cls
 from hyperchrome import coloring as col
 from hyperchrome import constructions as cons
 from hyperchrome import corpus
+from hyperchrome import connectivity as conn
 from hyperchrome.connectivity import is_connected
 
 from conftest import hypergraphs, perturb, random_nested_join
@@ -721,6 +722,35 @@ class TestChiAndCriticalityFromTheTheorem:
                 col.chromatic_number(h)
             with pytest.raises(col.GuardExceeded):
                 col.is_critical(h, 3)
+
+    def test_a_tight_block_short_of_g_keeps_the_edge_guard(self, monkeypatch):
+        """The theorem gives chi when a certified block is not all of g,
+        but not the first failing edge, which only a search finds."""
+        join = random_nested_join(random.Random(1), 4, 41, 10**6)
+        pendant = Hypergraph.of(42, list(join.edges) + [(0, 41)])
+        wheel_path = Hypergraph.of(31, list(cons.odd_wheel(5).edges) + [(i, i + 1) for i in range(5, 30)])
+        self._refuse_search(monkeypatch)
+        for g, chi, lam in ((pendant, 5, 4), (wheel_path, 4, 3)):
+            assert col.chromatic_number(g) == chi
+            assert col.is_critical(g, chi - 1) == col.CriticalityReport(
+                False, chi, reason=f"chi is {chi}, not {chi - 1}")
+            with pytest.raises(col.GuardExceeded):
+                col.is_critical(g, chi)
+            with pytest.raises(col.GuardExceeded):
+                col.require_critical(g, chi - 1)
+            assert corpus.instance_stats(g) == {
+                "n": g.n, "m": g.m, "chi": chi, "lambda": lam, "critical_k": None}
+
+    def test_undecided_stats_past_the_guard_run_no_flow(self, monkeypatch):
+        """Without force, an input the theorem does not decide gets n and
+        m only, and the flows that lambda would need do not run."""
+        built = []
+        monkeypatch.setattr(conn._FlowNet, "__init__", lambda net, g: built.append(g))
+        toft_path = Hypergraph.of(
+            30, list(cons.toft_graph(1).edges) + [(i, i + 1) for i in range(11, 29)])
+        for g in (cons.cycle(31), toft_path):
+            assert corpus.instance_stats(g) == {"n": g.n, "m": g.m}
+        assert built == []
 
     @given(hypergraphs(max_n=7, sizes=(2, 3)))
     @settings(max_examples=60, deadline=None)

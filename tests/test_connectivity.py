@@ -265,6 +265,15 @@ class TestPrunedLambda:
         assert conn.max_local_edge_connectivity(g) == want == min(g.m, 1)
         assert built == []
 
+    @given(hypergraphs(max_n=8, sizes=(2, 3, 4)))
+    @settings(max_examples=150, deadline=None)
+    def test_forest_count_is_the_one_edge_blocks(self, g):
+        """The incidence graph is a forest, by counting, iff no block has
+        two edges, so lambda takes the shortcut exactly then."""
+        forest = sum(map(len, g.edges)) == g.n + g.m - len(conn.components(g))
+        assert forest == all(len(b.edge_refs) < 2 for b in conn.blocks(g))
+        assert conn.max_local_edge_connectivity(g) == max(oracles.reference_pair_lambdas(g), default=0)
+
 
 class TestFlowKernel:
     """The flat-array kernel is pinned to the network and search it
