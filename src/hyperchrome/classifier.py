@@ -307,12 +307,18 @@ def extract_critical(g: Hypergraph, target_chi: int, force: bool = False) -> Rel
 
     One pass over the edges suffices: an edge kept because deleting it
     allows a smaller coloring stays needed after later deletions, since
-    deleting more edges only makes a coloring easier to find."""
+    deleting more edges only makes a coloring easier to find.  The scan
+    runs one coloring search per edge, so past n = 24 it refuses
+    without force, even when the theorem gave chi with no search."""
     if col.chromatic_number(g, force=force) != target_chi:
         raise ValueError(f"chromatic number is not {target_chi}")
     if target_chi <= 1:
         sub, old = g.induced(range(min(g.n, 1)))
         return Relabeled(sub, old)
+    if g.n > col.CHI_GUARD_N and not force:
+        raise col.GuardExceeded(
+            f"critical extraction refuses n={g.n} > {col.CHI_GUARD_N} without force"
+        )
     cur = g
     ref = 0
     while ref < cur.m:

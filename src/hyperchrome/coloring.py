@@ -33,16 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hypercore import Hypergraph
-from .connectivity import blocks, bridges, enumerate_separating_sets, is_connected
-from .shapes import is_complete_graph, is_hyperwheel, is_odd_cycle, is_odd_wheel, is_single_edge
+from .connectivity import GuardExceeded, blocks, bridges, is_connected
+from .shapes import is_complete_graph, is_odd_cycle, is_single_edge
 
 CHI_GUARD_N = 24
 ENUM_GUARD = 10**8
-CUT_GUARD = 10**4  # edge subsets tested by connectivity.minimal_separating_edge_sets
-
-
-class GuardExceeded(RuntimeError):
-    """Search-space guard tripped; pass force/limit to override."""
 
 
 @dataclass(frozen=True)
@@ -592,37 +587,4 @@ def verify_gallai_lemma(g: Hypergraph, k: int, force: bool = False) -> GallaiLem
         )
     return GallaiLemmaReport(
         low, high, forest_ok, traces_distinct, bridges_ok, no_high_shape_ok
-    )
-
-
-@dataclass(frozen=True)
-class OneHighVertexReport:
-    has_separating_pair: bool
-    is_hyperwheel_case: bool
-    is_odd_wheel_case: bool
-
-    @property
-    def exactly_one(self) -> bool:
-        return (
-            int(self.has_separating_pair)
-            + int(self.is_hyperwheel_case)
-            + int(self.is_odd_wheel_case)
-        ) == 1
-
-
-def verify_one_high_vertex_lemma(
-    g: Hypergraph, k: int, force: bool = False
-) -> OneHighVertexReport:
-    """For a (k+1)-critical hypergraph with exactly one high vertex:
-    exactly one of {separating pair exists, k=2 hyperwheel, k=3 odd
-    wheel} holds."""
-    low, high = low_high_partition(g, k, force=force)
-    if len(high) != 1:
-        raise ValueError(f"expected exactly one high vertex, found {len(high)}")
-    return OneHighVertexReport(
-        has_separating_pair=any(
-            len(s) == 2 for s in enumerate_separating_sets(g, 2)
-        ),
-        is_hyperwheel_case=k == 2 and is_hyperwheel(g),
-        is_odd_wheel_case=k == 3 and is_odd_wheel(g),
     )

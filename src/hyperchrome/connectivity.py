@@ -8,8 +8,8 @@ The network lives in flat lists: arc ids, heads and capacities, with
 each search marking the nodes it reaches by a fresh stamp in one
 reused list.
 
-lambda(G) and k-edge-connectivity need every pairwise value, but the
-hypergraph cut function is symmetric submodular, so a flow-equivalent
+lambda(G), the max over all vertex pairs, needs every pairwise value
+in principle, but the hypergraph cut function is symmetric submodular, so a flow-equivalent
 tree exists: Gusfield's method finds it with one max flow per vertex
 after the first, on any terminal set, all on one network whose
 capacities are restored before each flow.  Two facts cut the work:
@@ -26,8 +26,10 @@ lambda(G) stops each component before the first vertex whose degree is
 at most the best value so far.  The vertices taken are a prefix of the
 degree order, and Gusfield on a prefix is the same run cut short, so it
 gives the max over the pairs inside the prefix; every other pair has an
-endpoint whose degree bounds its value.  k-edge-connectivity needs the
-min over all pairs, so it runs every flow.
+endpoint whose degree bounds its value.
+
+``GuardExceeded`` is defined here, the lowest module that raises it;
+``coloring`` and the package re-export the same class.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ import math
 from dataclasses import dataclass
 
 from .hypercore import Hypergraph
+
+
+class GuardExceeded(RuntimeError):
+    """Search-space guard tripped; pass force/limit to override."""
 
 
 @dataclass(frozen=True)
@@ -297,14 +303,6 @@ def local_edge_connectivity(g: Hypergraph, v: int, w: int) -> FlowResult:
     return FlowResult(value, tuple(paths), cut_side)
 
 
-def local_edge_connectivity_value(g: Hypergraph, v: int, w: int) -> int:
-    g._check_vertex(v)
-    g._check_vertex(w)
-    if v == w:
-        raise ValueError("endpoints must be distinct")
-    return _FlowNet(g).max_flow(v, w, min(len(g.incidence[v]), len(g.incidence[w])))
-
-
 def _tree_flows(net: _FlowNet, order: list[int], deg: list[int]):
     """Gusfield's flow-equivalent tree on the vertices ``order`` of one
     component, taken in descending degree order, lazily: yields one
@@ -359,18 +357,6 @@ def max_local_edge_connectivity(g: Hypergraph) -> int:
                 break
             best = max(best, next(flows))
     return best
-
-
-def is_k_edge_connected(g: Hypergraph, k: int) -> bool:
-    """Connected, with every one of the n-1 tree flows at least k."""
-    if g.n < 2:
-        raise ValueError("edge connectivity needs at least 2 vertices")
-    comps = components(g)
-    if len(comps) > 1:
-        return False
-    deg = [len(refs) for refs in g.incidence]
-    flows = _tree_flows(_FlowNet(g), _degree_order(comps[0], deg), deg)
-    return all(value >= k for value in flows)
 
 
 # -- blocks ----------------------------------------------------------------
@@ -561,13 +547,14 @@ def is_separating_edge_set(g: Hypergraph, refs) -> bool:
     return len(components(g.delete_edges(f))) > len(components(g))
 
 
+CUT_GUARD = 10**4  # edge subsets minimal_separating_edge_sets may test
+
+
 def minimal_separating_edge_sets(g: Hypergraph, max_size: int) -> list[EdgeCut]:
     """All minimal separating edge sets of size <= max_size as EdgeCuts.
 
     Tests every edge subset of size <= max_size, so it raises
-    GuardExceeded when there are more than ``coloring.CUT_GUARD``."""
-    from .coloring import CUT_GUARD, GuardExceeded  # coloring imports this module
-
+    GuardExceeded when there are more than ``CUT_GUARD``."""
     if not is_connected(g):
         raise ValueError("hypergraph must be connected")
     if max_size < 1:

@@ -277,18 +277,6 @@ def hajos_decompose_mixed(g: Hypergraph, v_star: int, e_star: int) -> MixedDecom
     return MixedDecomposition(spec, old1, old2, v_star, e_star)
 
 
-def replay_mixed(dec: MixedDecomposition) -> Hypergraph:
-    """Re-join the decomposition and relabel back to the original ids."""
-    joined = hajos_join(dec.spec)
-    new_of_join = [0] * joined.graph.n
-    for old_v1, res in enumerate(joined.g1_map):
-        new_of_join[res] = dec.g1_old[old_v1]
-    for old_v2, res in enumerate(joined.g2_map):
-        new_of_join[res] = dec.g2_old[old_v2]
-    edges = [tuple(sorted(new_of_join[v] for v in e)) for e in joined.graph.edges]
-    return Hypergraph.of(joined.graph.n, edges)
-
-
 # -- splitting -------------------------------------------------------------
 
 
@@ -567,130 +555,3 @@ def _assert_cut_properties(g: Hypergraph, cut: conn.EdgeCut, k: int) -> None:
                 for ref in cut.f
             ):
                 raise ValueError(f"color {i} not concentrated on any cut edge")
-
-
-# -- splitting validators --------------------------------------------------
-
-
-def _infer_k(g: Hypergraph, force: bool = False) -> int:
-    return col.chromatic_number(g, force=force) - 1
-
-
-def validate_split_low(
-    spec: SplitSpec, k: int | None = None, force: bool = False
-) -> SplitResult:
-    """Split at a low vertex of g2: the result must be (k+1)-critical
-    with the boundary of g1's side a size-k separating edge set."""
-    if k is None:
-        k = _infer_k(spec.g1, force=force)
-    col.require_critical(spec.g1, k, "G1", force=force)
-    col.require_critical(spec.g2, k, "G2", force=force)
-    if spec.g2.degree(spec.v_tilde) != k:
-        raise ValueError("v_tilde is not a low vertex of G2")
-    result = split(spec)
-    col.require_critical(result.graph, k, "split result", force=force)
-    f = result.graph.boundary(range(spec.g1.n))
-    if len(f) != k or not conn.is_separating_edge_set(result.graph, f):
-        raise ValueError("expected a separating boundary of size k")
-    return result
-
-
-@dataclass(frozen=True)
-class OrdinarySplitReport:
-    result: SplitResult
-    theorem_applies: bool  # chi(G2') <= k
-    is_critical: bool
-    pair_separates: bool
-
-
-def validate_split_ordinary(
-    spec: SplitSpec, k: int | None = None, force: bool = False
-) -> OrdinarySplitReport:
-    """Split an ordinary edge of g1 into a vertex of g2.  When the
-    quotient side stays k-colorable the result must be critical with
-    the edge a separating pair; otherwise both outcomes are reported
-    (the quotient is then itself critical)."""
-    if k is None:
-        k = _infer_k(spec.g1, force=force)
-    if len(spec.g1.edge(spec.e_tilde)) != 2:
-        raise ValueError("e_tilde must be an ordinary edge")
-    col.require_critical(spec.g1, k, "G1", force=force)
-    col.require_critical(spec.g2, k, "G2", force=force)
-    result = split(spec)
-    pair = spec.g1.edge(spec.e_tilde)
-    g2_side = sorted(set(range(spec.g1.n, result.graph.n)) | set(pair))
-    quotient, _ = result.graph.induced(g2_side)
-    applies = col.chromatic_number(quotient, force=force) <= k
-    rep = col.is_critical(result.graph, k + 1, force=force)
-    separates = conn.is_separating_vertex_set(result.graph, pair)
-    if applies and not (rep.is_critical and separates):
-        raise ValueError("theorem conclusion failed despite its precondition")
-    return OrdinarySplitReport(result, applies, rep.is_critical, separates)
-
-
-def check_general_split_precondition(
-    spec: SplitSpec, k: int | None = None, force: bool = False
-) -> bool:
-    """True iff every non-constant palette assignment on the split edge
-    extends to a k-coloring of the quotient side, which guarantees the
-    split result is (k+1)-critical."""
-    if k is None:
-        k = _infer_k(spec.g1, force=force)
-    col.require_critical(spec.g1, k, "G1", force=force)
-    col.require_critical(spec.g2, k, "G2", force=force)
-    result = split(spec)
-    pair = spec.g1.edge(spec.e_tilde)
-    g2_side = sorted(set(range(spec.g1.n, result.graph.n)) | set(pair))
-    quotient, old = result.graph.induced(g2_side)
-    marked = [old.index(u) for u in pair]
-    if k ** len(marked) > col.ENUM_GUARD:
-        raise col.GuardExceeded("too many palette assignments on the split edge")
-    for assignment in itertools.product(range(1, k + 1), repeat=len(marked)):
-        if len(set(assignment)) < 2:
-            continue
-        preset = dict(zip(marked, assignment))
-        if col.find_k_coloring(quotient, k, preset=preset) is None:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class UniversalVerdict:
-    universal_up_to_bound: bool
-    counterexample: tuple[int, dict[int, tuple[int, ...]], tuple[int, ...]] | None
-
-
-def is_universal_vertex_bounded(
-    g: Hypergraph,
-    v: int,
-    k: int,
-    max_set_size: int,
-    guard: int = 200_000,
-    force: bool = False,
-) -> UniversalVerdict:
-    """Bounded universality check: enumerate splittings of v into fresh
-    independent sets of size <= max_set_size and test that every
-    non-constant palette assignment on the fresh set extends."""
-    col.require_critical(g, k, "G", force=force)
-    incident = g.incident(v)
-    d = len(incident)
-    for t in range(2, max_set_size + 1):
-        images = [x for r in range(1, t + 1) for x in itertools.combinations(range(t), r)]
-        if len(images) ** d > guard:
-            raise col.GuardExceeded("too many splitting maps at this bound")
-        for choice in itertools.product(images, repeat=d):
-            if set().union(*choice) != set(range(t)):
-                continue
-            s = dict(zip(incident, choice))
-            try:
-                g_split = split_vertex(g, v, t, s).graph
-            except ValueError:
-                continue  # duplicate-edge collision: not a valid splitting
-            fresh = range(g_split.n - t, g_split.n)
-            for assignment in itertools.product(range(1, k + 1), repeat=t):
-                if len(set(assignment)) < 2:
-                    continue
-                preset = dict(zip(fresh, assignment))
-                if col.find_k_coloring(g_split, k, preset=preset) is None:
-                    return UniversalVerdict(False, (t, s, assignment))
-    return UniversalVerdict(True, None)

@@ -56,14 +56,6 @@ def _odd_wheel_layout(g: Hypergraph) -> tuple[int, ...] | None:
     return (*order, hub) if len(order) == n - 1 else None
 
 
-def wheel_hub(g: Hypergraph) -> int | None:
-    """The hub of an odd wheel: rim vertices have degree 3 and the hub
-    is adjacent to all of them by ordinary edges.  For K_4 (= the wheel
-    over a triangle) any vertex qualifies; the smallest id is returned."""
-    layout = _odd_wheel_layout(g)
-    return None if layout is None else layout[-1]
-
-
 def is_odd_wheel(g: Hypergraph) -> bool:
     return _odd_wheel_layout(g) is not None
 

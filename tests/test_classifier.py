@@ -534,6 +534,28 @@ class TestExtractCritical:
         with pytest.raises(ValueError):
             cls.extract_critical(cons.complete_graph(4), 3)
 
+    def test_size_guard_before_the_edge_scan(self, monkeypatch):
+        # chi comes from the theorem with no search, but the scan would
+        # run one search per edge: it refuses before the first
+        g = random_nested_join(random.Random(1), 4, 41, 10**6)
+        assert (g.n, g.m) == (41, 91)
+        searches = []
+        monkeypatch.setattr(col, "find_k_coloring", lambda *args: searches.append(args))
+        with pytest.raises(col.GuardExceeded, match="n=41 > 24 without force"):
+            cls.extract_critical(g, 5)
+        assert searches == []
+
+    def test_force_passes_the_size_guard(self):
+        # K4 with a pendant path out to 30 vertices: chi from the
+        # theorem, and each search of the scan is quick
+        path = [(v, v + 1) for v in range(3, 29)]
+        g = Hypergraph.of(30, list(cons.complete_graph(4).edges) + path)
+        with pytest.raises(col.GuardExceeded):
+            cls.extract_critical(g, 4)
+        crit = cls.extract_critical(g, 4, force=True)
+        assert crit.graph == cons.complete_graph(4)
+        assert crit.old_ids == (0, 1, 2, 3)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
     def test_result_is_always_critical(self, seed):

@@ -15,6 +15,7 @@ from hyperchrome import connectivity as conn
 from hyperchrome.connectivity import is_connected
 
 from conftest import hypergraphs, perturb, random_nested_join
+import lemmas
 import oracles
 
 
@@ -179,8 +180,8 @@ class TestLowHighStructure:
         assert ok and sorted(kinds) == ["complete", "single_edge", "single_edge"]
 
     def test_one_high_vertex_lemma(self):
-        assert col.verify_one_high_vertex_lemma(cons.odd_wheel(5), 3).exactly_one
-        assert col.verify_one_high_vertex_lemma(cons.hyperwheel(4), 2).exactly_one
+        assert lemmas.verify_one_high_vertex_lemma(cons.odd_wheel(5), 3).exactly_one
+        assert lemmas.verify_one_high_vertex_lemma(cons.hyperwheel(4), 2).exactly_one
 
 
 @given(hypergraphs(min_n=1, max_n=6, sizes=(2, 3, 4)))

@@ -18,6 +18,7 @@ from conftest import (
     random_nested_join,
     seeded_random_hypergraph,
 )
+import lemmas
 import oracles
 
 
@@ -39,7 +40,7 @@ class TestComponents:
 class TestLocalEdgeConnectivity:
     def test_complete_graph(self):
         k5 = cons.complete_graph(5)
-        assert conn.local_edge_connectivity_value(k5, 0, 4) == 4
+        assert conn.local_edge_connectivity(k5, 0, 4).value == 4
         assert conn.max_local_edge_connectivity(k5) == 4
 
     def test_cycle(self):
@@ -47,16 +48,16 @@ class TestLocalEdgeConnectivity:
 
     def test_single_hyperedge(self):
         g = Hypergraph.of(4, [(0, 1, 2, 3)])
-        assert conn.local_edge_connectivity_value(g, 0, 3) == 1
+        assert conn.local_edge_connectivity(g, 0, 3).value == 1
 
     def test_two_triangles_sharing_a_vertex(self):
         g = Hypergraph.of(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
-        assert conn.local_edge_connectivity_value(g, 0, 3) == 2
-        assert conn.local_edge_connectivity_value(g, 0, 1) == 2
+        assert conn.local_edge_connectivity(g, 0, 3).value == 2
+        assert conn.local_edge_connectivity(g, 0, 1).value == 2
 
     def test_disconnected_pair_is_zero(self):
         g = Hypergraph.of(4, [(0, 1), (2, 3)])
-        assert conn.local_edge_connectivity_value(g, 0, 2) == 0
+        assert conn.local_edge_connectivity(g, 0, 2).value == 0
 
     def test_lambda_of_tiny_graphs(self):
         assert conn.max_local_edge_connectivity(Hypergraph.of(1)) == 0
@@ -91,8 +92,8 @@ class TestLocalEdgeConnectivity:
 
     def test_is_k_edge_connected(self):
         k4 = cons.complete_graph(4)
-        assert conn.is_k_edge_connected(k4, 3)
-        assert not conn.is_k_edge_connected(cons.cycle(5), 3)
+        assert lemmas.is_k_edge_connected(k4, 3)
+        assert not lemmas.is_k_edge_connected(cons.cycle(5), 3)
 
 
 def _pair_values(g, value):
@@ -110,24 +111,24 @@ class TestAllPairs:
         assert conn.max_local_edge_connectivity(g) == max(cuts, default=0)
         if g.n >= 2:
             for k in range(1, max(cuts) + 2):
-                assert conn.is_k_edge_connected(g, k) == (min(cuts) >= k)
+                assert lemmas.is_k_edge_connected(g, k) == (min(cuts) >= k)
 
     def test_match_per_pair_flows_on_random_instances(self):
         rng = random.Random(11)
         for _ in range(60):
             g = corpus.random_hypergraph(rng, 12)
-            flows = _pair_values(g, conn.local_edge_connectivity_value)
+            flows = _pair_values(g, lambda h, v, w: conn.local_edge_connectivity(h, v, w).value)
             assert conn.max_local_edge_connectivity(g) == max(flows, default=0)
             if g.n >= 2:
                 for k in range(max(flows) + 2):
                     expected = conn.is_connected(g) and min(flows) >= k
-                    assert conn.is_k_edge_connected(g, k) == expected
+                    assert lemmas.is_k_edge_connected(g, k) == expected
 
     def test_disconnected_and_isolated_vertex(self):
         g = Hypergraph.of(7, [(0, 1), (0, 2), (1, 2), (3, 4, 5)])
         assert conn.max_local_edge_connectivity(g) == 2
-        assert not conn.is_k_edge_connected(g, 0)
-        assert not conn.is_k_edge_connected(Hypergraph.of(2), 1)
+        assert not lemmas.is_k_edge_connected(g, 0)
+        assert not lemmas.is_k_edge_connected(Hypergraph.of(2), 1)
         assert conn.max_local_edge_connectivity(Hypergraph.of(3)) == 0
 
     def test_only_children_of_the_sink_move_to_the_source(self):
@@ -141,7 +142,7 @@ class TestAllPairs:
         for n in (0, 1):
             assert conn.max_local_edge_connectivity(Hypergraph.of(n)) == 0
             with pytest.raises(ValueError):
-                conn.is_k_edge_connected(Hypergraph.of(n), 1)
+                lemmas.is_k_edge_connected(Hypergraph.of(n), 1)
 
     def test_complete_graph_stops_at_degree_after_one_flow(self, monkeypatch):
         flows = []
@@ -155,7 +156,7 @@ class TestAllPairs:
         assert conn.max_local_edge_connectivity(cons.complete_graph(7)) == 6
         assert flows == [(1, 0)]
         flows.clear()
-        assert conn.is_k_edge_connected(cons.complete_graph(7), 6)
+        assert lemmas.is_k_edge_connected(cons.complete_graph(7), 6)
         assert len(flows) == 6
 
 
@@ -204,7 +205,7 @@ class TestPrunedLambda:
             assert conn.max_local_edge_connectivity(g) == max(flows, default=0)
             for k in range(max(flows, default=0) + 2):
                 expected = conn.is_connected(g) and min(flows) >= k
-                assert conn.is_k_edge_connected(g, k) == expected
+                assert lemmas.is_k_edge_connected(g, k) == expected
 
     def test_w5_join_w5_runs_two_flows(self, monkeypatch):
         flows = []
@@ -293,7 +294,6 @@ class TestFlowKernel:
                 for a, b in ((v, w), (w, v)):
                     expected = oracles.reference_local_edge_connectivity(g, a, b)
                     assert conn.local_edge_connectivity(g, a, b) == expected
-                    assert conn.local_edge_connectivity_value(g, a, b) == expected.value
                     checked += 1
         assert checked >= 1400
 
@@ -517,7 +517,7 @@ class TestSeparators:
         with pytest.raises(col.GuardExceeded, match="--max-size"):
             conn.minimal_separating_edge_sets(cons.cycle(60), 3)
         assert len(conn.minimal_separating_edge_sets(cons.cycle(60), 1)) == 0
-        assert col.CUT_GUARD < 60 + 1770 + 34220
+        assert conn.CUT_GUARD < 60 + 1770 + 34220
 
     def test_cut_search_size_past_the_edge_count(self):
         w5 = cons.odd_wheel(5)
@@ -610,4 +610,4 @@ def test_randomized_flow_oracle_consistency():
     for _ in range(40):
         g = seeded_random_hypergraph(rng, rng.randint(2, 6), (2, 3), 8)
         v, w = rng.sample(range(g.n), 2)
-        assert conn.local_edge_connectivity_value(g, v, w) == oracles.brute_local_lambda(g, v, w)
+        assert conn.local_edge_connectivity(g, v, w).value == oracles.brute_local_lambda(g, v, w)

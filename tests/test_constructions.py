@@ -10,6 +10,7 @@ from hyperchrome import coloring as col
 from hyperchrome import connectivity as conn
 from hyperchrome import constructions as cons
 
+import lemmas
 import oracles
 from conftest import connected_hypergraphs, perturbed_join, random_nested_join
 
@@ -100,7 +101,7 @@ class TestHajosJoin:
             j = cons.figure1_join(include)
             estar_ref = j.graph.edge_ref(j.estar)
             dec = cons.hajos_decompose_mixed(j.graph, j.vstar, estar_ref)
-            assert cons.replay_mixed(dec) == j.graph
+            assert lemmas.replay_mixed(dec) == j.graph
 
     def test_mixed_decompose_rejects_non_separator(self):
         with pytest.raises(ValueError, match="not a mixed separating set"):
@@ -123,7 +124,7 @@ class TestHajosJoin:
             return  # duplicate merged edge: legitimately refused
         estar_ref = j.graph.edge_ref(j.estar)
         dec = cons.hajos_decompose_mixed(j.graph, j.vstar, estar_ref)
-        assert cons.replay_mixed(dec) == j.graph
+        assert lemmas.replay_mixed(dec) == j.graph
 
 
 class TestSplitting:
@@ -168,7 +169,7 @@ class TestSplitting:
         k4 = cons.complete_graph(4)
         refs = k4.incident(0)
         s = {refs[0]: (1,), refs[1]: (2,), refs[2]: (1, 2)}
-        res = cons.validate_split_low(
+        res = lemmas.validate_split_low(
             cons.SplitSpec(w5, w5.edge_ref((1, 2)), k4, 0, s), k=3
         )
         assert col.is_critical(res.graph, 4).is_critical
@@ -178,7 +179,7 @@ class TestSplitting:
         refs = w5.incident(5)  # hub: degree 5 > 3
         s = {r: (0,) for r in refs[:-1]} | {refs[-1]: (1,)}
         with pytest.raises(ValueError, match="low vertex"):
-            cons.validate_split_low(
+            lemmas.validate_split_low(
                 cons.SplitSpec(w5, w5.edge_ref((0, 1)), w5, 5, s), k=3
             )
 
@@ -186,7 +187,7 @@ class TestSplitting:
         k4 = cons.complete_graph(4)
         refs = k4.incident(0)
         s = {refs[0]: (0,), refs[1]: (1,), refs[2]: (0, 1)}
-        report = cons.validate_split_ordinary(
+        report = lemmas.validate_split_ordinary(
             cons.SplitSpec(k4, k4.edge_ref((0, 1)), k4, 0, s), k=3
         )
         if report.theorem_applies:
@@ -197,7 +198,7 @@ class TestSplitting:
         refs = k4.incident(0)
         s = {refs[0]: (0,), refs[1]: (1,), refs[2]: (0, 1)}
         spec = cons.SplitSpec(k4, k4.edge_ref((0, 1)), k4, 0, s)
-        assert cons.check_general_split_precondition(spec, k=3)
+        assert lemmas.check_general_split_precondition(spec, k=3)
 
 
 class TestDecompositions:
@@ -221,7 +222,7 @@ class TestDecompositions:
             (lambda g: cons.decompose_vertex_pair(g, 3), "hypergraph"),
             (lambda g: cons.decompose_edge_cut(g, 3, (0, 1, 2)), "hypergraph"),
             (lambda g: col.low_high_partition(g, 3), "hypergraph"),
-            (lambda g: cons.is_universal_vertex_bounded(g, 0, 3, 2), "G"),
+            (lambda g: lemmas.is_universal_vertex_bounded(g, 0, 3, 2), "G"),
         ],
         ids=["vertex-pair", "edge-cut", "low-high", "universal-vertex"],
     )
@@ -349,12 +350,12 @@ class TestDecomposedPartsAreCanonical:
 
 class TestUniversalVertex:
     def test_k4_vertices_are_universal_at_small_bound(self):
-        verdict = cons.is_universal_vertex_bounded(cons.complete_graph(4), 0, 3, 2)
+        verdict = lemmas.is_universal_vertex_bounded(cons.complete_graph(4), 0, 3, 2)
         assert verdict.universal_up_to_bound
 
     def test_figure2_x_is_not_universal(self):
         # vertex 8 of the 9-vertex graph splits into a pair whose
         # 2-colored preset cannot extend (that is the point of the pair)
-        verdict = cons.is_universal_vertex_bounded(cons.figure2_g2(), 8, 3, 2)
+        verdict = lemmas.is_universal_vertex_bounded(cons.figure2_g2(), 8, 3, 2)
         assert not verdict.universal_up_to_bound
         assert verdict.counterexample is not None

@@ -30,10 +30,10 @@ def test_single_edge():
 
 
 def test_wheels():
-    assert shapes.wheel_hub(cons.odd_wheel(5)) == 5
-    assert shapes.wheel_hub(cons.odd_wheel(7)) == 7
-    assert shapes.wheel_hub(cons.complete_graph(4)) == 0  # K4 is the triangle wheel
-    assert shapes.wheel_hub(cons.cycle(6)) is None
+    assert shapes._odd_wheel_layout(cons.odd_wheel(5))[-1] == 5
+    assert shapes._odd_wheel_layout(cons.odd_wheel(7))[-1] == 7
+    assert shapes._odd_wheel_layout(cons.complete_graph(4))[-1] == 0  # K4 is the triangle wheel
+    assert shapes._odd_wheel_layout(cons.cycle(6)) is None
     assert shapes.is_odd_wheel(cons.odd_wheel(9))
     assert not shapes.is_odd_wheel(cons.hyperwheel(5))
 
@@ -62,8 +62,9 @@ def test_wheel_layout_matches_the_reference():
     others += [cons.hyperwheel(size) for size in range(3, 8)]
     for g in wheels + others:
         leaf = oracles.reference_wheel_leaf(g, range(g.n))
-        assert shapes._odd_wheel_layout(g) == (leaf and leaf.labels), g
-        assert shapes.wheel_hub(g) == oracles.reference_wheel_hub(g)
+        layout = shapes._odd_wheel_layout(g)
+        assert layout == (leaf and leaf.labels), g
+        assert (None if layout is None else layout[-1]) == oracles.reference_wheel_hub(g)
         assert shapes.is_odd_wheel(g) == (leaf is not None)
     assert all(shapes.is_odd_wheel(g) for g in wheels)
     assert shapes._odd_wheel_layout(cons.complete_graph(4)) == (1, 2, 3, 0)
