@@ -305,11 +305,14 @@ def extract_critical(g: Hypergraph, target_chi: int, force: bool = False) -> Rel
     isolated vertices drop, then the lowest-index component with the
     target chromatic number is kept.
 
-    One pass over the edges suffices: an edge kept because deleting it
+    Each step deletes the first edge the per-edge test of
+    ``is_critical`` finds failing, until none fails.  That is the
+    lowest-index scan in one pass: an edge kept because deleting it
     allows a smaller coloring stays needed after later deletions, since
-    deleting more edges only makes a coloring easier to find.  The scan
-    runs one coloring search per edge, so past n = 24 it refuses
-    without force, even when the theorem gave chi with no search."""
+    deleting more edges only makes a coloring easier to find, so the
+    first failing edge is the next one the scan would delete.  The
+    test runs coloring searches, so past n = 24 it refuses without
+    force, even when the theorem gave chi with no search."""
     if col.chromatic_number(g, force=force) != target_chi:
         raise ValueError(f"chromatic number is not {target_chi}")
     if target_chi <= 1:
@@ -320,13 +323,8 @@ def extract_critical(g: Hypergraph, target_chi: int, force: bool = False) -> Rel
             f"critical extraction refuses n={g.n} > {col.CHI_GUARD_N} without force"
         )
     cur = g
-    ref = 0
-    while ref < cur.m:
-        rest = cur.delete_edge(ref)
-        if col.find_k_coloring(rest, target_chi - 1) is None:
-            cur = rest  # the next edge now has index ref
-        else:
-            ref += 1
+    while (ref := col._failing_edge(cur, target_chi - 1)) is not None:
+        cur = cur.delete_edge(ref)
     covered = sorted({v for e in cur.edges for v in e})
     sub, old = cur.induced(covered)
     for comp in conn.components(sub):

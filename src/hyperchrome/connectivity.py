@@ -533,13 +533,17 @@ def enumerate_separating_sets(g: Hypergraph, max_size: int) -> list[tuple[int, .
 
 
 def bridges(g: Hypergraph) -> list[int]:
-    """Edges e whose deletion creates |e|-1 extra components."""
-    base = len(components(g))
-    out = []
-    for i, e in enumerate(g.edges):
-        if len(components(g.delete_edge(i))) == base + len(e) - 1:
-            out.append(i)
-    return out
+    """Edges e whose deletion creates |e|-1 extra components, read from
+    one articulation pass: those whose node lies in |e| blocks of the
+    incidence graph B(G).  B(G - e) is B(G) minus the node of e, and
+    each of its components holds a vertex.  Deleting a node that lies in
+    c blocks splits its component into c pieces, each holding a
+    neighbour of the node, a vertex of e; so G - e has c - 1 extra
+    components, and c = |e| iff no two vertices of e are joined in B(G)
+    minus the node."""
+    count = _articulation(g)[1]
+    n = g.n
+    return [r for r, e in enumerate(g.edges) if count[n + r] == len(e)]
 
 
 def is_separating_edge_set(g: Hypergraph, refs) -> bool:
@@ -569,16 +573,18 @@ def minimal_separating_edge_sets(g: Hypergraph, max_size: int) -> list[EdgeCut]:
     found = []
     for size in range(1, top + 1):
         for f in itertools.combinations(range(g.m), size):
-            if not is_separating_edge_set(g, f):
-                continue
-            if any(
-                is_separating_edge_set(g, sub)
-                for r in range(1, size)
-                for sub in itertools.combinations(f, r)
-            ):
-                continue
-            found.append(edge_cut_for(g, f))
+            if is_separating_edge_set(g, f) and not _has_separating_subset(g, f):
+                found.append(edge_cut_for(g, f))
     return found
+
+
+def _has_separating_subset(g: Hypergraph, f: tuple[int, ...]) -> bool:
+    """Whether a non-empty proper subset of the edge set f separates g."""
+    return any(
+        is_separating_edge_set(g, sub)
+        for r in range(1, len(f))
+        for sub in itertools.combinations(f, r)
+    )
 
 
 def edge_cut_for(g: Hypergraph, refs) -> EdgeCut:

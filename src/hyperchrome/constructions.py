@@ -180,9 +180,8 @@ class JoinResult:
 def hajos_join(spec: HajosJoinSpec) -> JoinResult:
     g1, g2 = spec.g1, spec.g2
     g1_map = tuple(range(g1.n))
-    rest2 = [u for u in range(g2.n) if u != spec.v2]
     g2_map = tuple(
-        spec.v1 if u == spec.v2 else g1.n + rest2.index(u) for u in range(g2.n)
+        spec.v1 if u == spec.v2 else g1.n + u - (u > spec.v2) for u in range(g2.n)
     )
     edges = [e for i, e in enumerate(g1.edges) if i != spec.e1]
     edges += [
@@ -322,9 +321,8 @@ def split(spec: SplitSpec) -> SplitResult:
     """S(G1, e~, G2, v~, s): g1 keeps its ids, g2's other vertices are
     appended; duplicate-edge collisions are hard errors."""
     g1, g2 = spec.g1, spec.g2
-    rest2 = [u for u in range(g2.n) if u != spec.v_tilde]
     g2_map = tuple(
-        -1 if u == spec.v_tilde else g1.n + rest2.index(u) for u in range(g2.n)
+        -1 if u == spec.v_tilde else g1.n + u - (u > spec.v_tilde) for u in range(g2.n)
     )
     edges = [e for i, e in enumerate(g1.edges) if i != spec.e_tilde]
     for i, e in enumerate(g2.edges):
@@ -411,22 +409,10 @@ def decompose_vertex_pair(
     h1, h2 = sorted(comps)
     side1 = g.induced(sorted(set(h1) | {v, w}))
     side2 = g.induced(sorted(set(h2) | {v, w}))
-
-    def pair_behavior(side: Relabeled) -> bool | None:
-        """True if every k-coloring identifies v and w, False if every
-        coloring separates them, None on a mix (theorem violation)."""
-        pv, pw = side.old_ids.index(v), side.old_ids.index(w)
-        same = differ = False
-        for phi in col.enumerate_k_colorings(side.graph, k):
-            if phi.colors[pv] == phi.colors[pw]:
-                same = True
-            else:
-                differ = True
-            if same and differ:
-                return None
-        return same
-
-    b1, b2 = pair_behavior(side1), pair_behavior(side2)
+    b1, b2 = (
+        _pair_behavior(side.graph, k, side.old_ids.index(v), side.old_ids.index(w))
+        for side in (side1, side2)
+    )
     if b1 is None or b2 is None or b1 == b2:
         raise ValueError("coloring dichotomy fails; theorem violated")
     if not b1:
@@ -439,6 +425,19 @@ def decompose_vertex_pair(
     for part, name in ((g1_prime, "G1'"), (g2_prime, "G2'")):
         col.require_critical(part, k, name, force=force)
     return VertexPairDecomposition(v, w, h1, h2, side1, side2, g1_prime, g2_prime)
+
+
+def _pair_behavior(g: Hypergraph, k: int, v: int, w: int) -> bool | None:
+    """True if every k-coloring of g gives v and w one color, False if
+    every one gives them two or g has none, None on a mix (a theorem
+    violation).  Colors can be renamed, so some coloring gives them one
+    color iff the search with both preset to 1 finds one, and two
+    colors iff the search with v preset to 1 and w to 2 does (never at
+    k = 1)."""
+    same = col.find_k_coloring(g, k, {v: 1, w: 1}) is not None
+    if same and k > 1 and col.find_k_coloring(g, k, {v: 1, w: 2}) is not None:
+        return None
+    return same
 
 
 def identify_vertices(g: Hypergraph, v: int, w: int) -> Hypergraph:
@@ -469,48 +468,44 @@ class EdgeCutDecomposition:
     g2_old: tuple[int, ...]  # apex maps to -1
 
 
-def decompose_edge_cut(
-    g: Hypergraph, k: int, f, force: bool = False, check_critical: bool = True
-) -> EdgeCutDecomposition:
+def decompose_edge_cut(g: Hypergraph, k: int, f, force: bool = False) -> EdgeCutDecomposition:
     """Theorem-backed decomposition of a (k+1)-critical hypergraph at a
-    separating edge set of size <= k (which must then have size k)."""
+    separating edge set of size <= k (which must then have size k).
+
+    Side X is the side whose k-colorings are all constant on X_F,
+    found by preset searches; only the spread side Y is enumerated, as
+    its checks apply to every coloring."""
     refs = tuple(sorted(set(f)))
-    if check_critical:
-        col.require_critical(g, k, force=force)
+    col.require_critical(g, k, force=force)
     if not conn.is_separating_edge_set(g, refs):
         raise ValueError("edge set is not separating")
     if len(refs) > k:
         raise ValueError(f"separating set has size {len(refs)} > {k}")
-    if any(
-        conn.is_separating_edge_set(g, sub)
-        for r in range(1, len(refs))
-        for sub in itertools.combinations(refs, r)
-    ):
+    if conn._has_separating_subset(g, refs):
         raise ValueError("separating edge set is not minimal; k-edge-connectivity bug")
     if len(refs) != k:
         raise ValueError(f"minimal separating set of size {len(refs)} != {k}")
     cut = conn.edge_cut_for(g, refs)
-
-    def forced_side(xs, marked) -> bool | None:
-        """True if all k-colorings of G[xs] are constant on `marked`,
-        False if all use k colors there, None otherwise."""
-        sub, old = g.induced(xs)
-        pos = [old.index(u) for u in marked]
-        one = full = True
-        for phi in col.enumerate_k_colorings(sub, k):
-            img = {phi.colors[p] for p in pos}
-            one = one and len(img) == 1
-            full = full and len(img) == k
-            if not one and not full:
-                return None
-        return one
-
-    bx = forced_side(cut.x, cut.x_f)
-    if bx is None:
-        raise ValueError("side X coloring behavior is mixed; theorem violated")
-    if not bx:
+    if not _constant_on(g, k, cut.x, cut.x_f):
         cut = conn.EdgeCut(cut.y, cut.x, cut.f, cut.y_f, cut.x_f)
-    _assert_cut_properties(g, cut, k)
+        if not _constant_on(g, k, cut.x, cut.x_f):
+            raise ValueError("no side's k-colorings are constant on its cut; theorem violated")
+    # the incidence rule (b), then the coloring structure (a) on side Y
+    for u in cut.y_f:
+        if sum(1 for ref in cut.f if u in g.edge(ref)) != 1:
+            raise ValueError(f"vertex {u} not incident to exactly one cut edge")
+    suby, oldy = g.induced(cut.y)
+    posy = {u: i for i, u in enumerate(oldy)}
+    xset = set(cut.x)
+    for phi in col.enumerate_k_colorings(suby, k):
+        if len({phi.colors[posy[u]] for u in cut.y_f}) != k:
+            raise ValueError("a k-coloring of G[Y] misses a color on Y_F")
+        for i in range(1, k + 1):
+            if not any(
+                {phi.colors[posy[u]] for u in g.edge(ref) if u not in xset} == {i}
+                for ref in cut.f
+            ):
+                raise ValueError(f"color {i} not concentrated on any cut edge")
     g1 = None
     g1_old: tuple[int, ...] = ()
     if len(cut.x_f) >= 2:
@@ -519,11 +514,8 @@ def decompose_edge_cut(
         g1 = Hypergraph.of(sub.n, sub.edges + (tuple(sorted(pos[u] for u in cut.x_f)),))
         g1_old = old
         col.require_critical(g1, k, "G1", force=force)
-    suby, oldy = g.induced(cut.y)
-    posy = {u: i for i, u in enumerate(oldy)}
     apex = suby.n
     new_edges = list(suby.edges)
-    xset = set(cut.x)
     for ref in cut.f:
         e = g.edge(ref)
         new_edges.append(tuple(sorted({posy[u] for u in e if u not in xset} | {apex})))
@@ -532,26 +524,14 @@ def decompose_edge_cut(
     return EdgeCutDecomposition(cut, g1, g1_old, g2, oldy + (-1,))
 
 
-def _assert_cut_properties(g: Hypergraph, cut: conn.EdgeCut, k: int) -> None:
-    """Full check of the coloring structure (a) and incidence rule (b)."""
-    fset = set(cut.f)
-    for u in cut.y_f:
-        if sum(1 for ref in fset if u in g.edge(ref)) != 1:
-            raise ValueError(f"vertex {u} not incident to exactly one cut edge")
-    subx, oldx = g.induced(cut.x)
-    posx = [oldx.index(u) for u in cut.x_f]
-    for phi in col.enumerate_k_colorings(subx, k):
-        if len({phi.colors[p] for p in posx}) != 1:
-            raise ValueError("a k-coloring of G[X] is not constant on X_F")
-    suby, oldy = g.induced(cut.y)
-    posy = {u: i for i, u in enumerate(oldy)}
-    yset = set(cut.y)
-    for phi in col.enumerate_k_colorings(suby, k):
-        if len({phi.colors[posy[u]] for u in cut.y_f}) != k:
-            raise ValueError("a k-coloring of G[Y] misses a color on Y_F")
-        for i in range(1, k + 1):
-            if not any(
-                {phi.colors[posy[u]] for u in g.edge(ref) if u in yset} == {i}
-                for ref in cut.f
-            ):
-                raise ValueError(f"color {i} not concentrated on any cut edge")
+def _constant_on(g: Hypergraph, k: int, xs, marked) -> bool:
+    """Whether every k-coloring of G[xs] is constant on ``marked``.
+    Colors can be renamed, so one that is not exists iff some search
+    with the first marked vertex preset to 1 and another to 2 finds a
+    coloring: |marked| - 1 searches, none at k = 1."""
+    if k == 1:
+        return True
+    sub, old = g.induced(xs)
+    pos = {u: i for i, u in enumerate(old)}
+    first = pos[marked[0]]
+    return all(col.find_k_coloring(sub, k, {first: 1, pos[u]: 2}) is None for u in marked[1:])

@@ -22,6 +22,11 @@ certify-first one in ``hyperchrome.classifier`` replaced, and
 ``reference_decompose_mixed`` the mixed-pair decomposition built from
 ``delete_edge``, ``div_vertices``, ``components`` and ``induced`` that
 the one-search version in ``hyperchrome.constructions`` replaced.
+``reference_pair_behavior`` and ``reference_forced_side`` are the
+coloring enumerations that the vertex-pair and edge-cut decompositions
+ran before they made preset searches, and ``reference_bridges`` the
+bridge test by one component count per derived G - e that
+``connectivity.bridges`` ran before it read the articulation pass.
 ``reference_is_in_Ck`` is the semantic membership test ((k+1)-critical
 with lambda <= k) that ``classifier.is_in_Ck`` was before it read the
 certifier, and ``reference_wheel_hub`` / ``reference_wheel_leaf`` the
@@ -627,6 +632,48 @@ def reference_decompose_mixed(g: Hypergraph, v_star: int, e_star: int) -> MixedD
         include_vstar=v_star in estar_vs,
     )
     return MixedDecomposition(spec, old1, old2, v_star, e_star)
+
+
+def reference_pair_behavior(g: Hypergraph, k: int, v: int, w: int) -> bool | None:
+    """True if every k-coloring of g gives v and w one color, False if
+    every one gives them two or g has none, None on a mix: by
+    enumerating every k-coloring."""
+    same = differ = False
+    for phi in col.enumerate_k_colorings(g, k):
+        if phi.colors[v] == phi.colors[w]:
+            same = True
+        else:
+            differ = True
+        if same and differ:
+            return None
+    return same
+
+
+def reference_forced_side(g: Hypergraph, k: int, xs, marked) -> bool | None:
+    """True if every k-coloring of G[xs] is constant on ``marked``,
+    False if every one uses all k colors there, None otherwise: by
+    enumerating every k-coloring."""
+    sub, old = g.induced(xs)
+    pos = [old.index(u) for u in marked]
+    one = full = True
+    for phi in col.enumerate_k_colorings(sub, k):
+        img = {phi.colors[p] for p in pos}
+        one = one and len(img) == 1
+        full = full and len(img) == k
+        if not one and not full:
+            return None
+    return one
+
+
+def reference_bridges(g: Hypergraph) -> list[int]:
+    """Edges e whose deletion creates |e|-1 extra components, by one
+    component count of each derived G - e."""
+    base = len(conn.components(g))
+    out = []
+    for i, e in enumerate(g.edges):
+        if len(conn.components(g.delete_edge(i))) == base + len(e) - 1:
+            out.append(i)
+    return out
 
 
 def reference_chromatic_number(g: Hypergraph, force: bool = False) -> int:

@@ -130,7 +130,7 @@ def test_criterion_08_edge_cut_decomposition_on_4_critical_instances():
     for name, g in instances:
         cuts = [c for c in conn.minimal_separating_edge_sets(g, 3) if len(c.f) == 3]
         for cut in cuts[:12]:
-            dec = cons.decompose_edge_cut(g, 3, cut.f, check_critical=False)
+            dec = cons.decompose_edge_cut(g, 3, cut.f)
             assert oracles.reference_is_critical(dec.g2, 4).is_critical
             if dec.g1 is not None:
                 assert oracles.reference_is_critical(dec.g1, 4).is_critical

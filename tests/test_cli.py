@@ -459,6 +459,20 @@ class TestPipelines:
         assert code == 0
         assert Hypergraph.from_hgr(payload["g1"]) == cons.complete_graph(4)
 
+    def test_decompose_vertex_pair_past_the_enumeration_guard(self, tmp_path, capsys):
+        # the join of W17 and K4 at vertex 0 and edge (0, 1) of each,
+        # without v*: n = 21, and its W17 side has 3^18 assignments
+        w, k4 = cons.odd_wheel(17), cons.complete_graph(4)
+        spec = cons.HajosJoinSpec(w, k4, 0, 0, w.edge_ref((0, 1)), k4.edge_ref((0, 1)), False)
+        path = write_hgr(tmp_path, cons.hajos_join(spec).graph)
+        code, payload = run_json(capsys, ["decompose", path, "-k", "3"])
+        assert code == 0
+        assert payload == {
+            "separating_pair": [0, 1],
+            "g1_prime": w.to_hgr(),
+            "g2_prime": k4.to_hgr(),
+        }
+
     def test_gallai_check(self, tmp_path, capsys):
         path = write_hgr(tmp_path, cons.odd_wheel(5))
         code, payload = run_json(capsys, ["gallai-check", path, "-k", "3"])

@@ -504,6 +504,20 @@ class TestSeparators:
         g = Hypergraph.of(5, [(0, 1, 2), (2, 3), (3, 4), (2, 4)])
         assert conn.bridges(g) == [0]
 
+    def test_bridges_match_the_component_count_reference(self):
+        """One articulation pass gives the edges that one component
+        count per derived G - e gives (``oracles.reference_bridges``)."""
+        rng = random.Random(5353)
+        graphs = [seeded_random_hypergraph(rng, rng.randint(1, 9), (2, 3, 4), 12) for _ in range(400)]
+        graphs += [perturbed_join(rng, k) for k in (3, 4) for _ in range(20)]
+        graphs += list(corpus.named_families().values())
+        found = 0
+        for g in graphs:
+            want = oracles.reference_bridges(g)
+            assert conn.bridges(g) == want, g
+            found += len(want)
+        assert found > 100
+
     def test_minimal_separating_edge_sets(self):
         w5 = cons.odd_wheel(5)
         cuts = conn.minimal_separating_edge_sets(w5, 3)

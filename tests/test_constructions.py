@@ -9,10 +9,16 @@ from hyperchrome.hypercore import Hypergraph
 from hyperchrome import coloring as col
 from hyperchrome import connectivity as conn
 from hyperchrome import constructions as cons
+from hyperchrome import corpus
 
 import lemmas
 import oracles
-from conftest import connected_hypergraphs, perturbed_join, random_nested_join
+from conftest import (
+    connected_hypergraphs,
+    perturbed_join,
+    random_nested_join,
+    seeded_random_hypergraph,
+)
 
 
 class TestGenerators:
@@ -90,6 +96,24 @@ class TestHajosJoin:
         k4 = cons.complete_graph(4)
         j = cons.hajos_join(cons.HajosJoinSpec(w5, k4, 1, 2, w5.edge_ref((1, 2)), k4.edge_ref((2, 3)), False))
         assert col.is_critical(j.graph, 4).is_critical
+
+    def test_g2_ids_follow_g1_in_order(self):
+        """g2's vertices other than the identified or split one keep
+        their order after g1's ids, as numbering them by position in
+        the list of the rest does."""
+        rng = random.Random(77)
+        for _ in range(40):
+            g1, g2 = cons.odd_wheel(rng.choice([5, 7])), cons.odd_wheel(rng.choice([5, 7, 9]))
+            e1, e2 = rng.randrange(g1.m), rng.randrange(g2.m)
+            v1, v2 = rng.choice(g1.edge(e1)), rng.choice(g2.edge(e2))
+            rest = [u for u in range(g2.n) if u != v2]
+            want = [g1.n + rest.index(u) if u != v2 else None for u in range(g2.n)]
+            j = cons.hajos_join(cons.HajosJoinSpec(g1, g2, v1, v2, e1, e2, False))
+            assert list(j.g2_map) == [v1 if w is None else w for w in want]
+            s = {ref: (g1.edge(e1)[0],) for ref in g2.incident(v2)}
+            s[g2.incident(v2)[0]] = g1.edge(e1)
+            split = cons.split(cons.SplitSpec(g1, e1, g2, v2, s))
+            assert list(split.g2_map) == [-1 if w is None else w for w in want]
 
     def test_invalid_vertex_edge_pairing(self):
         k4 = cons.complete_graph(4)
@@ -244,11 +268,109 @@ class TestDecompositions:
         with pytest.raises(ValueError):
             cons.decompose_edge_cut(w5, 3, (0, 1, 2, 3))
 
+    def test_vertex_pair_past_the_enumeration_guard(self):
+        # W17 joined to K4 has n = 21; enumerating the W17 side's
+        # 3-colorings (3^18) would pass the enumeration guard
+        g = _wheel_join_k4(17)
+        dec = cons.decompose_vertex_pair(g, 3)
+        assert (dec.v, dec.w) == (0, 1)
+        assert dec.g1_prime == cons.odd_wheel(17)
+        assert dec.g2_prime == cons.complete_graph(4)
+
     def test_identify_vertices(self):
         g = Hypergraph.of(4, [(0, 1), (1, 2, 3), (0, 3)])
         merged = cons.identify_vertices(g, 0, 3)
         assert merged.n == 3
         assert (0, 1) in merged.edges
+
+
+def _critical_named_4():
+    """The named families that are 4-critical, as acceptance criteria
+    08 and 09 decompose them."""
+    fams = corpus.named_families()
+    return [(name, fams[name]) for name in sorted(fams) if corpus.KNOWN[name].get("critical_k") == 4]
+
+
+def _count_enumerations(monkeypatch) -> collections.Counter:
+    calls = collections.Counter()
+    enumerate_k_colorings = col.enumerate_k_colorings
+
+    def counted(*args, **kwargs):
+        calls["enumerations"] += 1
+        return enumerate_k_colorings(*args, **kwargs)
+
+    monkeypatch.setattr(col, "enumerate_k_colorings", counted)
+    return calls
+
+
+class TestEnumerationCount:
+    def test_edge_cut_enumerates_only_the_spread_side(self, monkeypatch):
+        """The constant side is decided by preset searches, so each
+        edge-cut decomposition enumerates the colorings of one side."""
+        calls = _count_enumerations(monkeypatch)
+        exercised = 0
+        for name, g in _critical_named_4():
+            cuts = [c for c in conn.minimal_separating_edge_sets(g, 3) if len(c.f) == 3]
+            for cut in cuts[:12]:
+                before = calls["enumerations"]
+                cons.decompose_edge_cut(g, 3, cut.f)
+                assert calls["enumerations"] == before + 1, (name, cut.f)
+                exercised += 1
+        assert exercised >= 10
+
+    def test_vertex_pair_enumerates_no_coloring(self, monkeypatch):
+        """Each side's behaviour at the separating pair comes from
+        preset searches, so the vertex-pair decomposition enumerates
+        nothing."""
+        calls = _count_enumerations(monkeypatch)
+        decomposed = sum(cons.decompose_vertex_pair(g, 3) is not None for _, g in _critical_named_4())
+        assert decomposed >= 2
+        assert calls["enumerations"] == 0
+
+
+def _wheel_join_k4(rim: int) -> Hypergraph:
+    """The Hajos join of W_rim and K4 at vertex 0 and edge (0, 1) of
+    each, without v*."""
+    w, k4 = cons.odd_wheel(rim), cons.complete_graph(4)
+    spec = cons.HajosJoinSpec(w, k4, 0, 0, w.edge_ref((0, 1)), k4.edge_ref((0, 1)), False)
+    return cons.hajos_join(spec).graph
+
+
+class TestPresetSearches:
+    """The vertex-pair and edge-cut decompositions decide how a side's
+    colorings treat its separator by preset searches, pinned here to
+    the enumerations they replaced."""
+
+    @staticmethod
+    def _graphs(seed):
+        rng = random.Random(seed)
+        graphs = [seeded_random_hypergraph(rng, rng.randint(2, 6), (2, 3), 10) for _ in range(150)]
+        k4_minus = Hypergraph.of(4, [e for e in cons.complete_graph(4).edges if e != (0, 1)])
+        graphs += [k4_minus, cons.odd_wheel(5), cons.complete_graph(5)]
+        return rng, graphs
+
+    def test_pair_behavior_matches_the_enumeration(self):
+        rng, graphs = self._graphs(919)
+        seen = set()
+        for g in graphs:
+            pairs = [(0, 1)] + [tuple(sorted(rng.sample(range(g.n), 2))) for _ in range(2)]
+            for (v, w), k in itertools.product(pairs, (1, 2, 3, 4)):
+                want = oracles.reference_pair_behavior(g, k, v, w)
+                assert cons._pair_behavior(g, k, v, w) == want, (g, k, v, w)
+                seen.add(want)
+        assert seen == {True, False, None}
+
+    def test_constant_on_matches_the_enumeration(self):
+        rng, graphs = self._graphs(929)
+        seen = set()
+        for g in graphs:
+            xs = sorted(rng.sample(range(g.n), rng.randint(2, g.n)))
+            marked = sorted(rng.sample(xs, rng.randint(1, len(xs))))
+            for k in (1, 2, 3, 4):
+                want = oracles.reference_forced_side(g, k, xs, marked)
+                assert cons._constant_on(g, k, xs, marked) == (want is True), (g, k, xs, marked)
+                seen.add(want)
+        assert seen == {True, False, None}
 
 
 def _decomposition_or_message(decompose, g, v, e):

@@ -10,12 +10,11 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 
-# imports every submodule except __main__, which runs the CLI, and
-# prints the names loaded
+# imports every submodule and prints the names loaded
 PROBE = """
 import importlib, json, pkgutil, sys
 import hyperchrome
-names = [i.name for i in pkgutil.iter_modules(hyperchrome.__path__) if i.name != "__main__"]
+names = [i.name for i in pkgutil.iter_modules(hyperchrome.__path__)]
 for name in names:
     importlib.import_module("hyperchrome." + name)
 print(json.dumps({"file": hyperchrome.__file__, "submodules": names, "loaded": sorted(sys.modules)}))
@@ -31,7 +30,7 @@ def test_library_imports_no_test_code():
     )
     probe = json.loads(out.stdout)
     assert Path(probe["file"]).resolve().parent == SRC / "hyperchrome"
-    assert {"classifier", "cli", "coloring", "connectivity", "constructions"} <= set(
+    assert {"__main__", "classifier", "cli", "coloring", "connectivity", "constructions"} <= set(
         probe["submodules"]
     )
     forbidden = {p.stem for p in TESTS.glob("*.py")} | {"tests", "pytest", "_pytest", "hypothesis"}
