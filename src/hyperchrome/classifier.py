@@ -311,19 +311,15 @@ def extract_critical(g: Hypergraph, target_chi: int, force: bool = False) -> Rel
     allows a smaller coloring stays needed after later deletions, since
     deleting more edges only makes a coloring easier to find, so the
     first failing edge is the next one the scan would delete.  The
-    test runs coloring searches, so past n = 24 it refuses without
-    force, even when the theorem gave chi with no search."""
+    test runs coloring searches, each under the decision cap unless
+    force is set, even when the theorem gave chi with no search."""
     if col.chromatic_number(g, force=force) != target_chi:
         raise ValueError(f"chromatic number is not {target_chi}")
     if target_chi <= 1:
         sub, old = g.induced(range(min(g.n, 1)))
         return Relabeled(sub, old)
-    if g.n > col.CHI_GUARD_N and not force:
-        raise col.GuardExceeded(
-            f"critical extraction refuses n={g.n} > {col.CHI_GUARD_N} without force"
-        )
     cur = g
-    while (ref := col._failing_edge(cur, target_chi - 1)) is not None:
+    while (ref := col._failing_edge(cur, target_chi - 1, force)) is not None:
         cur = cur.delete_edge(ref)
     covered = sorted({v for e in cur.edges for v in e})
     sub, old = cur.induced(covered)
@@ -361,17 +357,17 @@ def classify(g: Hypergraph, force: bool = False, h2_info: bool = False) -> Class
     class at lambda, and ``_decide`` finds the first such block with
     lambda.  Only when there is none does the lambda-coloring search
     run, and then it must succeed; chi is then the least k from the
-    clique bound up at which a k-coloring exists, and at most lambda."""
+    clique bound up at which a k-coloring exists, and at most lambda.
+    Every search runs under the decision cap unless force is set."""
     lam, tight = _decide(g, need_lam=True)
     if tight is not None:
         cert, b = tight
         return ClassifyOutcome(lam, lam + 1, "tight", block=b.vertices, certificate=cert)
     if lam >= 3:
-        phi = col.find_k_coloring(g, lam)
+        phi = col._find(g, lam, force=force)
         if phi is None:
             raise InternalError("no block certifies and no lambda-coloring exists; internal bug")
-        # the lambda-coloring search above has no size guard either
-        chi = col._chi_by_search(g, True, lam)
+        chi = col._chi_by_search(g, force, lam)
         return ClassifyOutcome(lam, chi, "colorable", coloring=phi)
     if lam == 1:
         return ClassifyOutcome(

@@ -37,8 +37,9 @@ def _emit(payload: dict) -> None:
 def _cmd_chi(args) -> int:
     """The exact chromatic number.  An input with a block in the class
     at lambda >= 3 gets chi = lambda + 1 from the theorem; only an input
-    the theorem does not decide is searched, and past n = 24 only with
-    --force (exit 3 without)."""
+    the theorem does not decide is searched, and a search that passes
+    the decision cap (``coloring.SEARCH_GUARD``) exits 3 unless --force
+    lifts the cap."""
     _emit({"chi": col.chromatic_number(_read_graph(args.file), force=args.force)})
     return OK
 
@@ -53,8 +54,9 @@ def _cmd_critical(args) -> int:
     """The criticality report for chi = k.  An input in the class at
     k - 1 >= 3 is critical by the theorem, and one with a block in the
     class at lambda >= 3 has chi = lambda + 1.  Any other answer needs
-    a search, which past n = 24 runs only with --force (exit 3
-    without): chi's, or the first failing edge's when chi = k."""
+    a search, chi's or the first failing edge's when chi = k, which
+    exits 3 once one search passes the decision cap, unless --force
+    lifts it."""
     report = col.is_critical(_read_graph(args.file), args.k, force=args.force)
     _emit(
         {

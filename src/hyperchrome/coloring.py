@@ -1,5 +1,5 @@
-"""Exact chromatic numbers, k-coloring search and enumeration,
-criticality testing, and low/high vertex structure checks.
+"""Exact chromatic numbers, k-coloring search, criticality testing,
+and low/high vertex structure checks.
 
 An edge is violated only when it is monochromatic, which is weaker
 than pairwise-distinct graph coloring, so the search propagates a
@@ -7,8 +7,13 @@ not-all-equal constraint: a color is forbidden for the last uncolored
 vertex of an edge only if all other vertices of that edge share it.
 A vertex left with one allowed color takes it at once, and one left
 with none ends the branch (unit propagation, as in DPLL).  This cuts
-only branches that hold no coloring, so colorings and enumerations come
-out in the order of the plain depth-first search.
+only branches that hold no coloring, so colorings come out in the
+order of the plain depth-first search.
+
+Every search the library runs for its own answers counts its decisions
+and raises GuardExceeded once one search passes ``SEARCH_GUARD`` of
+them, unless force (``--force``) is set: the cap measures the work, not
+the input's size.  ``find_k_coloring`` (and ``color -k``) is unbounded.
 
 chi and criticality come from the classifier's decision first: by the
 theorem, chi(G) = lambda(G) + 1 >= 4 iff some block of G is in the
@@ -36,8 +41,7 @@ from .hypercore import Hypergraph
 from .connectivity import GuardExceeded, blocks, bridges, is_connected
 from .shapes import is_complete_graph, is_odd_cycle, is_single_edge
 
-CHI_GUARD_N = 24
-ENUM_GUARD = 10**8
+SEARCH_GUARD = 10**6
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,15 @@ def find_k_coloring(
     """A valid k-coloring if one exists, else None.  Deterministic:
     vertices are tried in descending-degree order with symmetry
     breaking (color c only after 1..c-1 appear), unless colors are
-    preset, which disables symmetry breaking."""
+    preset, which disables symmetry breaking.  Unbounded: no decision
+    cap applies."""
+    return _find(g, k, preset, force=True)
+
+
+def _find(
+    g: Hypergraph, k: int, preset: dict[int, int] | None = None, force: bool = False
+) -> Coloring | None:
+    """``find_k_coloring`` under the decision cap unless force is set."""
     if k < 1:
         raise ValueError("palette size must be >= 1")
     if g.n == 0:
@@ -87,15 +99,15 @@ def find_k_coloring(
             raise ValueError(f"preset color {c} outside 1..{k}")
     # descending degree, ties by ascending id: a reversed sort is stable
     order = sorted(range(g.n), key=list(map(len, g.incidence)).__getitem__, reverse=True)
-    return next(_colorings(g, k, order, preset, symmetric=not preset), None)
+    return next(_colorings(g, k, order, preset, not preset, force=force), None)
 
 
 def chromatic_number(g: Hypergraph, force: bool = False) -> int:
     """Least k admitting a valid coloring; 0 for the empty hypergraph,
     1 for edgeless graphs of any size.  When a block of g is in the
     class at lambda >= 3, chi = lambda + 1 by the theorem, with no
-    search and no size guard; otherwise the search refuses n > 24
-    unless force is set."""
+    search; otherwise chi is searched under the decision cap unless
+    force is set."""
     return _chi(g, force)[0]
 
 
@@ -106,8 +118,7 @@ def chi_lambda_critical(g: Hypergraph, force: bool = False) -> tuple[int, int, b
     single vertex or edge, and the per-edge test runs only on a g with
     chi >= 3 that can be critical: 2-connected, with minimum degree at
     least chi - 1.  ``is_critical`` cannot skip it so, since it reports
-    the first failing edge.  Past n = 24 without force, an input the
-    theorem does not decide raises GuardExceeded before any flow runs."""
+    the first failing edge."""
     chi, lam, critical = _chi(g, force, need_lam=True)
     if critical is None:
         if chi <= 2:
@@ -116,7 +127,7 @@ def chi_lambda_critical(g: Hypergraph, force: bool = False) -> tuple[int, int, b
             critical = (
                 min(map(len, g.incidence)) >= chi - 1
                 and len(blocks(g)) == 1
-                and _critical_at_chi(g, chi).is_critical
+                and _critical_at_chi(g, chi, force).is_critical
             )
     return chi, lam, critical
 
@@ -125,38 +136,34 @@ def _chi(
     g: Hypergraph, force: bool, need_lam: bool = False
 ) -> tuple[int, int | None, bool | None]:
     """(chi, lambda, critical) from the classifier's decision.  When a
-    block certifies at lambda >= 3, chi = lambda + 1 with no search and
-    no size guard, and critical says whether that block is all of g: g
+    block certifies at lambda >= 3, chi = lambda + 1 with no search,
+    and critical says whether that block is all of g: g
     is then in the class, so chi-critical, or has a proper subgraph with
     its chi, so is not.  Otherwise critical is None and chi is searched
     as ``_chi_by_search`` says, below the bound lambda gives.  lambda is
     None when no block certifies and ``need_lam`` is false, and no flow
-    runs then; nor past the size guard without force, where the search
-    will refuse."""
+    runs then."""
     from .classifier import _decide, _is_all_of  # the classifier imports this module
 
-    lam, tight = _decide(g, need_lam and (force or g.n <= CHI_GUARD_N))
+    lam, tight = _decide(g, need_lam)
     if tight is not None:
         return lam + 1, lam, _is_all_of(tight[1], g)
     return _chi_by_search(g, force, lam), lam, None
 
 
 def _chi_by_search(g: Hypergraph, force: bool = False, lam: int | None = None) -> int:
-    """chi of g by the coloring search alone; refuses n > 24 unless
-    force is set.  ``lam`` is lambda(G) when it is known and no block
-    of g is in the class at it: chi is then at most lambda for
-    lambda >= 3, by the theorem, and at most lambda + 1 below (Toft's
-    bound), and that bound is not searched.  The scan goes up from
-    max(2, clique bound)."""
+    """chi of g by the coloring search alone.  ``lam`` is lambda(G)
+    when it is known and no block of g is in the class at it: chi is
+    then at most lambda for lambda >= 3, by the theorem, and at most
+    lambda + 1 below (Toft's bound), and that bound is not searched.
+    The scan goes up from max(2, clique bound)."""
     if g.n == 0:
         return 0
     if g.m == 0:
         return 1
-    if g.n > CHI_GUARD_N and not force:
-        raise GuardExceeded(f"exact chi refuses n={g.n} > {CHI_GUARD_N} without force")
     cap = None if lam is None else lam if lam >= 3 else lam + 1
     k = max(2, _clique_lower_bound(g))
-    while (cap is None or k < cap) and find_k_coloring(g, k) is None:
+    while (cap is None or k < cap) and _find(g, k, force=force) is None:
         k += 1
     return k
 
@@ -178,26 +185,6 @@ def _clique_lower_bound(g: Hypergraph) -> int:
     return best
 
 
-def enumerate_k_colorings(
-    g: Hypergraph, k: int, limit: int | None = None
-) -> list[Coloring]:
-    """All valid k-colorings in lexicographic order, up to limit."""
-    if k < 1:
-        raise ValueError("palette size must be >= 1")
-    if limit is not None and limit < 0:
-        raise ValueError("limit must be >= 0")
-    if limit == 0:
-        return []
-    if limit is None and k**g.n > ENUM_GUARD:
-        raise GuardExceeded(f"{k}^{g.n} assignments exceed the enumeration guard")
-    out: list[Coloring] = []
-    for phi in _colorings(g, k, range(g.n), {}, symmetric=False):
-        out.append(phi)
-        if limit is not None and len(out) >= limit:
-            break
-    return out
-
-
 def _colorings(
     g: Hypergraph,
     k: int,
@@ -205,10 +192,12 @@ def _colorings(
     preset: dict[int, int],
     symmetric: bool,
     skip: int | None = None,
+    force: bool = False,
 ):
     """Every valid k-coloring of g, or of g minus edge ``skip``, in the
-    depth-first order of the static vertex ``order``."""
-    return _Search(g, k, skip).colorings(order, preset, symmetric)
+    depth-first order of the static vertex ``order``; GuardExceeded once
+    the search passes ``SEARCH_GUARD`` decisions, unless force is set."""
+    return _Search(g, k, skip).colorings(order, preset, symmetric, force)
 
 
 class _Search:
@@ -249,13 +238,14 @@ class _Search:
                     self.hyper[v].append(ref)
         self.decisions = 0
 
-    def colorings(self, order, preset: dict[int, int], symmetric: bool):
+    def colorings(self, order, preset: dict[int, int], symmetric: bool, force: bool = False):
         """A preset vertex takes its preset color only; any other vertex
         tries 1..k in turn, or only up to one more than the largest
         color at earlier positions or in the preset when ``symmetric``.
         With a preset, that keeps a coloring of every class up to
         renaming colors when the preset colors are 1..c for some c."""
         g, k, adj, hyper = self.g, self.k, self.adj, self.hyper
+        limit = SEARCH_GUARD
         n, edges = g.n, g.edges
         # free[ref] = (uncolored count) * big + (sum of their ids)
         big = max(map(sum, edges), default=0) + 1
@@ -356,6 +346,10 @@ class _Search:
                     continue
                 frame[2] = c
                 decisions += 1
+                if decisions > limit and not force:
+                    raise GuardExceeded(
+                        f"the {k}-coloring search passed {limit} decisions without force"
+                    )
                 if propagate(v, c):
                     if c > used:
                         used = c
@@ -366,7 +360,7 @@ class _Search:
                 return
 
 
-def _failing_edge(g: Hypergraph, k: int) -> int | None:
+def _failing_edge(g: Hypergraph, k: int, force: bool = False) -> int | None:
     """The first edge ref whose deletion leaves g without a k-coloring,
     or None, for a g with chromatic number k + 1.
 
@@ -390,7 +384,7 @@ def _failing_edge(g: Hypergraph, k: int) -> int | None:
         order = sorted(range(g.n), key=lambda v: (-degree[v], v))
         for v in e:
             degree[v] += 1
-        phi = next(_colorings(g, k, order, dict.fromkeys(e, 1), True, skip=ref), None)
+        phi = next(_colorings(g, k, order, dict.fromkeys(e, 1), True, skip=ref, force=force), None)
         if phi is None:
             return ref
         witnessed[ref] = True
@@ -445,9 +439,9 @@ def is_critical(g: Hypergraph, k_plus_1: int, force: bool = False) -> Criticalit
     """(k+1)-criticality via the per-edge test: connected, chi = k+1,
     and chi(G - e) <= k for every edge.  A g in the class at k >= 3 is
     critical by the theorem, and a g with a block in the class at
-    lambda >= 3 has chi = lambda + 1, with no search and no size guard.
-    Any other answer needs a search, which refuses n > 24 unless force
-    is set: chi's, or the per-edge test's for the first failing edge."""
+    lambda >= 3 has chi = lambda + 1, with no search.  Any other answer
+    needs a search, which runs under the decision cap unless force is
+    set: chi's, or the per-edge test's for the first failing edge."""
     if k_plus_1 < 1:
         raise ValueError("target chromatic number must be >= 1")
     if not is_connected(g):
@@ -457,17 +451,15 @@ def is_critical(g: Hypergraph, k_plus_1: int, force: bool = False) -> Criticalit
         return CriticalityReport(False, chi, reason=f"chi is {chi}, not {k_plus_1}")
     if critical:
         return CriticalityReport(True, chi)
-    if g.n > CHI_GUARD_N and not force:
-        raise GuardExceeded(f"the per-edge test refuses n={g.n} > {CHI_GUARD_N} without force")
-    return _critical_at_chi(g, chi)
+    return _critical_at_chi(g, chi, force)
 
 
-def _critical_at_chi(g: Hypergraph, chi: int) -> CriticalityReport:
+def _critical_at_chi(g: Hypergraph, chi: int, force: bool = False) -> CriticalityReport:
     """``is_critical(g, chi)`` for a connected g known to have
     chromatic number chi: the per-edge test alone."""
     if chi == 1:
         return CriticalityReport(True, chi)
-    ref = _failing_edge(g, chi - 1)
+    ref = _failing_edge(g, chi - 1, force)
     if ref is not None:
         return CriticalityReport(False, chi, failing_edge=ref, reason="edge deletion keeps chi")
     return CriticalityReport(True, chi)

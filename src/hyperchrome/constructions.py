@@ -410,7 +410,7 @@ def decompose_vertex_pair(
     side1 = g.induced(sorted(set(h1) | {v, w}))
     side2 = g.induced(sorted(set(h2) | {v, w}))
     b1, b2 = (
-        _pair_behavior(side.graph, k, side.old_ids.index(v), side.old_ids.index(w))
+        _pair_behavior(side.graph, k, side.old_ids.index(v), side.old_ids.index(w), force)
         for side in (side1, side2)
     )
     if b1 is None or b2 is None or b1 == b2:
@@ -427,15 +427,15 @@ def decompose_vertex_pair(
     return VertexPairDecomposition(v, w, h1, h2, side1, side2, g1_prime, g2_prime)
 
 
-def _pair_behavior(g: Hypergraph, k: int, v: int, w: int) -> bool | None:
+def _pair_behavior(g: Hypergraph, k: int, v: int, w: int, force: bool = False) -> bool | None:
     """True if every k-coloring of g gives v and w one color, False if
     every one gives them two or g has none, None on a mix (a theorem
     violation).  Colors can be renamed, so some coloring gives them one
     color iff the search with both preset to 1 finds one, and two
     colors iff the search with v preset to 1 and w to 2 does (never at
     k = 1)."""
-    same = col.find_k_coloring(g, k, {v: 1, w: 1}) is not None
-    if same and k > 1 and col.find_k_coloring(g, k, {v: 1, w: 2}) is not None:
+    same = col._find(g, k, {v: 1, w: 1}, force) is not None
+    if same and k > 1 and col._find(g, k, {v: 1, w: 2}, force) is not None:
         return None
     return same
 
@@ -472,9 +472,9 @@ def decompose_edge_cut(g: Hypergraph, k: int, f, force: bool = False) -> EdgeCut
     """Theorem-backed decomposition of a (k+1)-critical hypergraph at a
     separating edge set of size <= k (which must then have size k).
 
-    Side X is the side whose k-colorings are all constant on X_F,
-    found by preset searches; only the spread side Y is enumerated, as
-    its checks apply to every coloring."""
+    Side X is the side whose k-colorings are all constant on X_F, and
+    side Y is checked to spread: both by preset searches, each under
+    the decision cap unless force is set."""
     refs = tuple(sorted(set(f)))
     col.require_critical(g, k, force=force)
     if not conn.is_separating_edge_set(g, refs):
@@ -486,26 +486,17 @@ def decompose_edge_cut(g: Hypergraph, k: int, f, force: bool = False) -> EdgeCut
     if len(refs) != k:
         raise ValueError(f"minimal separating set of size {len(refs)} != {k}")
     cut = conn.edge_cut_for(g, refs)
-    if not _constant_on(g, k, cut.x, cut.x_f):
+    if not _constant_on(g, k, cut.x, cut.x_f, force):
         cut = conn.EdgeCut(cut.y, cut.x, cut.f, cut.y_f, cut.x_f)
-        if not _constant_on(g, k, cut.x, cut.x_f):
+        if not _constant_on(g, k, cut.x, cut.x_f, force):
             raise ValueError("no side's k-colorings are constant on its cut; theorem violated")
     # the incidence rule (b), then the coloring structure (a) on side Y
     for u in cut.y_f:
         if sum(1 for ref in cut.f if u in g.edge(ref)) != 1:
             raise ValueError(f"vertex {u} not incident to exactly one cut edge")
-    suby, oldy = g.induced(cut.y)
-    posy = {u: i for i, u in enumerate(oldy)}
-    xset = set(cut.x)
-    for phi in col.enumerate_k_colorings(suby, k):
-        if len({phi.colors[posy[u]] for u in cut.y_f}) != k:
-            raise ValueError("a k-coloring of G[Y] misses a color on Y_F")
-        for i in range(1, k + 1):
-            if not any(
-                {phi.colors[posy[u]] for u in g.edge(ref) if u not in xset} == {i}
-                for ref in cut.f
-            ):
-                raise ValueError(f"color {i} not concentrated on any cut edge")
+    g2, g2_old = _apex_side(g, cut.y, cut.f)
+    if not _spreads(g2, k, force):
+        raise ValueError("a k-coloring of G[Y] fills no cut edge's trace with some color")
     g1 = None
     g1_old: tuple[int, ...] = ()
     if len(cut.x_f) >= 2:
@@ -514,17 +505,33 @@ def decompose_edge_cut(g: Hypergraph, k: int, f, force: bool = False) -> EdgeCut
         g1 = Hypergraph.of(sub.n, sub.edges + (tuple(sorted(pos[u] for u in cut.x_f)),))
         g1_old = old
         col.require_critical(g1, k, "G1", force=force)
-    apex = suby.n
-    new_edges = list(suby.edges)
-    for ref in cut.f:
-        e = g.edge(ref)
-        new_edges.append(tuple(sorted({posy[u] for u in e if u not in xset} | {apex})))
-    g2 = Hypergraph.of(suby.n + 1, new_edges)
     col.require_critical(g2, k, "G2", force=force)
-    return EdgeCutDecomposition(cut, g1, g1_old, g2, oldy + (-1,))
+    return EdgeCutDecomposition(cut, g1, g1_old, g2, g2_old)
 
 
-def _constant_on(g: Hypergraph, k: int, xs, marked) -> bool:
+def _apex_side(g: Hypergraph, ys, refs) -> Relabeled:
+    """G[ys] plus an apex, its last vertex with old id -1, and the edge
+    (f & ys) + apex for each cut edge f in ``refs``."""
+    sub, old = g.induced(ys)
+    pos = {u: i for i, u in enumerate(old)}
+    apex = sub.n
+    traces = (tuple(sorted({pos[u] for u in g.edge(ref) if u in pos} | {apex})) for ref in refs)
+    return Relabeled(Hypergraph.of(sub.n + 1, sub.edges + tuple(traces)), old + (-1,))
+
+
+def _spreads(g2: Hypergraph, k: int, force: bool = False) -> bool:
+    """Whether each color fills the trace f & Y of some cut edge f in
+    every k-coloring of G[Y], where g2 is G[Y] with its apex z
+    (``_apex_side``).  Colors can be renamed, so a coloring leaving
+    some color on no trace exists iff one leaving color 1 on no trace
+    does, iff g2 has a k-coloring with z preset to 1: the edge
+    (f & Y) + z is monochromatic exactly when color 1 fills f & Y.  A
+    color that fills a trace appears on Y_F, so every k-coloring of
+    G[Y] then puts all k colors on Y_F as well."""
+    return col._find(g2, k, {g2.n - 1: 1}, force) is None
+
+
+def _constant_on(g: Hypergraph, k: int, xs, marked, force: bool = False) -> bool:
     """Whether every k-coloring of G[xs] is constant on ``marked``.
     Colors can be renamed, so one that is not exists iff some search
     with the first marked vertex preset to 1 and another to 2 finds a
@@ -534,4 +541,4 @@ def _constant_on(g: Hypergraph, k: int, xs, marked) -> bool:
     sub, old = g.induced(xs)
     pos = {u: i for i, u in enumerate(old)}
     first = pos[marked[0]]
-    return all(col.find_k_coloring(sub, k, {first: 1, pos[u]: 2}) is None for u in marked[1:])
+    return all(col._find(sub, k, {first: 1, pos[u]: 2}, force) is None for u in marked[1:])

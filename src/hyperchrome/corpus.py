@@ -82,8 +82,9 @@ KNOWN = {
 def instance_stats(g: Hypergraph, force: bool = False) -> dict:
     """n, m, chi, lambda and critical_k (chi when g is chi-critical,
     else None) from one decision of the classifier
-    (``coloring.chi_lambda_critical``).  Past n = 24 without force, an
-    input the theorem does not decide gets n and m only."""
+    (``coloring.chi_lambda_critical``).  An input whose coloring search
+    passes the decision cap (``coloring.SEARCH_GUARD``) without force
+    gets n and m only."""
     stats: dict = {"n": g.n, "m": g.m}
     try:
         chi, lam, critical = col.chi_lambda_critical(g, force)

@@ -1,6 +1,9 @@
 """The paper's lemma checks, moved out of ``hyperchrome`` because no
 library path, CLI verb or benchmark workload calls them.  Their bodies
-are as they were in the library; only the module prefixes changed.
+are as they were in the library; only the module prefixes changed,
+and ``check_general_split_precondition`` bounds its palette assignments
+by ``ASSIGNMENT_BOUND``, the library's enumeration bound before the
+library stopped enumerating colorings.
 
 - ``validate_split_low``: a split at a low vertex of G2 is
   (k+1)-critical with the boundary of G1's side a separating edge set
@@ -37,6 +40,7 @@ from hyperchrome import shapes
 from hyperchrome.constructions import MixedDecomposition, SplitResult, SplitSpec
 from hyperchrome.hypercore import Hypergraph
 
+ASSIGNMENT_BOUND = 10**8
 
 # -- from constructions ------------------------------------------------------
 
@@ -124,7 +128,7 @@ def check_general_split_precondition(
     g2_side = sorted(set(range(spec.g1.n, result.graph.n)) | set(pair))
     quotient, old = result.graph.induced(g2_side)
     marked = [old.index(u) for u in pair]
-    if k ** len(marked) > col.ENUM_GUARD:
+    if k ** len(marked) > ASSIGNMENT_BOUND:
         raise col.GuardExceeded("too many palette assignments on the split edge")
     for assignment in itertools.product(range(1, k + 1), repeat=len(marked)):
         if len(set(assignment)) < 2:

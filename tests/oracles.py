@@ -5,10 +5,11 @@ hyperpath enumeration plus packing search for connectivity, and subset
 enumeration for cuts.  Only usable at toy sizes.
 
 ``reference_find_k_coloring`` and ``reference_enumerate_k_colorings``
-are the recursive searches that the stack-based ones in
-``hyperchrome.coloring`` replaced, kept to pin those to the same
-results; they recurse once per vertex.  ``reference_stack_colorings``
-is the stack search without propagation that the forward-checking one
+are the recursive searches that the stack-based search in
+``hyperchrome.coloring`` replaced, kept to pin it to the same results
+(the enumeration pins read ``coloring._colorings`` directly, since the
+library no longer lists colorings); they recurse once per vertex.
+``reference_stack_colorings`` is the stack search without propagation that the forward-checking one
 replaced, kept with a count of the colors it assigns.  ``reference_blocks`` is the
 block decomposition that the incidence-table pass in
 ``hyperchrome.connectivity`` replaced: it builds the 2-section graph
@@ -22,9 +23,10 @@ certify-first one in ``hyperchrome.classifier`` replaced, and
 ``reference_decompose_mixed`` the mixed-pair decomposition built from
 ``delete_edge``, ``div_vertices``, ``components`` and ``induced`` that
 the one-search version in ``hyperchrome.constructions`` replaced.
-``reference_pair_behavior`` and ``reference_forced_side`` are the
-coloring enumerations that the vertex-pair and edge-cut decompositions
-ran before they made preset searches, and ``reference_bridges`` the
+``reference_pair_behavior``, ``reference_forced_side`` and
+``reference_spread_side`` are the coloring enumerations that the
+vertex-pair and edge-cut decompositions ran before they made preset
+searches, and ``reference_bridges`` the
 bridge test by one component count per derived G - e that
 ``connectivity.bridges`` ran before it read the articulation pass.
 ``reference_is_in_Ck`` is the semantic membership test ((k+1)-critical
@@ -38,8 +40,9 @@ incidence-graph search ``connectivity._articulation`` replaced, and
 ``reference_from_hgr`` the HGR parser that the one-loop
 ``Hypergraph.from_hgr`` replaced.  ``reference_chromatic_number`` and
 ``reference_is_critical`` are ``chromatic_number`` and ``is_critical``
-by search alone, size guard included, as they were before they read
-the classifier's decision; the latter tests each derived G - e
+by search alone, with the n > ``REFERENCE_GUARD_N`` refusal that the
+library had before its searches counted decisions, as they were before
+they read the classifier's decision; the latter tests each derived G - e
 (``reference_failing_edge``).  ``reference_instance_stats`` builds the
 corpus entry from them, and ``reference_is_in_Ck`` and
 ``chromatic_number_by_blocks`` use them too, so no pin compares the
@@ -639,7 +642,7 @@ def reference_pair_behavior(g: Hypergraph, k: int, v: int, w: int) -> bool | Non
     every one gives them two or g has none, None on a mix: by
     enumerating every k-coloring."""
     same = differ = False
-    for phi in col.enumerate_k_colorings(g, k):
+    for phi in reference_enumerate_k_colorings(g, k):
         if phi.colors[v] == phi.colors[w]:
             same = True
         else:
@@ -656,13 +659,31 @@ def reference_forced_side(g: Hypergraph, k: int, xs, marked) -> bool | None:
     sub, old = g.induced(xs)
     pos = [old.index(u) for u in marked]
     one = full = True
-    for phi in col.enumerate_k_colorings(sub, k):
+    for phi in reference_enumerate_k_colorings(sub, k):
         img = {phi.colors[p] for p in pos}
         one = one and len(img) == 1
         full = full and len(img) == k
         if not one and not full:
             return None
     return one
+
+
+def reference_spread_side(g: Hypergraph, k: int, ys, refs) -> bool:
+    """True if every k-coloring of G[ys] puts all k colors on the
+    vertices of ys in the cut edges ``refs``, and fills the trace
+    f & ys of some f in ``refs`` with each color: by enumerating every
+    k-coloring."""
+    sub, old = g.induced(ys)
+    pos = {u: i for i, u in enumerate(old)}
+    traces = [[pos[u] for u in g.edge(ref) if u in pos] for ref in refs]
+    y_f = {p for trace in traces for p in trace}
+    for phi in reference_enumerate_k_colorings(sub, k):
+        if len({phi.colors[p] for p in y_f}) != k:
+            return False
+        filled = {phi.colors[t[0]] for t in traces if len({phi.colors[p] for p in t}) == 1}
+        if len(filled) != k:
+            return False
+    return True
 
 
 def reference_bridges(g: Hypergraph) -> list[int]:
@@ -676,15 +697,18 @@ def reference_bridges(g: Hypergraph) -> list[int]:
     return out
 
 
+REFERENCE_GUARD_N = 24
+
+
 def reference_chromatic_number(g: Hypergraph, force: bool = False) -> int:
-    """chi by search alone, from the clique bound up, refusing n > 24
-    unless force is set."""
+    """chi by search alone, from the clique bound up, refusing
+    n > ``REFERENCE_GUARD_N`` unless force is set."""
     if g.n == 0:
         return 0
     if g.m == 0:
         return 1
-    if g.n > col.CHI_GUARD_N and not force:
-        raise col.GuardExceeded(f"exact chi refuses n={g.n} > {col.CHI_GUARD_N} without force")
+    if g.n > REFERENCE_GUARD_N and not force:
+        raise col.GuardExceeded(f"exact chi refuses n={g.n} > {REFERENCE_GUARD_N} without force")
     k = max(2, col._clique_lower_bound(g))
     while col.find_k_coloring(g, k) is None:
         k += 1

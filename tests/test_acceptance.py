@@ -70,7 +70,7 @@ def test_criterion_02_main_theorem_equivalence():
         for _ in range(400):
             check(seeded_random_hypergraph(rng, n, (2, 3), 14))
     for name, g in sorted(corp.named_families().items()):
-        if g.n <= col.CHI_GUARD_N:
+        if g.n <= oracles.REFERENCE_GUARD_N:
             check(g)
 
 

@@ -459,7 +459,7 @@ class TestHkCertificateByReplay:
 
     def test_past_the_chi_guard(self):
         g = cons.odd_wheel(29)
-        assert g.n > col.CHI_GUARD_N
+        assert g.n == 30
         cert = cls.hk_certificate(g, 3)
         assert isinstance(cert, cls.Leaf) and cls.verify_certificate(g, cert)
 
@@ -499,14 +499,15 @@ class TestExtractCritical:
         # a spare 3-edge path between vertices 0 and 1 that the scan deletes
         a, b = g.n, g.n + 1
         g = Hypergraph.of(g.n + 2, list(g.edges) + [(0, a), (a, b), (1, b)])
+        # every search of both scans, chi's and the edge tests', starts here
         calls = collections.Counter()
-        search = col.find_k_coloring
+        search = col._colorings
 
         def counted(*args, **kwargs):
             calls[mode] += 1
             return search(*args, **kwargs)
 
-        monkeypatch.setattr(col, "find_k_coloring", counted)
+        monkeypatch.setattr(col, "_colorings", counted)
         mode = "resume"
         crit = cls.extract_critical(g, k + 1)
         mode = "restart"
@@ -535,26 +536,36 @@ class TestExtractCritical:
             cls.extract_critical(cons.complete_graph(4), 3)
 
     def test_size_guard_before_the_edge_scan(self, monkeypatch):
-        # chi comes from the theorem with no search, but the scan would
-        # run one search per edge: it refuses before the first
+        # chi comes from the theorem with no search, and the scan's
+        # first search is the one that passes a cap of 0 decisions
         g = random_nested_join(random.Random(1), 4, 41, 10**6)
         assert (g.n, g.m) == (41, 91)
         searches = []
-        monkeypatch.setattr(col, "find_k_coloring", lambda *args: searches.append(args))
-        with pytest.raises(col.GuardExceeded, match="n=41 > 24 without force"):
-            cls.extract_critical(g, 5)
-        assert searches == []
+        search = col._colorings
 
-    def test_force_passes_the_size_guard(self):
+        def counted(*args, **kwargs):
+            searches.append(kwargs.get("skip"))
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(col, "_colorings", counted)
+        monkeypatch.setattr(col, "SEARCH_GUARD", 0)
+        with pytest.raises(col.GuardExceeded, match="passed 0 decisions without force"):
+            cls.extract_critical(g, 5)
+        assert searches == [0]
+
+    def test_force_passes_the_size_guard(self, monkeypatch):
         # K4 with a pendant path out to 30 vertices: chi from the
-        # theorem, and each search of the scan is quick
+        # theorem, and each search of the scan is quick, so the real cap
+        # passes it; a cap of 0 refuses it unless force lifts it
         path = [(v, v + 1) for v in range(3, 29)]
         g = Hypergraph.of(30, list(cons.complete_graph(4).edges) + path)
-        with pytest.raises(col.GuardExceeded):
-            cls.extract_critical(g, 4)
-        crit = cls.extract_critical(g, 4, force=True)
+        crit = cls.extract_critical(g, 4)
         assert crit.graph == cons.complete_graph(4)
         assert crit.old_ids == (0, 1, 2, 3)
+        monkeypatch.setattr(col, "SEARCH_GUARD", 0)
+        with pytest.raises(col.GuardExceeded):
+            cls.extract_critical(g, 4)
+        assert cls.extract_critical(g, 4, force=True) == crit
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
@@ -994,7 +1005,7 @@ class TestCertifyFirst:
     def test_no_certificate_and_no_coloring_is_internal(self, monkeypatch):
         g = Hypergraph.of(6, [e for e in itertools.combinations(range(6), 2) if e != (0, 1)])
         assert cls.classify(g).verdict == "colorable"
-        monkeypatch.setattr(col, "find_k_coloring", lambda *args, **kwargs: None)
+        monkeypatch.setattr(col, "_find", lambda *args, **kwargs: None)
         with pytest.raises(cls.InternalError, match="no block certifies"):
             cls.classify(g)
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperchrome import classifier, cli
+from hyperchrome import coloring as col
 from hyperchrome import connectivity as conn
 from hyperchrome import constructions as cons
 from hyperchrome import corpus
@@ -170,13 +171,24 @@ class TestErrorPaths:
         code, _ = run(capsys, ["chi", "/nonexistent/g.hgr"])
         assert code == 2
 
-    def test_guard_exit_code(self, tmp_path, capsys):
-        big = Hypergraph.of(30, [(i, i + 1) for i in range(29)])
-        path = write_hgr(tmp_path, big)
-        code, _ = run(capsys, ["chi", path])
-        assert code == 3
+    def test_guard_exit_code(self, tmp_path, capsys, monkeypatch):
+        """C30 takes one decision, so only a cap of 0 refuses it."""
+        path = write_hgr(tmp_path, cons.cycle(30))
+        code, payload = run_json(capsys, ["chi", path])
+        assert code == 0 and payload == {"chi": 2}
+        monkeypatch.setattr(col, "SEARCH_GUARD", 0)
+        assert cli.main(["chi", path]) == 3
+        assert "passed 0 decisions without force" in capsys.readouterr().err
         code, payload = run_json(capsys, ["chi", path, "--force"])
         assert code == 0 and payload == {"chi": 2}
+
+    def test_classify_past_the_decision_cap(self, tmp_path, capsys):
+        """The lambda-coloring of a k = 4, n = 41 join minus one edge
+        passes the real cap in a few seconds (it ran for 45.9 s
+        unguarded)."""
+        g = random_nested_join(random.Random(1), 4, 41, 10**6).delete_edge(0)
+        assert cli.main(["classify", write_hgr(tmp_path, g)]) == 3
+        assert "4-coloring search passed 1000000 decisions" in capsys.readouterr().err
 
     def test_cut_search_guard_exit_code(self, tmp_path, capsys):
         path = write_hgr(tmp_path, cons.cycle(60))
@@ -363,20 +375,27 @@ class TestErrorPaths:
         if verb[0] == "critical":
             assert payload["critical"] and payload["failing_edge"] is None
 
-    def test_tight_block_short_of_the_input_keeps_the_edge_guard(self, tmp_path, capsys):
+    def test_tight_block_short_of_the_input_keeps_the_edge_guard(
+        self, tmp_path, capsys, monkeypatch
+    ):
         """chi = 5 comes from the join block, but the first failing edge
-        of the join with a pendant edge needs the guarded search."""
+        of the join with a pendant edge needs the guarded search (under
+        the real cap too, which it passes after about 3 s)."""
         join = random_nested_join(random.Random(1), 4, 41, 10**6)
         path = write_hgr(tmp_path, Hypergraph.of(42, list(join.edges) + [(0, 41)]))
+        monkeypatch.setattr(col, "SEARCH_GUARD", 0)
         assert cli.main(["critical", path, "-k", "5"]) == 3
-        assert "refuses n=42" in capsys.readouterr().err
+        assert "decisions without force" in capsys.readouterr().err
         code, payload = run_json(capsys, ["critical", path, "-k", "4"])
         assert code == 1 and payload["chi"] == 5 and not payload["critical"]
         code, payload = run_json(capsys, ["chi", path])
         assert code == 0 and payload["chi"] == 5
 
-    def test_undecided_input_keeps_the_guard(self, tmp_path, capsys):
+    def test_undecided_input_keeps_the_guard(self, tmp_path, capsys, monkeypatch):
         path = write_hgr(tmp_path, cons.cycle(31))
+        code, payload = run_json(capsys, ["critical", path, "-k", "3"])
+        assert code == 0 and payload["critical"]
+        monkeypatch.setattr(col, "SEARCH_GUARD", 0)
         assert cli.main(["critical", path, "-k", "3"]) == 3
         code, payload = run_json(capsys, ["critical", path, "-k", "3", "--force"])
         assert code == 0 and payload["critical"]

@@ -81,8 +81,12 @@ class TestChromaticNumber:
     def test_known_values(self, g, chi):
         assert col.chromatic_number(g) == chi
 
-    def test_guard(self):
-        big = Hypergraph.of(30, [(i, i + 1) for i in range(29)])
+    def test_guard(self, monkeypatch):
+        """C30's 2-coloring takes one decision: the cap passes it, and
+        only a cap below that refuses it."""
+        big = cons.cycle(30)
+        assert col.chromatic_number(big) == 2
+        monkeypatch.setattr(col, "SEARCH_GUARD", 0)
         with pytest.raises(col.GuardExceeded):
             col.chromatic_number(big)
         assert col.chromatic_number(big, force=True) == 2
@@ -102,28 +106,28 @@ class TestChromaticNumber:
         assert oracles.chromatic_number_by_blocks(g) == col.chromatic_number(g)
 
 
+def _enumerate(g, k, limit=None):
+    """The first ``limit`` k-colorings of g (all when None) that the
+    search yields over the vertex order 0..n-1 with no symmetry
+    breaking: lexicographic order."""
+    return list(itertools.islice(col._colorings(g, k, range(g.n), {}, False), limit))
+
+
 class TestEnumeration:
     def test_triangle_count(self):
-        assert len(col.enumerate_k_colorings(cons.complete_graph(3), 3)) == 6
+        assert len(_enumerate(cons.complete_graph(3), 3)) == 6
 
     def test_counts_match_oracle(self):
         g = Hypergraph.of(4, [(0, 1, 2), (1, 2, 3)])
         for k in (2, 3):
-            assert len(col.enumerate_k_colorings(g, k)) == oracles.brute_count_colorings(g, k)
+            assert len(_enumerate(g, k)) == oracles.brute_count_colorings(g, k)
 
     def test_limit(self):
-        out = col.enumerate_k_colorings(cons.cycle(5), 3, limit=4)
-        assert len(out) == 4
-
-    def test_limit_zero_is_empty(self):
-        assert col.enumerate_k_colorings(cons.cycle(5), 3, limit=0) == []
-
-    def test_negative_limit_rejected(self):
-        with pytest.raises(ValueError, match="limit"):
-            col.enumerate_k_colorings(cons.cycle(5), 3, limit=-1)
+        out = _enumerate(cons.cycle(5), 3, 4)
+        assert len(out) == 4 and out == _enumerate(cons.cycle(5), 3)[:4]
 
     def test_lexicographic_order(self):
-        out = col.enumerate_k_colorings(Hypergraph.of(2, [(0, 1)]), 2)
+        out = _enumerate(Hypergraph.of(2, [(0, 1)]), 2)
         assert [c.colors for c in out] == [(1, 2), (2, 1)]
 
 
@@ -217,9 +221,9 @@ class TestPinnedToRecursiveSearch:
     @given(hypergraphs(max_n=7, sizes=(2, 3, 4)), st.integers(1, 3), st.integers(1, 40))
     @settings(max_examples=100, deadline=None)
     def test_enumeration_matches_reference(self, g, k, limit):
-        assert col.enumerate_k_colorings(
+        assert _enumerate(g, k, limit) == oracles.reference_enumerate_k_colorings(
             g, k, limit=limit
-        ) == oracles.reference_enumerate_k_colorings(g, k, limit=limit)
+        )
 
     def test_seeded_random_instances(self):
         rng = random.Random(2024)
@@ -232,9 +236,9 @@ class TestPinnedToRecursiveSearch:
                 g, 3, preset
             )
             limit = rng.randint(1, 30)
-            assert col.enumerate_k_colorings(
+            assert _enumerate(g, 3, limit) == oracles.reference_enumerate_k_colorings(
                 g, 3, limit=limit
-            ) == oracles.reference_enumerate_k_colorings(g, 3, limit=limit)
+            )
 
 
 def _path(n):
@@ -261,7 +265,7 @@ class TestDeepInputs:
 
     def test_enumeration(self):
         g = _path(3000)
-        [phi] = col.enumerate_k_colorings(g, 2, limit=1)
+        [phi] = _enumerate(g, 2, 1)
         assert phi.is_valid_for(g)
 
 
@@ -361,7 +365,7 @@ class TestForwardChecking:
                         itertools.islice(
                             col._colorings(g, k, range(g.n), {}, False, skip=ref), 30
                         )
-                    ) == col.enumerate_k_colorings(rest, k, limit=30)
+                    ) == _enumerate(rest, k, 30)
 
     @pytest.mark.parametrize(
         "g,k",
@@ -695,6 +699,11 @@ class TestChiAndCriticalityFromTheTheorem:
 
         monkeypatch.setattr(col, "_colorings", refuse)
 
+    @staticmethod
+    def _refuse_decisions(monkeypatch):
+        """A cap of 0: any search that makes a decision raises."""
+        monkeypatch.setattr(col, "SEARCH_GUARD", 0)
+
     @pytest.mark.parametrize(
         "g,chi",
         [(cons.complete_graph(9), 9)] + [(cons.odd_wheel(rim), 4) for rim in range(5, 20, 2)],
@@ -708,30 +717,36 @@ class TestChiAndCriticalityFromTheTheorem:
         """Each took minutes by search, or was refused without force."""
         wheel = cons.odd_wheel(29)
         join = random_nested_join(random.Random(1), 4, 41, 10**6)
-        assert min(wheel.n, join.n) > col.CHI_GUARD_N and join.n == 41
+        assert min(wheel.n, join.n) > 24 and join.n == 41
         self._refuse_search(monkeypatch)
         assert col.chromatic_number(wheel) == 4
         assert col.chromatic_number(join) == 5
         assert col.is_critical(join, 5).is_critical
         assert not col.is_critical(join, 4).is_critical
 
-    def test_undecided_inputs_keep_the_guard(self):
-        g = Hypergraph.of(31, list(cons.odd_wheel(5).edges) + [(i, i + 1) for i in range(5, 30)])
+    def test_undecided_inputs_keep_the_guard(self, monkeypatch):
+        """Both are searched, in a few decisions each, so the cap passes
+        them; one below their decisions refuses them."""
+        g = _wheel_path()
         assert col.chromatic_number(g) == 4  # the wheel block certifies
-        for h in (cons.cycle(31), g.delete_edge(0)):
+        c31, h = cons.cycle(31), g.delete_edge(0)
+        assert col.chromatic_number(c31) == col.chromatic_number(h) == 3
+        assert col.is_critical(c31, 3) == col.CriticalityReport(True, 3)
+        assert col.is_critical(h, 3).failing_edge == 0
+        self._refuse_decisions(monkeypatch)
+        for g in (c31, h):
             with pytest.raises(col.GuardExceeded):
-                col.chromatic_number(h)
+                col.chromatic_number(g)
             with pytest.raises(col.GuardExceeded):
-                col.is_critical(h, 3)
+                col.is_critical(g, 3)
 
     def test_a_tight_block_short_of_g_keeps_the_edge_guard(self, monkeypatch):
         """The theorem gives chi when a certified block is not all of g,
         but not the first failing edge, which only a search finds."""
         join = random_nested_join(random.Random(1), 4, 41, 10**6)
         pendant = Hypergraph.of(42, list(join.edges) + [(0, 41)])
-        wheel_path = Hypergraph.of(31, list(cons.odd_wheel(5).edges) + [(i, i + 1) for i in range(5, 30)])
-        self._refuse_search(monkeypatch)
-        for g, chi, lam in ((pendant, 5, 4), (wheel_path, 4, 3)):
+        self._refuse_decisions(monkeypatch)
+        for g, chi, lam in ((pendant, 5, 4), (_wheel_path(), 4, 3)):
             assert col.chromatic_number(g) == chi
             assert col.is_critical(g, chi - 1) == col.CriticalityReport(
                 False, chi, reason=f"chi is {chi}, not {chi - 1}")
@@ -742,16 +757,20 @@ class TestChiAndCriticalityFromTheTheorem:
             assert corpus.instance_stats(g) == {
                 "n": g.n, "m": g.m, "chi": chi, "lambda": lam, "critical_k": None}
 
-    def test_undecided_stats_past_the_guard_run_no_flow(self, monkeypatch):
-        """Without force, an input the theorem does not decide gets n and
-        m only, and the flows that lambda would need do not run."""
-        built = []
-        monkeypatch.setattr(conn._FlowNet, "__init__", lambda net, g: built.append(g))
+    def test_stats_past_the_cap_give_n_and_m_only(self, monkeypatch):
+        """Without force, an input whose search passes the cap gets n
+        and m only; under the real cap these are searched in a few
+        decisions."""
         toft_path = Hypergraph.of(
             30, list(cons.toft_graph(1).edges) + [(i, i + 1) for i in range(11, 29)])
-        for g in (cons.cycle(31), toft_path):
+        c31 = cons.cycle(31)
+        assert corpus.instance_stats(c31) == {
+            "n": 31, "m": 31, "chi": 3, "lambda": 2, "critical_k": 3}
+        assert corpus.instance_stats(toft_path) == {
+            "n": 30, "m": 39, "chi": 4, "lambda": 4, "critical_k": None}
+        self._refuse_decisions(monkeypatch)
+        for g in (c31, toft_path):
             assert corpus.instance_stats(g) == {"n": g.n, "m": g.m}
-        assert built == []
 
     @given(hypergraphs(max_n=7, sizes=(2, 3)))
     @settings(max_examples=60, deadline=None)
@@ -768,3 +787,64 @@ class TestChiAndCriticalityFromTheTheorem:
                 assert (phi is None) == (preset is None), (g, ref, k)
                 if phi is not None:
                     assert phi.is_valid_for(g.delete_edge(ref)) and set(phi.colors[v] for v in e) == {1}
+
+
+def _wheel_path():
+    """W5 with a pendant path out to 31 vertices: chi = 4 from the
+    certified wheel block, and a first failing edge only a search finds."""
+    return Hypergraph.of(31, list(cons.odd_wheel(5).edges) + [(i, i + 1) for i in range(5, 30)])
+
+
+def _k4_path():
+    return Hypergraph.of(30, list(cons.complete_graph(4).edges) + [(v, v + 1) for v in range(3, 29)])
+
+
+def _k6_minus_edge():
+    """lambda = 4 and no block certifies: ``classify``'s colorable branch."""
+    return Hypergraph.of(6, [e for e in itertools.combinations(range(6), 2) if e != (0, 1)])
+
+
+def _figure2_g1_edge_cut(force):
+    g = cons.figure2_g1()
+    cut = next(c for c in conn.minimal_separating_edge_sets(g, 3) if len(c.f) == 3)
+    return cons.decompose_edge_cut(g, 3, cut.f, force=force)
+
+
+class TestDecisionCap:
+    """Every search the library runs for its own answers raises
+    GuardExceeded once it passes ``SEARCH_GUARD`` decisions, unless
+    force is set; force gives the answer the uncapped search gives."""
+
+    @pytest.mark.parametrize(
+        "answer",
+        [
+            lambda force: col.chromatic_number(cons.cycle(31), force=force),
+            lambda force: col.is_critical(_wheel_path(), 4, force=force),
+            lambda force: tuple(cls.extract_critical(_k4_path(), 4, force=force)),
+            lambda force: cls.classify(_k6_minus_edge(), force=force),
+            lambda force: cons.decompose_vertex_pair(cons.figure2_g1(), 3, force=force),
+            _figure2_g1_edge_cut,
+        ],
+        ids=["chromatic_number", "is_critical", "extract_critical", "classify-colorable",
+             "decompose_vertex_pair", "decompose_edge_cut"],
+    )
+    def test_low_cap_raises_and_force_lifts_it(self, monkeypatch, answer):
+        want = answer(False)
+        monkeypatch.setattr(col, "SEARCH_GUARD", 0)
+        with pytest.raises(col.GuardExceeded, match="decisions without force"):
+            answer(False)
+        assert answer(True) == want
+
+    def test_the_cap_counts_decisions(self, monkeypatch):
+        """A search passes at its own decision count and is refused one
+        below it; find_k_coloring is never capped."""
+        g = cons.odd_wheel(7)
+        search = col._Search(g, 3)
+        assert next(search.colorings(range(g.n), {}, False), None) is None
+        monkeypatch.setattr(col, "SEARCH_GUARD", search.decisions)
+        assert next(col._colorings(g, 3, range(g.n), {}, False), None) is None
+        monkeypatch.setattr(col, "SEARCH_GUARD", search.decisions - 1)
+        with pytest.raises(col.GuardExceeded):
+            next(col._colorings(g, 3, range(g.n), {}, False), None)
+        assert next(col._colorings(g, 3, range(g.n), {}, False, force=True), None) is None
+        assert col.find_k_coloring(g, 3) is None

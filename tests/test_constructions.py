@@ -277,6 +277,17 @@ class TestDecompositions:
         assert dec.g1_prime == cons.odd_wheel(17)
         assert dec.g2_prime == cons.complete_graph(4)
 
+    def test_edge_cut_past_the_enumeration_guard(self):
+        # every minimal 3-edge cut of W17 joined to K4; the spread side
+        # was enumerated before, and 3^17 or more assignments exceeded
+        # the enumeration guard at 20 of the 21
+        g = _wheel_join_k4(17)
+        cuts = [c for c in conn.minimal_separating_edge_sets(g, 3) if len(c.f) == 3]
+        assert len(cuts) == 21
+        for cut in cuts:
+            dec = cons.decompose_edge_cut(g, 3, cut.f)
+            assert dec.g2.n == len(dec.cut.y) + 1
+
     def test_identify_vertices(self):
         g = Hypergraph.of(4, [(0, 1), (1, 2, 3), (0, 3)])
         merged = cons.identify_vertices(g, 0, 3)
@@ -292,31 +303,34 @@ def _critical_named_4():
 
 
 def _count_enumerations(monkeypatch) -> collections.Counter:
+    """Counts the coloring searches, and those asked for a second
+    coloring: an enumeration, where a decision needs one or none."""
     calls = collections.Counter()
-    enumerate_k_colorings = col.enumerate_k_colorings
+    search = col._colorings
 
     def counted(*args, **kwargs):
-        calls["enumerations"] += 1
-        return enumerate_k_colorings(*args, **kwargs)
+        calls["searches"] += 1
+        for i, phi in enumerate(search(*args, **kwargs)):
+            calls["enumerations"] += i == 1
+            yield phi
 
-    monkeypatch.setattr(col, "enumerate_k_colorings", counted)
+    monkeypatch.setattr(col, "_colorings", counted)
     return calls
 
 
 class TestEnumerationCount:
-    def test_edge_cut_enumerates_only_the_spread_side(self, monkeypatch):
-        """The constant side is decided by preset searches, so each
-        edge-cut decomposition enumerates the colorings of one side."""
+    def test_edge_cut_enumerates_no_coloring(self, monkeypatch):
+        """Both sides are decided by preset searches, so no edge-cut
+        decomposition enumerates colorings."""
         calls = _count_enumerations(monkeypatch)
         exercised = 0
         for name, g in _critical_named_4():
             cuts = [c for c in conn.minimal_separating_edge_sets(g, 3) if len(c.f) == 3]
             for cut in cuts[:12]:
-                before = calls["enumerations"]
                 cons.decompose_edge_cut(g, 3, cut.f)
-                assert calls["enumerations"] == before + 1, (name, cut.f)
                 exercised += 1
         assert exercised >= 10
+        assert calls["searches"] >= exercised and calls["enumerations"] == 0
 
     def test_vertex_pair_enumerates_no_coloring(self, monkeypatch):
         """Each side's behaviour at the separating pair comes from
@@ -325,7 +339,7 @@ class TestEnumerationCount:
         calls = _count_enumerations(monkeypatch)
         decomposed = sum(cons.decompose_vertex_pair(g, 3) is not None for _, g in _critical_named_4())
         assert decomposed >= 2
-        assert calls["enumerations"] == 0
+        assert calls["searches"] >= 2 * decomposed and calls["enumerations"] == 0
 
 
 def _wheel_join_k4(rim: int) -> Hypergraph:
@@ -359,6 +373,26 @@ class TestPresetSearches:
                 assert cons._pair_behavior(g, k, v, w) == want, (g, k, v, w)
                 seen.add(want)
         assert seen == {True, False, None}
+
+    def test_spreads_matches_the_enumeration(self):
+        """On seeded cuts of random hypergraphs whose cut edges have
+        distinct traces on the side, as the incidence rule makes them in
+        a decomposition."""
+        rng, graphs = self._graphs(939)
+        seen = collections.Counter()
+        for g in graphs:
+            for _ in range(4):
+                xs = rng.sample(range(g.n), rng.randint(1, g.n - 1))
+                cut = conn.EdgeCut.from_side(g, xs)
+                traces = {tuple(u for u in g.edge(ref) if u in cut.y) for ref in cut.f}
+                if not cut.f or len(traces) < len(cut.f):
+                    continue
+                g2 = cons._apex_side(g, cut.y, cut.f).graph
+                for k in (1, 2, 3, 4):
+                    want = oracles.reference_spread_side(g, k, cut.y, cut.f)
+                    assert cons._spreads(g2, k) == want, (g, k, cut)
+                    seen[want] += 1
+        assert seen[True] >= 200 and seen[False] >= 400, seen
 
     def test_constant_on_matches_the_enumeration(self):
         rng, graphs = self._graphs(929)
