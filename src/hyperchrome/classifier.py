@@ -312,9 +312,13 @@ def extract_critical(g: Hypergraph, target_chi: int, force: bool = False) -> Rel
     deleting more edges only makes a coloring easier to find, so the
     first failing edge is the next one the scan would delete.  The
     test runs coloring searches, each under the decision cap unless
-    force is set, even when the theorem gave chi with no search."""
-    if col.chromatic_number(g, force=force) != target_chi:
+    force is set, unless the theorem shows g critical: g is then the
+    answer."""
+    chi, _, critical = col._chi(g, force)
+    if chi != target_chi:
         raise ValueError(f"chromatic number is not {target_chi}")
+    if critical:
+        return g.induced(range(g.n))
     if target_chi <= 1:
         sub, old = g.induced(range(min(g.n, 1)))
         return Relabeled(sub, old)
@@ -364,7 +368,7 @@ def classify(g: Hypergraph, force: bool = False, h2_info: bool = False) -> Class
         cert, b = tight
         return ClassifyOutcome(lam, lam + 1, "tight", block=b.vertices, certificate=cert)
     if lam >= 3:
-        phi = col._find(g, lam, force=force)
+        phi = col.find_k_coloring(g, lam, _force=force)
         if phi is None:
             raise InternalError("no block certifies and no lambda-coloring exists; internal bug")
         chi = col._chi_by_search(g, force, lam)

@@ -13,7 +13,10 @@ order of the plain depth-first search.
 Every search the library runs for its own answers counts its decisions
 and raises GuardExceeded once one search passes ``SEARCH_GUARD`` of
 them, unless force (``--force``) is set: the cap measures the work, not
-the input's size.  ``find_k_coloring`` (and ``color -k``) is unbounded.
+the input's size.  The cap bounds each search, not a whole question:
+a question that runs many searches (the per-edge test, the chi scan)
+can take that many times as long.  ``find_k_coloring`` called with its
+public arguments (and ``color -k``) is unbounded.
 
 chi and criticality come from the classifier's decision first: by the
 theorem, chi(G) = lambda(G) + 1 >= 4 iff some block of G is in the
@@ -74,20 +77,14 @@ class CriticalityReport:
 
 
 def find_k_coloring(
-    g: Hypergraph, k: int, preset: dict[int, int] | None = None
+    g: Hypergraph, k: int, preset: dict[int, int] | None = None, *, _force: bool = True
 ) -> Coloring | None:
     """A valid k-coloring if one exists, else None.  Deterministic:
     vertices are tried in descending-degree order with symmetry
     breaking (color c only after 1..c-1 appear), unless colors are
     preset, which disables symmetry breaking.  Unbounded: no decision
-    cap applies."""
-    return _find(g, k, preset, force=True)
-
-
-def _find(
-    g: Hypergraph, k: int, preset: dict[int, int] | None = None, force: bool = False
-) -> Coloring | None:
-    """``find_k_coloring`` under the decision cap unless force is set."""
+    cap applies.  The library's own searches pass their force as the
+    private ``_force``, which puts them under the cap unless it is set."""
     if k < 1:
         raise ValueError("palette size must be >= 1")
     if g.n == 0:
@@ -99,7 +96,7 @@ def _find(
             raise ValueError(f"preset color {c} outside 1..{k}")
     # descending degree, ties by ascending id: a reversed sort is stable
     order = sorted(range(g.n), key=list(map(len, g.incidence)).__getitem__, reverse=True)
-    return next(_colorings(g, k, order, preset, not preset, force=force), None)
+    return next(_colorings(g, k, order, preset, not preset, force=_force), None)
 
 
 def chromatic_number(g: Hypergraph, force: bool = False) -> int:
@@ -163,7 +160,7 @@ def _chi_by_search(g: Hypergraph, force: bool = False, lam: int | None = None) -
         return 1
     cap = None if lam is None else lam if lam >= 3 else lam + 1
     k = max(2, _clique_lower_bound(g))
-    while (cap is None or k < cap) and _find(g, k, force=force) is None:
+    while (cap is None or k < cap) and find_k_coloring(g, k, _force=force) is None:
         k += 1
     return k
 

@@ -434,8 +434,8 @@ def _pair_behavior(g: Hypergraph, k: int, v: int, w: int, force: bool = False) -
     color iff the search with both preset to 1 finds one, and two
     colors iff the search with v preset to 1 and w to 2 does (never at
     k = 1)."""
-    same = col._find(g, k, {v: 1, w: 1}, force) is not None
-    if same and k > 1 and col._find(g, k, {v: 1, w: 2}, force) is not None:
+    same = col.find_k_coloring(g, k, {v: 1, w: 1}, _force=force) is not None
+    if same and k > 1 and col.find_k_coloring(g, k, {v: 1, w: 2}, _force=force) is not None:
         return None
     return same
 
@@ -472,8 +472,9 @@ def decompose_edge_cut(g: Hypergraph, k: int, f, force: bool = False) -> EdgeCut
     """Theorem-backed decomposition of a (k+1)-critical hypergraph at a
     separating edge set of size <= k (which must then have size k).
 
-    Side X is the side whose k-colorings are all constant on X_F, and
-    side Y is checked to spread: both by preset searches, each under
+    Side X is the side whose k-colorings are all constant on X_F, found
+    by preset searches; side Y spreads when G2 has no k-coloring, which
+    the required criticality of G2 includes.  Each search runs under
     the decision cap unless force is set."""
     refs = tuple(sorted(set(f)))
     col.require_critical(g, k, force=force)
@@ -490,13 +491,14 @@ def decompose_edge_cut(g: Hypergraph, k: int, f, force: bool = False) -> EdgeCut
         cut = conn.EdgeCut(cut.y, cut.x, cut.f, cut.y_f, cut.x_f)
         if not _constant_on(g, k, cut.x, cut.x_f, force):
             raise ValueError("no side's k-colorings are constant on its cut; theorem violated")
-    # the incidence rule (b), then the coloring structure (a) on side Y
+    # the incidence rule (b), then the coloring structure (a) on side Y:
+    # G2 has no k-coloring iff every k-coloring of G[Y] fills some cut
+    # edge's trace f & Y with each color, which then all appear on Y_F
     for u in cut.y_f:
         if sum(1 for ref in cut.f if u in g.edge(ref)) != 1:
             raise ValueError(f"vertex {u} not incident to exactly one cut edge")
     g2, g2_old = _apex_side(g, cut.y, cut.f)
-    if not _spreads(g2, k, force):
-        raise ValueError("a k-coloring of G[Y] fills no cut edge's trace with some color")
+    col.require_critical(g2, k, "G2", force=force)
     g1 = None
     g1_old: tuple[int, ...] = ()
     if len(cut.x_f) >= 2:
@@ -505,7 +507,6 @@ def decompose_edge_cut(g: Hypergraph, k: int, f, force: bool = False) -> EdgeCut
         g1 = Hypergraph.of(sub.n, sub.edges + (tuple(sorted(pos[u] for u in cut.x_f)),))
         g1_old = old
         col.require_critical(g1, k, "G1", force=force)
-    col.require_critical(g2, k, "G2", force=force)
     return EdgeCutDecomposition(cut, g1, g1_old, g2, g2_old)
 
 
@@ -519,18 +520,6 @@ def _apex_side(g: Hypergraph, ys, refs) -> Relabeled:
     return Relabeled(Hypergraph.of(sub.n + 1, sub.edges + tuple(traces)), old + (-1,))
 
 
-def _spreads(g2: Hypergraph, k: int, force: bool = False) -> bool:
-    """Whether each color fills the trace f & Y of some cut edge f in
-    every k-coloring of G[Y], where g2 is G[Y] with its apex z
-    (``_apex_side``).  Colors can be renamed, so a coloring leaving
-    some color on no trace exists iff one leaving color 1 on no trace
-    does, iff g2 has a k-coloring with z preset to 1: the edge
-    (f & Y) + z is monochromatic exactly when color 1 fills f & Y.  A
-    color that fills a trace appears on Y_F, so every k-coloring of
-    G[Y] then puts all k colors on Y_F as well."""
-    return col._find(g2, k, {g2.n - 1: 1}, force) is None
-
-
 def _constant_on(g: Hypergraph, k: int, xs, marked, force: bool = False) -> bool:
     """Whether every k-coloring of G[xs] is constant on ``marked``.
     Colors can be renamed, so one that is not exists iff some search
@@ -541,4 +530,7 @@ def _constant_on(g: Hypergraph, k: int, xs, marked, force: bool = False) -> bool
     sub, old = g.induced(xs)
     pos = {u: i for i, u in enumerate(old)}
     first = pos[marked[0]]
-    return all(col._find(sub, k, {first: 1, pos[u]: 2}, force) is None for u in marked[1:])
+    return all(
+        col.find_k_coloring(sub, k, {first: 1, pos[u]: 2}, _force=force) is None
+        for u in marked[1:]
+    )

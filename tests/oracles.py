@@ -23,10 +23,9 @@ certify-first one in ``hyperchrome.classifier`` replaced, and
 ``reference_decompose_mixed`` the mixed-pair decomposition built from
 ``delete_edge``, ``div_vertices``, ``components`` and ``induced`` that
 the one-search version in ``hyperchrome.constructions`` replaced.
-``reference_pair_behavior``, ``reference_forced_side`` and
-``reference_spread_side`` are the coloring enumerations that the
-vertex-pair and edge-cut decompositions ran before they made preset
-searches, and ``reference_bridges`` the
+``reference_pair_behavior`` and ``reference_forced_side`` are the
+coloring enumerations that the vertex-pair and edge-cut decompositions
+ran before they made preset searches, and ``reference_bridges`` the
 bridge test by one component count per derived G - e that
 ``connectivity.bridges`` ran before it read the articulation pass.
 ``reference_is_in_Ck`` is the semantic membership test ((k+1)-critical
@@ -666,24 +665,6 @@ def reference_forced_side(g: Hypergraph, k: int, xs, marked) -> bool | None:
         if not one and not full:
             return None
     return one
-
-
-def reference_spread_side(g: Hypergraph, k: int, ys, refs) -> bool:
-    """True if every k-coloring of G[ys] puts all k colors on the
-    vertices of ys in the cut edges ``refs``, and fills the trace
-    f & ys of some f in ``refs`` with each color: by enumerating every
-    k-coloring."""
-    sub, old = g.induced(ys)
-    pos = {u: i for i, u in enumerate(old)}
-    traces = [[pos[u] for u in g.edge(ref) if u in pos] for ref in refs]
-    y_f = {p for trace in traces for p in trace}
-    for phi in reference_enumerate_k_colorings(sub, k):
-        if len({phi.colors[p] for p in y_f}) != k:
-            return False
-        filled = {phi.colors[t[0]] for t in traces if len({phi.colors[p] for p in t}) == 1}
-        if len(filled) != k:
-            return False
-    return True
 
 
 def reference_bridges(g: Hypergraph) -> list[int]:

@@ -535,11 +535,26 @@ class TestExtractCritical:
         with pytest.raises(ValueError):
             cls.extract_critical(cons.complete_graph(4), 3)
 
-    def test_size_guard_before_the_edge_scan(self, monkeypatch):
-        # chi comes from the theorem with no search, and the scan's
-        # first search is the one that passes a cap of 0 decisions
+    def test_theorem_critical_input_is_returned_without_a_search(self, monkeypatch):
+        # the k = 4, n = 41 join is in the class at 4, so 5-critical
         g = random_nested_join(random.Random(1), 4, 41, 10**6)
         assert (g.n, g.m) == (41, 91)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a coloring search ran")
+
+        monkeypatch.setattr(col, "_colorings", refused)
+        crit = cls.extract_critical(g, 5)
+        assert crit.graph == g and crit.old_ids == tuple(range(41))
+        with pytest.raises(ValueError, match="not 4"):
+            cls.extract_critical(g, 4)
+
+    def test_size_guard_before_the_edge_scan(self, monkeypatch):
+        # chi comes from the join block with no search, but the join
+        # with a pendant edge is not critical, and the scan's first
+        # search is the one that passes a cap of 0 decisions
+        join = random_nested_join(random.Random(1), 4, 41, 10**6)
+        g = Hypergraph.of(42, list(join.edges) + [(0, 41)])
         searches = []
         search = col._colorings
 
@@ -1005,7 +1020,7 @@ class TestCertifyFirst:
     def test_no_certificate_and_no_coloring_is_internal(self, monkeypatch):
         g = Hypergraph.of(6, [e for e in itertools.combinations(range(6), 2) if e != (0, 1)])
         assert cls.classify(g).verdict == "colorable"
-        monkeypatch.setattr(col, "_find", lambda *args, **kwargs: None)
+        monkeypatch.setattr(col, "find_k_coloring", lambda *args, **kwargs: None)
         with pytest.raises(cls.InternalError, match="no block certifies"):
             cls.classify(g)
 

@@ -805,8 +805,9 @@ def _k6_minus_edge():
 
 
 def _figure2_g1_edge_cut(force):
+    # the second 3-edge cut: the first one's searches decide with no decision
     g = cons.figure2_g1()
-    cut = next(c for c in conn.minimal_separating_edge_sets(g, 3) if len(c.f) == 3)
+    cut = [c for c in conn.minimal_separating_edge_sets(g, 3) if len(c.f) == 3][1]
     return cons.decompose_edge_cut(g, 3, cut.f, force=force)
 
 
