@@ -18,7 +18,7 @@ from hyperchrome import constructions as cons
 from hyperchrome import corpus
 from hyperchrome.hypercore import Hypergraph
 
-from conftest import hypergraphs, random_nested_join
+from conftest import hypergraphs, join_chain, random_nested_join
 
 
 # a join of two K4 leaves at vertex 3, as a user's certificate file holds it
@@ -182,6 +182,20 @@ class TestErrorPaths:
         code, payload = run_json(capsys, ["chi", path, "--force"])
         assert code == 0 and payload == {"chi": 2}
 
+    def test_h2_info_join_search_is_capped(self, tmp_path, capsys, monkeypatch):
+        """A spider of 5 legs of 4 (n = 21) took 30.9 s when its join
+        search was neither memoised nor capped.  Its passes stay under
+        the real cap; a cap of 1000 passes refuses it after extraction."""
+        parents = [-1] + [0 if i % 4 == 0 else i for i in range(20)]
+        path = write_hgr(tmp_path, cons.c2_tree(parents))
+        code, payload = run_json(capsys, ["classify", "--h2-info", path])
+        assert code == 0 and payload["lambda"] == 2 and payload["h2_closure"] is True
+        monkeypatch.setattr(col, "SEARCH_GUARD", 1000)
+        assert cli.main(["classify", "--h2-info", path]) == 3
+        assert "join search passed 1000 articulation passes" in capsys.readouterr().err
+        code, payload = run_json(capsys, ["classify", "--h2-info", "--force", path])
+        assert code == 0 and payload["h2_closure"] is True
+
     def test_classify_past_the_decision_cap(self, tmp_path, capsys):
         """The lambda-coloring of a k = 4, n = 41 join minus one edge
         passes the real cap in a few seconds (it ran for 45.9 s
@@ -312,6 +326,20 @@ class TestErrorPaths:
         cert_path.write_text(head * 3000 + leaf + tail * 3000)
         assert cli.main(["verify-cert", str(cert_path), path]) == 2
         assert "nested too deeply" in capsys.readouterr().err
+
+    def test_certificate_deeper_than_the_recursion_limit_is_input_error(
+        self, tmp_path, capsys, low_recursion_limit
+    ):
+        """The certificate builds, but its JSON form cannot be written
+        past the recursion limit."""
+        t = 150
+        assert low_recursion_limit < t
+        path = write_hgr(tmp_path, join_chain(cons.odd_wheel(5), t))
+        for argv in (["classify", path], ["certify", "-k", "3", path]):
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == "error: certificate is nested too deeply\n", captured.err
+            assert captured.out == ""
 
     @pytest.mark.parametrize(
         "option,value,message",
