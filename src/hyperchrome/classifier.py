@@ -5,7 +5,6 @@ that decides whether the chromatic number meets the connectivity bound.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Union
@@ -74,42 +73,19 @@ Replayed = tuple[frozenset[int], frozenset[frozenset[int]]]
 
 def replay_certificate(cert: Certificate) -> Replayed:
     """Rebuild the certified hypergraph bottom-up as explicit vertex
-    and edge sets in target ids, checking every join invariant.  The
-    nodes are replayed from an explicit stack, so the recursion limit
-    does not bound the depth."""
-    # each node before its parts, the right part first: reversed, every
-    # node comes after its parts, the left part first
-    order = []
-    todo = [cert]
-    while todo:
-        node = todo.pop()
-        order.append(node)
-        if isinstance(node, Join):
-            todo += (node.left, node.right)
-    built: list[Replayed] = []  # replays of finished subtrees, the right one on top
-    for node in reversed(order):
-        if isinstance(node, Leaf):
-            built.append(_replay_leaf(node))
+    and edge sets in target ids, checking every join invariant."""
+    if isinstance(cert, Leaf):
+        vs = frozenset(cert.labels)
+        if cert.kind == "complete":
+            es = frozenset(frozenset(p) for p in itertools.combinations(cert.labels, 2))
         else:
-            v2, es2 = built.pop()
-            v1, es1 = built.pop()
-            built.append(_replay_join(node, v1, es1, v2, es2))
-    return built[0]
-
-
-def _replay_leaf(leaf: Leaf) -> Replayed:
-    vs = frozenset(leaf.labels)
-    if leaf.kind == "complete":
-        es = frozenset(frozenset(p) for p in itertools.combinations(leaf.labels, 2))
-    else:
-        rim, hub = leaf.labels[:-1], leaf.labels[-1]
-        es = frozenset(
-            frozenset((rim[i], rim[(i + 1) % len(rim)])) for i in range(len(rim))
-        ) | frozenset(frozenset((v, hub)) for v in rim)
-    return vs, es
-
-
-def _replay_join(cert: Join, v1, es1, v2, es2) -> Replayed:
+            rim, hub = cert.labels[:-1], cert.labels[-1]
+            es = frozenset(
+                frozenset((rim[i], rim[(i + 1) % len(rim)])) for i in range(len(rim))
+            ) | frozenset(frozenset((v, hub)) for v in rim)
+        return vs, es
+    v1, es1 = replay_certificate(cert.left)
+    v2, es2 = replay_certificate(cert.right)
     if v1 & v2 != {cert.vstar}:
         raise CertificateError("join parts must overlap exactly in the merged vertex")
     e1, e2 = frozenset(cert.e1), frozenset(cert.e2)
@@ -253,68 +229,45 @@ def _may_be_member(n: int, m: int, k: int) -> bool:
 def _certify(g: Hypergraph, k: int, ids) -> Certificate | None:
     """Certificate of g in target ids, or None; the caller replays it.
     g is connected: the root is checked or is a block, and each part of
-    a decomposition of a connected hypergraph is connected.
-
-    The nodes are certified from an explicit stack, left part first, so
-    the recursion limit does not bound a certificate's depth.  A base
-    shape has no mixed pair (v, e); in the class, one exists iff g is a
-    join, and g is decomposed at the least, by edge ref and then
-    vertex.  The root's pairs come from ``_mixed_pairs``, and every
-    other node's from its parent by ``_share``, so no inner node runs
-    a pass.  On a non-member a share may be wrong, which is safe: every
-    certificate built at a node replays to that node's graph, so None
-    still means that g is not a member."""
-    order = []  # each node's Leaf or join fields, before its parts, left part first
-    todo = [(g, ids, None)]
-    while todo:
-        g, ids, parent = todo.pop()
-        if not _may_be_member(g.n, g.m, k):
-            return None
-        if k == 3:
-            layout = shapes._odd_wheel_layout(g)
-            if layout is not None:
-                order.append(Leaf("odd_wheel", tuple(ids[v] for v in layout)))
-                continue
-        elif shapes.is_complete_graph(g) and g.n == k + 1:
-            order.append(Leaf("complete", tuple(ids)))
-            continue
-        pairs = _mixed_pairs(g, k) if parent is None else _share(*parent)
-        if not pairs:
-            return None
-        e_star = min(pairs)
-        v_star = pairs[e_star][0]
-        try:
-            dec = cons.hajos_decompose_mixed(g, v_star, e_star)
-        except ValueError:
-            return None
-        spec = dec.spec
-        ids1 = [ids[u] for u in dec.g1_old]
-        ids2 = [ids[u] for u in dec.g2_old]
-        order.append((
-            ids[v_star],
-            tuple(sorted(ids1[u] for u in spec.g1.edge(spec.e1))),
-            tuple(sorted(ids2[u] for u in spec.g2.edge(spec.e2))),
-            spec.include_vstar,
-        ))
-        todo.append((spec.g2, ids2, (pairs, dec, True)))
-        todo.append((spec.g1, ids1, (pairs, dec, False)))
-    built: list[Certificate] = []  # finished subtrees, the left one on top
-    for node in reversed(order):
-        if isinstance(node, Leaf):
-            built.append(node)
-        else:
-            left = built.pop()
-            built.append(Join(left, built.pop(), *node))
-    return built[0]
+    a decomposition of a connected hypergraph is connected."""
+    if not _may_be_member(g.n, g.m, k):
+        return None
+    # A base shape has no separating (vertex, edge) pair; in the class,
+    # one exists iff g is a join.
+    if k == 3:
+        layout = shapes._odd_wheel_layout(g)
+        if layout is not None:
+            return Leaf("odd_wheel", tuple(ids[v] for v in layout))
+    elif shapes.is_complete_graph(g) and g.n == k + 1:
+        return Leaf("complete", tuple(ids))
+    first = _first_mixed_pair(g, k)
+    if first is None:
+        return None
+    v_star, e_star = first
+    try:
+        dec = cons.hajos_decompose_mixed(g, v_star, e_star)
+    except ValueError:
+        return None
+    ids1 = [ids[u] for u in dec.g1_old]
+    ids2 = [ids[u] for u in dec.g2_old]
+    left = _certify(dec.spec.g1, k, ids1)
+    right = _certify(dec.spec.g2, k, ids2) if left is not None else None
+    if right is None:
+        return None
+    return Join(
+        left, right, ids[v_star],
+        tuple(sorted(ids1[u] for u in dec.spec.g1.edge(dec.spec.e1))),
+        tuple(sorted(ids2[u] for u in dec.spec.g2.edge(dec.spec.e2))),
+        include_vstar=v_star in g.edge(e_star),
+    )
 
 
-Pairs = dict[int, list[int]]
-
-
-def _mixed_pairs(g: Hypergraph, k: int) -> Pairs:
-    """The mixed pairs (v, e) of ``mixed_separating_sets`` as
-    {e: [v, ...]}, each list ascending, when g is in the class at k.  On any other g the pairs may differ, and the
-    certifier's decomposition or replay rejects g.
+def _first_mixed_pair(g: Hypergraph, k: int) -> tuple[int, int] | None:
+    """The first pair (v, e) of ``mixed_separating_sets``, by least edge
+    ref and then least vertex, when g is in the class at k.  On any
+    other g it is None or a pair that the caller's decomposition or
+    recursion rejects, since every certificate built at a node replays
+    to that node's graph.
 
     Members are (k+1)-critical: every vertex has degree at least k, G
     is 2-connected, and deleting no one edge disconnects it.  In a
@@ -330,62 +283,17 @@ def _mixed_pairs(g: Hypergraph, k: int) -> Pairs:
     finds every pair."""
     deg = [len(refs) for refs in g.incidence]
     if min(deg) < k:
-        return {}
+        return None
     n = g.n
-    pairs: Pairs = {}
+    best = None
     for v, d in enumerate(deg):
         if d > k:
             count = conn._articulation(g, v)[1]
-            # the refs e such that G - v - e has more components than G - v
-            cut = count[n:]
-            if max(cut) > 1:
-                for ref, c in enumerate(cut):
-                    if c > 1:
-                        pairs.setdefault(ref, []).append(v)
-    return pairs
-
-
-def _share(pairs: Pairs, dec: cons.MixedDecomposition, second: bool) -> Pairs:
-    """The mixed pairs of the first or ``second`` part of ``dec``,
-    renumbered, from the ``pairs`` of the decomposed G, when G is a
-    member.  Let the parts be G1 on side A + v* and G2 on side B + v*,
-    with half edges h1 and h2.  A pair (v, f) with f != e* goes to the part that holds f, if v is
-    in it; a pair (v, e*) with v != v* goes to the part that holds v,
-    as (v, h_i).  (v*, h1) is no pair, and (v*, h2) is one exactly
-    when B holds two or more components of G - e* - v*.
-
-    Proof on members.  G, G1 and G2 are members, so (k+1)-critical:
-    2-connected, and no edge's deletion disconnects them.  So (v, f) is
-    a mixed pair iff G - f - v is disconnected, and every component C
-    of G - e* - v* in B meets e* (else v* would cut G) and has an edge
-    to v* other than e* (else e* would disconnect G).  Take v in
-    A + v* and f != e* inside A + v*.  If v != v*, then in G - f - v
-    all of B, v* and e* & A - v lie in one component, through v* and
-    e*, just as h1 - v joins e* & A - v and v* in G1 - f - v; if
-    v = v*, then B and e* & A lie in one component through e*, just as
-    h1 - v* joins e* & A.  The other edges are the same, so G - f - v
-    and G1 - f - v are disconnected together.  For v in A, B + v* lies
-    in one component of G - e* - v, through v*, so G - e* - v and
-    G1 - h1 - v are disconnected together.  G1 - h1 - v* is A, one
-    component, and G2 - h2 - v* has the components of B.  The same
-    holds with the sides swapped, and a pair of a part has its vertex
-    and its edge in that part, so these are all the pairs.  On
-    non-members the shares may be wrong; see ``_certify``."""
-    old, refs = (dec.g2_old, dec.g2_refs) if second else (dec.g1_old, dec.g1_refs)
-    pos = dict(zip(old, range(len(old))))
-    at = dict(zip(refs, range(len(refs))))
-    share: Pairs = {}
-    for f, vs in pairs.items():
-        ref = at.get(f)
-        if ref is not None:
-            vs = [pos[v] for v in vs if v in pos]
-            if f == dec.estar:
-                vs.remove(pos[dec.vstar])  # the pair G was decomposed at
-                if second and dec.side2_components > 1:
-                    bisect.insort(vs, pos[dec.vstar])
-            if vs:
-                share[ref] = vs
-    return share
+            # the least ref e such that G - v - e has more components than G - v
+            ref = next((ref for ref in range(g.m) if count[n + ref] > 1), None)
+            if ref is not None and (best is None or ref < best[1]):
+                best = (v, ref)
+    return best
 
 
 # -- critical subhypergraph extraction -------------------------------------

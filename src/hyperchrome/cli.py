@@ -8,7 +8,6 @@ exceeded, 4 internal error (a broken invariant: a bug, not bad input).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import functools
 import json
@@ -236,49 +235,37 @@ def _cmd_decompose(args) -> int:
     return OK
 
 
-@contextlib.contextmanager
-def _json_nesting():
-    """Certificates are built and replayed without recursion, but their
-    JSON form is read and written recursively, by ``json`` and by the
-    converters: past the recursion limit (about 990 joins deep at the
-    default) that is an input error, not a traceback."""
-    try:
-        yield
-    except RecursionError:
-        raise cls.CertificateError("certificate is nested too deeply") from None
-
-
 def _cmd_classify(args) -> int:
     outcome = cls.classify(_read_graph(args.file), force=args.force, h2_info=args.h2_info)
-    with _json_nesting():
-        payload = {
-            "lambda": outcome.lam,
-            "chi": outcome.chi,
-            "verdict": outcome.verdict,
-            "coloring": list(outcome.coloring.colors) if outcome.coloring else None,
-            "block": list(outcome.block) if outcome.block else None,
-            "certificate": (
-                cls.certificate_to_json(outcome.certificate) if outcome.certificate else None
-            ),
-            "note": outcome.note,
-        }
-        if outcome.h2_closure is not None:
-            payload["h2_closure"] = outcome.h2_closure
-        _emit(payload)
+    payload = {
+        "lambda": outcome.lam,
+        "chi": outcome.chi,
+        "verdict": outcome.verdict,
+        "coloring": list(outcome.coloring.colors) if outcome.coloring else None,
+        "block": list(outcome.block) if outcome.block else None,
+        "certificate": (
+            cls.certificate_to_json(outcome.certificate) if outcome.certificate else None
+        ),
+        "note": outcome.note,
+    }
+    if outcome.h2_closure is not None:
+        payload["h2_closure"] = outcome.h2_closure
+    _emit(payload)
     return OK
 
 
 def _cmd_certify(args) -> int:
     cert = cls.hk_certificate(_read_graph(args.file), args.k)
-    with _json_nesting():
-        _emit({"certificate": cls.certificate_to_json(cert) if cert else None})
+    _emit({"certificate": cls.certificate_to_json(cert) if cert else None})
     return OK if cert else VERDICT_NO
 
 
 def _cmd_verify_cert(args) -> int:
-    with _json_nesting():
+    try:
         cert = cls.certificate_from_json(json.loads(Path(args.cert).read_text()))
-    match = cls.verify_certificate(_read_graph(args.file), cert)
+        match = cls.verify_certificate(_read_graph(args.file), cert)
+    except RecursionError:
+        raise cls.CertificateError("certificate is nested too deeply") from None
     _emit({"match": match})
     return OK if match else VERDICT_NO
 

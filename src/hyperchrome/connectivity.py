@@ -446,7 +446,20 @@ def _articulation(g: Hypergraph, dead: int | None = None) -> tuple[list[list[int
     per child closed at it, and is a cut node when it lies in two or
     more.  The graph is bipartite and simple, so the tree edge back to
     the parent may count as a back edge: it lowers low[c] to disc[parent]
-    at most, which leaves that test unchanged."""
+    at most, which leaves that test unchanged.
+
+    The node of a two-vertex edge {x, u} is stepped over: the search
+    goes from x straight to u, which records the edge in ``via``, and
+    the node is marked seen with a discovery time past every other, so
+    it lowers no low value.  Its only other neighbour is u, so when u
+    is already found this is a back edge to u.  Otherwise u's subtree
+    reaches above the edge node exactly when it reaches x or above,
+    without the edge itself: the edge node is a cut node iff
+    low[u] > disc[x], and x closes it with u's subtree iff
+    low[u] >= disc[x], the test of every other tree edge.  So the
+    blocks and counts are those of B(G), but for one count no caller
+    reads: with u deleted, the edge node hangs from x alone, and x's
+    count leaves that block out."""
     n = g.n
     incidence, edges = g.incidence, g.edges
     size = n + g.m
@@ -462,6 +475,8 @@ def _articulation(g: Hypergraph, dead: int | None = None) -> tuple[list[list[int
     count = [1] * size
     # stack height when each edge node was discovered
     mark = [0] * size if keep else None
+    # the node of the two-vertex edge a vertex was reached through, or -1
+    via = [-1] * n
     stack: list[int] = []
     out: list[list[int]] = []
     timer = 0
@@ -478,15 +493,32 @@ def _articulation(g: Hypergraph, dead: int | None = None) -> tuple[list[list[int
                 todo, off = incidence[x], n
             else:
                 todo, off = edges[x - n], 0
-            i = nxt[x]
-            while i < len(todo):
+            i, end = nxt[x], len(todo)
+            while i < end:
                 w = todo[i] + off
                 i += 1
                 d = disc[w]
-                if d < 0:
-                    break
-                if d < low[x]:
-                    low[x] = d
+                if d >= 0:
+                    if d < low[x]:
+                        low[x] = d
+                    continue
+                if off:
+                    e = edges[w - n]
+                    if len(e) == 2:
+                        disc[w] = size
+                        if keep:
+                            mark[w] = len(stack)
+                            stack.append(w - n)
+                        u = e[1] if e[0] == x else e[0]
+                        d = disc[u]
+                        if d < 0:
+                            via[u] = w
+                            w = u
+                            break
+                        if d < low[x]:
+                            low[x] = d
+                        continue
+                break
             else:
                 path.pop()
                 if path:
@@ -495,7 +527,14 @@ def _articulation(g: Hypergraph, dead: int | None = None) -> tuple[list[list[int
                         low[p] = low[x]
                     elif low[x] >= disc[p]:
                         count[p] += 1
-                        if keep and p < n:
+                        r = via[x] if x < n else -1
+                        if r >= 0:
+                            if low[x] > disc[p]:
+                                count[r] += 1
+                            if keep:
+                                out.append(stack[mark[r]:])
+                                del stack[mark[r]:]
+                        elif keep and p < n:
                             out.append(stack[mark[x]:])
                             del stack[mark[x]:]
                 continue

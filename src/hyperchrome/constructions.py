@@ -221,9 +221,6 @@ class MixedDecomposition:
     g2_old: tuple[int, ...]
     vstar: int
     estar: int  # original edge ref
-    g1_refs: tuple[int, ...]  # spec.g1 edge ref -> original ref; the half edge -> estar
-    g2_refs: tuple[int, ...]
-    side2_components: int  # components of G - e* - v* in the second side
 
 
 def hajos_decompose_mixed(g: Hypergraph, v_star: int, e_star: int) -> MixedDecomposition:
@@ -231,79 +228,63 @@ def hajos_decompose_mixed(g: Hypergraph, v_star: int, e_star: int) -> MixedDecom
     the union of two parts meeting exactly at v*, and each part plus
     its half of e* (through v*) is an operand of the join.
 
-    One search over the incidence table, skipping e* and v*, labels the
-    components of G - e* - v* in the order of their least vertex.  The
-    first side is the component holding the smallest vertex other than
-    v*; the second side is the rest, and its components are counted.
+    The first side is the component of (G - e*) / v* holding the
+    smallest vertex other than v*, found by one search over the
+    incidence table that skips e* and v*; the second side is the rest.
     Every other edge lies in one side plus v*, so one pass over the
-    edges builds both parts, and each part edge keeps its ref in g.  A
-    side's vertices keep their order when renumbered, so its edges stay
-    strictly sorted and in canonical order, and the half edge is
-    inserted at its place."""
+    edges builds both parts.  A side's vertices keep their order when
+    renumbered, so its edges stay strictly sorted and in canonical
+    order, and the half edge is inserted at its place."""
     estar_vs = g.edge(e_star)
     g._check_vertex(v_star)
-    n = g.n
-    # comp[u] numbers u's component from 0; the search never enters v*
-    # and reads each edge once, e* never
-    comp = [-1] * n
-    comp[v_star] = n
-    read = [False] * g.m
-    read[e_star] = True
-    count = 0
-    for root in range(n):
-        if comp[root] >= 0:
-            continue
-        comp[root] = count
-        queue = [root]
-        for u in queue:  # the list iterator also visits appended vertices
-            for ref in g.incidence[u]:
-                if not read[ref]:
-                    read[ref] = True
-                    for w in g.edges[ref]:
-                        if comp[w] < 0:
-                            comp[w] = count
-                            queue.append(w)
-        count += 1
-    if count < 2:
+    n, incidence, edges = g.n, g.incidence, g.edges
+    # g has an edge, so a vertex other than v* exists; the search is
+    # kept out of v* by marking it, and the mark is cleared after
+    queue = [1 if v_star == 0 else 0]
+    in_side1 = [False] * n
+    in_side1[v_star] = in_side1[queue[0]] = True
+    for u in queue:  # the list iterator also visits appended vertices
+        for ref in incidence[u]:
+            if ref != e_star:
+                for w in edges[ref]:
+                    if not in_side1[w]:
+                        in_side1[w] = True
+                        queue.append(w)
+    in_side1[v_star] = False
+    if len(queue) == n - 1:
         raise ValueError(f"({v_star}, edge {e_star}) is not a mixed separating set")
     tips = [u for u in estar_vs if u != v_star]
-    if all(comp[u] for u in tips) or not any(comp[u] for u in tips):
+    if all(in_side1[u] for u in tips) or not any(in_side1[u] for u in tips):
         raise ValueError("deleted edge does not meet both sides")
-    comp[v_star] = 0  # v* is in both parts: in the first here, in the second by insort
-    old1 = [u for u in range(n) if not comp[u]]
-    old2 = [u for u in range(n) if comp[u]]
-    bisect.insort(old2, v_star)
+    # v* is in both parts: unmarked, it falls in the second, and the
+    # first adds it
+    old1 = [u for u in range(n) if in_side1[u] or u == v_star]
+    old2 = [u for u in range(n) if not in_side1[u]]
     pos1, pos2 = [0] * n, [0] * n
     for pos, old in ((pos1, old1), (pos2, old2)):
         for i, u in enumerate(old):
             pos[u] = i
-    edges1, edges2, refs1, refs2 = [], [], [], []
-    for ref, e in enumerate(g.edges):
+    edges1, edges2 = [], []
+    for ref, e in enumerate(edges):
         if ref != e_star:
             # an edge has two or more vertices, so the getter gives a tuple
-            if comp[e[1] if e[0] == v_star else e[0]]:
-                edges2.append(operator.itemgetter(*e)(pos2))
-                refs2.append(ref)
-            else:
+            if in_side1[e[1] if e[0] == v_star else e[0]]:
                 edges1.append(operator.itemgetter(*e)(pos1))
-                refs1.append(ref)
+            else:
+                edges2.append(operator.itemgetter(*e)(pos2))
     parts = []
-    for second, old, pos, edges, refs in (
-        (False, old1, pos1, edges1, refs1), (True, old2, pos2, edges2, refs2)
-    ):
-        half = tuple(sorted([pos[v_star]] + [pos[u] for u in tips if bool(comp[u]) == second]))
-        ref = bisect.bisect_left(edges, half)
-        if ref < len(edges) and edges[ref] == half:
+    for first, old, pos, part_edges in ((True, old1, pos1, edges1), (False, old2, pos2, edges2)):
+        half = tuple(sorted([pos[v_star]] + [pos[u] for u in tips if in_side1[u] == first]))
+        ref = bisect.bisect_left(part_edges, half)
+        if ref < len(part_edges) and part_edges[ref] == half:
             raise ValueError(
                 "half edge already present; input violates the decomposition"
             )
-        edges.insert(ref, half)
-        refs.insert(ref, e_star)
-        part = Hypergraph._trusted(len(old), tuple(edges))
-        parts.append((part, tuple(old), pos[v_star], ref, tuple(refs)))
-    (p1, old1, v1, ref1, refs1), (p2, old2, v2, ref2, refs2) = parts
+        part_edges.insert(ref, half)
+        parts.append((Hypergraph._trusted(len(old), tuple(part_edges)), tuple(old), pos[v_star], ref))
+    (p1, old1, v1, ref1), (p2, old2, v2, ref2) = parts
     spec = HajosJoinSpec(p1, p2, v1, v2, ref1, ref2, include_vstar=v_star in estar_vs)
-    return MixedDecomposition(spec, old1, old2, v_star, e_star, refs1, refs2, count - 1)
+    return MixedDecomposition(spec, old1, old2, v_star, e_star)
 
 
 # -- splitting -------------------------------------------------------------

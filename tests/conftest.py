@@ -1,4 +1,3 @@
-import inspect
 import itertools
 import random
 import sys
@@ -25,16 +24,6 @@ def default_recursion_limit():
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     yield
-    sys.setrecursionlimit(old)
-
-
-@pytest.fixture
-def low_recursion_limit():
-    """A recursion limit 60 frames above the caller's depth, so that an
-    input some 100 levels deep passes it while still small."""
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
-    yield sys.getrecursionlimit()
     sys.setrecursionlimit(old)
 
 
@@ -97,23 +86,6 @@ def random_nested_join(
                 break
             except ValueError:
                 continue
-    return g
-
-
-def join_chain(base: Hypergraph, t: int) -> Hypergraph:
-    """t copies of ``base`` joined in a chain, v* dropped each time: a
-    fresh copy joins at its edge 0 and that edge's first vertex, and the
-    chain at the highest-ref edge inside the vertices added last, at
-    that edge's first vertex.  Its certificate has depth t."""
-    from hyperchrome import constructions as cons
-
-    g = base
-    for _ in range(t - 1):
-        fresh = g.n - (base.n - 1)
-        ref = max(r for r, e in enumerate(g.edges) if e[0] >= fresh)
-        g = cons.hajos_join(
-            cons.HajosJoinSpec(g, base, g.edges[ref][0], base.edges[0][0], ref, 0, False)
-        ).graph
     return g
 
 

@@ -45,11 +45,8 @@ they read the classifier's decision; the latter tests each derived G - e
 (``reference_failing_edge``).  ``reference_instance_stats`` builds the
 corpus entry from them, and ``reference_is_in_Ck`` and
 ``chromatic_number_by_blocks`` use them too, so no pin compares the
-certifier with itself.  ``reference_certify`` is the recursive
-certifier that ``classifier._certify`` replaced: it searched every join
-node for its own first pair (``reference_first_mixed_pair``) where the
-parts now inherit their pairs, and ``reference_h2_search`` the join
-search of ``classify --h2-info`` before it was memoised and capped.
+certifier with itself.  ``reference_h2_search`` is the join search of
+``classify --h2-info`` before it was memoised and capped.
 """
 
 from __future__ import annotations
@@ -638,11 +635,7 @@ def reference_decompose_mixed(g: Hypergraph, v_star: int, e_star: int) -> MixedD
         p1, p2, pos1[v_star], pos2[v_star], p1.edge_ref(half1), p2.edge_ref(half2),
         include_vstar=v_star in estar_vs,
     )
-    refs1, refs2 = (
-        tuple(e_star if e == half else g.edge_ref(tuple(old[u] for u in e)) for e in p.edges)
-        for p, old, half in ((p1, old1, half1), (p2, old2, half2))
-    )
-    return MixedDecomposition(spec, old1, old2, v_star, e_star, refs1, refs2, len(comps) - 1)
+    return MixedDecomposition(spec, old1, old2, v_star, e_star)
 
 
 def reference_pair_behavior(g: Hypergraph, k: int, v: int, w: int) -> bool | None:
@@ -800,61 +793,6 @@ def reference_wheel_leaf(g: Hypergraph, ids) -> cls.Leaf | None:
         a, b = order[-2], order[-1]
         order.append(next(u for u in adj[b] if u != a))
     return cls.Leaf("odd_wheel", tuple(ids[v] for v in order) + (ids[hub],))
-
-
-def reference_certify(g: Hypergraph, k: int, ids=None) -> cls.Certificate | None:
-    """The recursive certifier that ``classifier._certify`` replaced: it
-    recurses once per join node, left part first, and finds each node's
-    pair by its own passes (``reference_first_mixed_pair``)."""
-    ids = range(g.n) if ids is None else ids
-    if not cls._may_be_member(g.n, g.m, k):
-        return None
-    if k == 3:
-        layout = shapes._odd_wheel_layout(g)
-        if layout is not None:
-            return cls.Leaf("odd_wheel", tuple(ids[v] for v in layout))
-    elif shapes.is_complete_graph(g) and g.n == k + 1:
-        return cls.Leaf("complete", tuple(ids))
-    first = reference_first_mixed_pair(g, k)
-    if first is None:
-        return None
-    v_star, e_star = first
-    try:
-        dec = cons.hajos_decompose_mixed(g, v_star, e_star)
-    except ValueError:
-        return None
-    ids1 = [ids[u] for u in dec.g1_old]
-    ids2 = [ids[u] for u in dec.g2_old]
-    left = reference_certify(dec.spec.g1, k, ids1)
-    right = reference_certify(dec.spec.g2, k, ids2) if left is not None else None
-    if right is None:
-        return None
-    return cls.Join(
-        left, right, ids[v_star],
-        tuple(sorted(ids1[u] for u in dec.spec.g1.edge(dec.spec.e1))),
-        tuple(sorted(ids2[u] for u in dec.spec.g2.edge(dec.spec.e2))),
-        include_vstar=v_star in g.edge(e_star),
-    )
-
-
-def reference_first_mixed_pair(g: Hypergraph, k: int) -> tuple[int, int] | None:
-    """The least pair (v, e) by edge ref and then vertex that one
-    articulation pass per vertex of degree > k finds, or None when a
-    vertex has degree below k: the search the certifier ran at every
-    join node before the parts inherited their pairs."""
-    deg = [len(refs) for refs in g.incidence]
-    if min(deg) < k:
-        return None
-    n = g.n
-    best = None
-    for v, d in enumerate(deg):
-        if d > k:
-            count = conn._articulation(g, v)[1]
-            # the least ref e such that G - v - e has more components than G - v
-            ref = next((ref for ref in range(g.m) if count[n + ref] > 1), None)
-            if ref is not None and (best is None or ref < best[1]):
-                best = (v, ref)
-    return best
 
 
 def reference_h2_search(g: Hypergraph, depth: int) -> bool:

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import importlib.util
 import itertools
 import json
@@ -20,7 +19,7 @@ from hyperchrome import corpus
 from hyperchrome import shapes
 
 import oracles
-from conftest import hypergraphs, join_chain, perturb, random_nested_join, seeded_random_hypergraph
+from conftest import hypergraphs, perturb, random_nested_join, seeded_random_hypergraph
 from conftest import perturbed_join as _perturbed_join
 from test_acceptance import _all_hypergraphs
 
@@ -153,17 +152,6 @@ def _membership_sweep():
                 yield k, perturb(rng, g)
 
 
-def _pin_sweep():
-    """Nested joins at k = 3, 4, 5 with up to 8 joins and n <= 26, v*
-    kept and dropped, each followed by a perturbed join: 40 seeds."""
-    for k in (3, 4, 5):
-        for include in (True, False):
-            for seed in range(40):
-                rng = random.Random(seed)
-                yield k, random_nested_join(rng, k, 26, 8, include)
-                yield k, _perturbed_join(rng, k)
-
-
 def _criterion_02_sweep():
     for n in range(1, 5):
         yield from _all_hypergraphs(n, (2, 3))
@@ -200,31 +188,6 @@ def _count_passes(monkeypatch) -> collections.Counter:
 
     monkeypatch.setattr(conn, "_articulation", counted)
     return passes
-
-
-def _flat(pairs) -> list[tuple[int, int]]:
-    """The certifier's pairs {e: [v, ...]} as the sorted (v, e) list of
-    ``mixed_separating_sets``."""
-    return [(v, e) for e, vs in sorted(pairs.items()) for v in vs]
-
-
-def _record_decompositions(monkeypatch) -> list:
-    """Record (g, v*, e*, decomposition or None) for every decomposition
-    made, in order; the certifier calls it once per join node."""
-    calls = []
-    decompose = cons.hajos_decompose_mixed
-
-    def recorded(g, v, e):
-        try:
-            dec = decompose(g, v, e)
-        except ValueError:
-            calls.append((g, v, e, None))
-            raise
-        calls.append((g, v, e, dec))
-        return dec
-
-    monkeypatch.setattr(cons, "hajos_decompose_mixed", recorded)
-    return calls
 
 
 def _count_flow_nets(monkeypatch) -> list:
@@ -301,13 +264,13 @@ class TestHkCertificate:
 
     @pytest.mark.parametrize("k,seed", [(k, seed) for k in (3, 4, 5) for seed in range(4)])
     def test_first_mixed_pair_is_the_listed_first(self, k, seed):
-        """The root's pairs come from one articulation pass per vertex
-        of degree > k instead of a pass per edge: on every member they
-        are the listed pairs, so their least is the listed first."""
+        """The builder takes the first pair from one articulation pass
+        per vertex of degree > k instead of listing every pair."""
         g = random_nested_join(random.Random(seed), k, 16, 3)
         for node in _subtrees(cls.hk_certificate(g, k)):
             sub = _replayed_graph(node)
-            assert _flat(cls._mixed_pairs(sub, k)) == conn.mixed_separating_sets(sub)
+            listed = conn.mixed_separating_sets(sub)
+            assert cls._first_mixed_pair(sub, k) == (listed[0] if listed else None)
 
 
 def _tight_joins(seed: int) -> list:
@@ -340,127 +303,71 @@ class TestFirstMixedPair:
             assert deg[v] >= 2 * k - 2, (v, g)
 
     def test_first_pair_is_the_listed_first_at_every_node(self, monkeypatch):
-        """At every join node the certifier decomposes on nested joins
-        and their perturbations, the pair it inherited first is the
-        first listed one wherever the node is a member.  On other nodes
-        it may differ, and the certifier returns None there either way."""
-        calls = _record_decompositions(monkeypatch)
+        """At every node the certifier visits on nested joins and their
+        perturbations, the first pair is the first listed one wherever
+        the node is a member.  On other nodes it may differ, and the
+        certifier returns None there either way."""
+        nodes = []
+        certify = cls._certify
+
+        def recorded(g, k, ids):
+            cert = certify(g, k, ids)
+            nodes.append((g, k, cert is not None))
+            return cert
+
+        monkeypatch.setattr(cls, "_certify", recorded)
+        for k, g in _membership_sweep():
+            cls.hk_certificate(g, k)
         joins = 0
         verdicts = collections.Counter()
-        for k, g in _membership_sweep():
-            before = len(calls)
-            certified = cls.hk_certificate(g, k) is not None
-            for node, v, e, _ in calls[before:]:
-                member = certified or oracles.reference_is_in_Ck(node, k)
-                verdicts[member] += 1
-                if member:
-                    assert (v, e) == conn.mixed_separating_sets(node)[0], (k, node)
-                    joins += 1
-        assert joins >= 300 and verdicts[False] >= 40, (joins, verdicts)
-
-    def test_shares_are_the_parts_pairs(self, monkeypatch):
-        """The rule by which a part inherits its pairs, (v*, h2) where
-        the second side splits included: at every member join node of
-        the sweep, each part's share is all of its own pairs."""
-        calls = _record_decompositions(monkeypatch)
-        split = 0
-        for k, g in _pin_sweep():
-            before = len(calls)
-            if cls.hk_certificate(g, k) is None:
-                continue
-            for node, _, _, dec in calls[before:]:
-                pairs = cls._mixed_pairs(node, k)
-                for second, part in ((False, dec.spec.g1), (True, dec.spec.g2)):
-                    assert cls._share(pairs, dec, second) == cls._mixed_pairs(part, k), (k, node)
-                split += dec.side2_components > 1
-        assert split >= 5, split
+        for g, k, certified in list(nodes):
+            member = certified or conn.is_connected(g) and oracles.reference_is_in_Ck(g, k)
+            assert certified == member, (k, g)
+            verdicts[member] += 1
+            if member:
+                listed = conn.mixed_separating_sets(g)
+                assert cls._first_mixed_pair(g, k) == (listed[0] if listed else None), (k, g)
+                joins += bool(listed)
+        assert joins >= 300 and verdicts[False] >= 100, (joins, verdicts)
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_a_vertex_below_degree_k_ends_the_search_without_a_pass(self, k, monkeypatch):
         """Members are (k+1)-critical, so their minimum degree is k."""
         g = random_nested_join(random.Random(k), k, 20, 8)
-        assert cls._mixed_pairs(g, k)
+        assert cls._first_mixed_pair(g, k) is not None
         passes = _count_passes(monkeypatch)
         cut = g.delete_edge(0)
         assert min(len(refs) for refs in cut.incidence) == k - 1
-        assert cls._mixed_pairs(cut, k) == {} and not passes
+        assert cls._first_mixed_pair(cut, k) is None and not passes
         assert cls.hk_certificate(cut, k) is None
 
     def test_one_pass_per_high_degree_vertex_on_tight_joins(self, monkeypatch):
-        """On the benchmark's seed-1 ``tight-joins`` pass, the only
-        per-vertex articulation passes are at each input's root, one per
-        vertex of degree > k; the join nodes below inherit their pairs.
-        No block pass runs beyond the one over each input."""
+        """On the benchmark's seed-1 ``tight-joins`` pass, each join node
+        makes at most one articulation pass per vertex of degree > k and
+        no block pass, and at most two passes on average."""
         passes = _count_passes(monkeypatch)
-        calls = _record_decompositions(monkeypatch)
+        first_pair = cls._first_mixed_pair
+        join_nodes = bridge_passes = 0
+
+        def counted(g, k):
+            nonlocal join_nodes, bridge_passes
+            before = passes["vertex"]
+            pair = first_pair(g, k)
+            made = passes["vertex"] - before
+            assert made <= sum(len(refs) > k for refs in g.incidence)
+            if pair is not None:
+                join_nodes += 1
+                bridge_passes += made
+            return pair
+
+        monkeypatch.setattr(cls, "_first_mixed_pair", counted)
         instances = _tight_joins(1)
         for k, g in instances:
-            before = passes["vertex"]
             out = cls.classify(g)
             assert out.verdict == "tight" and out.lam == k
-            assert passes["vertex"] - before == sum(len(refs) > k for refs in g.incidence)
         assert passes["block"] == len(instances)  # the blocks of each input
-        assert len(calls) >= 50 and all(dec is not None for *_, dec in calls)
-
-
-class TestPinnedToTheRecursiveCertifier:
-    """The certifier inherits each part's pairs from its parent and runs
-    on a stack; its certificates equal, byte for byte in JSON, those of
-    the recursive certifier that searched every join node for its own
-    pair (``oracles.reference_certify``)."""
-
-    @staticmethod
-    def _same(g, k):
-        cert = cls.hk_certificate(g, k)
-        ref = oracles.reference_certify(g, k) if conn.is_connected(g) else None
-        assert (cert is None) == (ref is None), (k, g)
-        if cert is not None:
-            assert cls.certificate_to_json(cert) == cls.certificate_to_json(ref), (k, g)
-        return cert
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_tight_joins(self, seed):
-        for k, g in _tight_joins(seed):
-            assert self._same(g, k) is not None
-
-    def test_nested_and_perturbed_joins(self, monkeypatch):
-        """The sweep holds members whose certificate needs the pair
-        (v*, h2): without it they lose their certificate."""
-        verdicts = collections.Counter(self._same(g, k) is not None for k, g in _pin_sweep())
-        assert verdicts[True] >= 200 and verdicts[False] >= 200, verdicts
-        decompose = cons.hajos_decompose_mixed
-        monkeypatch.setattr(cons, "hajos_decompose_mixed", lambda g, v, e: dataclasses.replace(
-            decompose(g, v, e), side2_components=1))
-        lost = sum(cls.hk_certificate(g, k) is None and oracles.reference_certify(g, k) is not None
-                   for k, g in _pin_sweep())
-        assert lost >= 1
-
-    @pytest.mark.parametrize("base,t", [(b, t) for b in ("W5", "K4") for t in (20, 40)])
-    def test_chains(self, base, t):
-        g = join_chain(cons.odd_wheel(5) if base == "W5" else cons.complete_graph(4), t)
-        cert = self._same(g, 3)
-        assert max(depth for _, depth in _depths(cert)) == t
-
-
-class TestDeepCertificates:
-    def test_a_chain_deeper_than_the_recursion_limit(self, low_recursion_limit):
-        """Building and replaying a certificate recurse on nothing."""
-        t = 150
-        assert low_recursion_limit < t
-        g = join_chain(cons.odd_wheel(5), t)
-        cert = cls.hk_certificate(g, 3)
-        assert cls.verify_certificate(g, cert)
-        assert max(depth for _, depth in _depths(cert)) == t
-
-
-def _depths(cert):
-    """(node, depth) for every node of a certificate, the root at 1."""
-    stack = [(cert, 1)]
-    while stack:
-        node, depth = stack.pop()
-        yield node, depth
-        if isinstance(node, cls.Join):
-            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+        assert join_nodes >= 50
+        assert bridge_passes <= 2 * join_nodes, (bridge_passes, join_nodes)
 
 
 class TestHkCertificateByReplay:
@@ -507,16 +414,19 @@ class TestHkCertificateByReplay:
     def test_every_node_wheel_layout_matches_the_reference(self, monkeypatch):
         """The rim walk gives the layout of the recognition it replaced
         at every node the certifier visits."""
-        calls = _record_decompositions(monkeypatch)
         nodes = []
+        certify = cls._certify
+
+        def recorded(g, k, ids):
+            nodes.append(g)
+            return certify(g, k, ids)
+
+        monkeypatch.setattr(cls, "_certify", recorded)
         for k in (3, 4, 5):
             for seed in range(6):
                 for include in (True, False):
                     g = random_nested_join(random.Random(seed), k, 20, 8, include)
                     assert cls.hk_certificate(g, k) is not None
-                    nodes.append(g)
-        # a member's certifier visits the root and both parts of every join
-        nodes += [part for *_, dec in calls for part in (dec.spec.g1, dec.spec.g2)]
         wheels = 0
         for g in nodes:
             leaf = oracles.reference_wheel_leaf(g, range(g.n))

@@ -18,7 +18,7 @@ from hyperchrome import constructions as cons
 from hyperchrome import corpus
 from hyperchrome.hypercore import Hypergraph
 
-from conftest import hypergraphs, join_chain, random_nested_join
+from conftest import hypergraphs, random_nested_join
 
 
 # a join of two K4 leaves at vertex 3, as a user's certificate file holds it
@@ -326,20 +326,6 @@ class TestErrorPaths:
         cert_path.write_text(head * 3000 + leaf + tail * 3000)
         assert cli.main(["verify-cert", str(cert_path), path]) == 2
         assert "nested too deeply" in capsys.readouterr().err
-
-    def test_certificate_deeper_than_the_recursion_limit_is_input_error(
-        self, tmp_path, capsys, low_recursion_limit
-    ):
-        """The certificate builds, but its JSON form cannot be written
-        past the recursion limit."""
-        t = 150
-        assert low_recursion_limit < t
-        path = write_hgr(tmp_path, join_chain(cons.odd_wheel(5), t))
-        for argv in (["classify", path], ["certify", "-k", "3", path]):
-            assert cli.main(argv) == 2
-            captured = capsys.readouterr()
-            assert captured.err == "error: certificate is nested too deeply\n", captured.err
-            assert captured.out == ""
 
     @pytest.mark.parametrize(
         "option,value,message",

@@ -401,6 +401,18 @@ class TestBlockPass:
             _assert_articulation_matches(g)
         assert isolated >= 100 and five >= 100, (isolated, five)
 
+    def test_articulation_matches_the_pair_list_pass_on_graphs(self):
+        """Ordinary graphs, where the search steps over every edge
+        node: bridges, pendant edges and edges to the deleted vertex."""
+        rng = random.Random(21)
+        bridged = 0
+        for _ in range(300):
+            g = seeded_random_hypergraph(rng, rng.randint(2, 12), (2,), 20)
+            assert conn.bridges(g) == oracles.reference_bridges(g)
+            bridged += bool(conn.bridges(g))
+            _assert_articulation_matches(g)
+        assert bridged >= 100, bridged
+
     def test_matches_reference_on_seeded_instances(self):
         rng = random.Random(5)
         isolated = 0
