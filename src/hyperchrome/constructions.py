@@ -402,53 +402,68 @@ def decompose_vertex_pair(
     g: Hypergraph, k: int, force: bool = False
 ) -> VertexPairDecomposition | None:
     """Theorem-backed decomposition of a (k+1)-critical hypergraph at
-    a separating vertex pair; None when no size-<=2 separator exists."""
+    a separating vertex pair; None when no size-<=2 separator exists.
+    Side 1 is the side for which G1' = side 1 + vw and G2' = side 2 / vw
+    are (k+1)-critical (``_orient``), as the theorem requires.  That
+    implies the dichotomy: every k-coloring of side 1 gives v and w one
+    color, and none of side 2, which has some as a proper subgraph of g."""
+    from . import classifier as cls  # the classifier imports this module
+
     col.require_critical(g, k, force=force)
     seps = conn.enumerate_separating_sets(g, 2)
     if not seps:
         return None
-    s = seps[0]
-    if len(s) != 2:
-        raise ValueError("critical hypergraph has a separating vertex; bug upstream")
-    v, w = s
+    # a critical hypergraph is 2-connected, and the theorem gives two sides
+    if len(seps[0]) != 2:
+        raise cls.InternalError("critical hypergraph has a separating vertex; bug upstream")
+    v, w = seps[0]
     if any(set(e) == {v, w} for e in g.edges):
         raise ValueError("separating pair is not independent; theorem violated")
-    shrunk, old = g.div_vertices(s)
+    shrunk, old = g.div_vertices((v, w))
     comps = [tuple(sorted(old[x] for x in c)) for c in conn.components(shrunk)]
     if len(comps) != 2:
-        raise ValueError(f"expected exactly 2 components, found {len(comps)}")
+        raise cls.InternalError(f"expected exactly 2 components, found {len(comps)}")
+
+    def build(sides):
+        side1, side2 = (g.induced(sorted(set(h) | {v, w})) for h in sides)
+        (pv, pw), (qv, qw) = ((s.old_ids.index(v), s.old_ids.index(w)) for s in (side1, side2))
+        g1_prime = Hypergraph.of(side1.graph.n, side1.graph.edges + ((pv, pw),))
+        g2_prime = identify_vertices(side2.graph, qv, qw)
+        dec = VertexPairDecomposition(v, w, *sides, side1, side2, g1_prime, g2_prime)
+        return dec, ((g1_prime, "G1'"), (g2_prime, "G2'"))
+
     h1, h2 = sorted(comps)
-    side1 = g.induced(sorted(set(h1) | {v, w}))
-    side2 = g.induced(sorted(set(h2) | {v, w}))
-    b1, b2 = (
-        _pair_behavior(side.graph, k, side.old_ids.index(v), side.old_ids.index(w), force)
-        for side in (side1, side2)
-    )
-    if b1 is None or b2 is None or b1 == b2:
-        raise ValueError("coloring dichotomy fails; theorem violated")
-    if not b1:
-        side1, side2 = side2, side1
-        h1, h2 = h2, h1
-    pv, pw = side1.old_ids.index(v), side1.old_ids.index(w)
-    g1_prime = Hypergraph.of(side1.graph.n, side1.graph.edges + ((pv, pw),))
-    pv2, pw2 = side2.old_ids.index(v), side2.old_ids.index(w)
-    g2_prime = identify_vertices(side2.graph, pv2, pw2)
-    for part, name in ((g1_prime, "G1'"), (g2_prime, "G2'")):
-        col.require_critical(part, k, name, force=force)
-    return VertexPairDecomposition(v, w, h1, h2, side1, side2, g1_prime, g2_prime)
+    return _orient(k, force, build, ((h1, h2), (h2, h1)))
 
 
-def _pair_behavior(g: Hypergraph, k: int, v: int, w: int, force: bool = False) -> bool | None:
-    """True if every k-coloring of g gives v and w one color, False if
-    every one gives them two or g has none, None on a mix (a theorem
-    violation).  Colors can be renamed, so some coloring gives them one
-    color iff the search with both preset to 1 finds one, and two
-    colors iff the search with v preset to 1 and w to 2 does (never at
-    k = 1)."""
-    same = col.find_k_coloring(g, k, {v: 1, w: 1}, _force=force) is not None
-    if same and k > 1 and col.find_k_coloring(g, k, {v: 1, w: 2}, _force=force) is not None:
-        return None
-    return same
+def _orient(k: int, force: bool, build, orientations):
+    """The first orientation whose parts are all (k+1)-critical, as the
+    decomposition theorems require; at most one is, or one side's
+    colorings would be both constant and not on its separator.
+    ``build`` gives (result, ((part, name), ...)) or raises ValueError.
+    At k >= 3 one whose parts certify goes first, with no search; then
+    each in order under ``require_critical``.  Raises the first error."""
+    from . import classifier as cls  # the classifier imports this module
+
+    error, built = None, []
+    for orientation in orientations:
+        try:
+            built.append(build(orientation))
+        except ValueError as exc:
+            error = error or exc
+    if k >= 3:
+        for result, parts in built:
+            if all(cls.is_in_Ck(part, k) for part, _ in parts):
+                return result
+    for result, parts in built:
+        try:
+            for part, name in parts:
+                col.require_critical(part, k, name, force=force)
+        except ValueError as exc:
+            error = error or exc
+        else:
+            return result
+    raise error
 
 
 def identify_vertices(g: Hypergraph, v: int, w: int) -> Hypergraph:
@@ -482,11 +497,12 @@ class EdgeCutDecomposition:
 def decompose_edge_cut(g: Hypergraph, k: int, f, force: bool = False) -> EdgeCutDecomposition:
     """Theorem-backed decomposition of a (k+1)-critical hypergraph at a
     separating edge set of size <= k (which must then have size k).
-
-    Side X is the side whose k-colorings are all constant on X_F, found
-    by preset searches; side Y spreads when G2 has no k-coloring, which
-    the required criticality of G2 includes.  Each search runs under
-    the decision cap unless force is set."""
+    Side X is the side for which each vertex of Y_F lies on one cut edge
+    and G2 = G[Y] + apex and, at |X_F| >= 2, G1 = G[X] + X_F are
+    (k+1)-critical (``_orient``), as the theorem requires.  That implies
+    the coloring structure: every k-coloring of G[X] is constant on X_F
+    (trivially at |X_F| = 1), and every one of G[Y] fills some cut
+    edge's trace f & Y with each color."""
     refs = tuple(sorted(set(f)))
     col.require_critical(g, k, force=force)
     if not conn.is_separating_edge_set(g, refs):
@@ -497,28 +513,21 @@ def decompose_edge_cut(g: Hypergraph, k: int, f, force: bool = False) -> EdgeCut
         raise ValueError("separating edge set is not minimal; k-edge-connectivity bug")
     if len(refs) != k:
         raise ValueError(f"minimal separating set of size {len(refs)} != {k}")
-    cut = conn.edge_cut_for(g, refs)
-    if not _constant_on(g, k, cut.x, cut.x_f, force):
-        cut = conn.EdgeCut(cut.y, cut.x, cut.f, cut.y_f, cut.x_f)
-        if not _constant_on(g, k, cut.x, cut.x_f, force):
-            raise ValueError("no side's k-colorings are constant on its cut; theorem violated")
-    # the incidence rule (b), then the coloring structure (a) on side Y:
-    # G2 has no k-coloring iff every k-coloring of G[Y] fills some cut
-    # edge's trace f & Y with each color, which then all appear on Y_F
-    for u in cut.y_f:
-        if sum(1 for ref in cut.f if u in g.edge(ref)) != 1:
-            raise ValueError(f"vertex {u} not incident to exactly one cut edge")
-    g2, g2_old = _apex_side(g, cut.y, cut.f)
-    col.require_critical(g2, k, "G2", force=force)
-    g1 = None
-    g1_old: tuple[int, ...] = ()
-    if len(cut.x_f) >= 2:
+
+    def build(cut):
+        for u in cut.y_f:
+            if sum(1 for ref in cut.f if u in g.edge(ref)) != 1:
+                raise ValueError(f"vertex {u} not incident to exactly one cut edge")
+        g2, g2_old = _apex_side(g, cut.y, cut.f)
+        if len(cut.x_f) < 2:
+            return EdgeCutDecomposition(cut, None, (), g2, g2_old), ((g2, "G2"),)
         sub, old = g.induced(cut.x)
         pos = {u: i for i, u in enumerate(old)}
         g1 = Hypergraph.of(sub.n, sub.edges + (tuple(sorted(pos[u] for u in cut.x_f)),))
-        g1_old = old
-        col.require_critical(g1, k, "G1", force=force)
-    return EdgeCutDecomposition(cut, g1, g1_old, g2, g2_old)
+        return EdgeCutDecomposition(cut, g1, old, g2, g2_old), ((g2, "G2"), (g1, "G1"))
+
+    cut = conn.edge_cut_for(g, refs)
+    return _orient(k, force, build, (cut, conn.EdgeCut(cut.y, cut.x, cut.f, cut.y_f, cut.x_f)))
 
 
 def _apex_side(g: Hypergraph, ys, refs) -> Relabeled:
@@ -529,19 +538,3 @@ def _apex_side(g: Hypergraph, ys, refs) -> Relabeled:
     apex = sub.n
     traces = (tuple(sorted({pos[u] for u in g.edge(ref) if u in pos} | {apex})) for ref in refs)
     return Relabeled(Hypergraph.of(sub.n + 1, sub.edges + tuple(traces)), old + (-1,))
-
-
-def _constant_on(g: Hypergraph, k: int, xs, marked, force: bool = False) -> bool:
-    """Whether every k-coloring of G[xs] is constant on ``marked``.
-    Colors can be renamed, so one that is not exists iff some search
-    with the first marked vertex preset to 1 and another to 2 finds a
-    coloring: |marked| - 1 searches, none at k = 1."""
-    if k == 1:
-        return True
-    sub, old = g.induced(xs)
-    pos = {u: i for i, u in enumerate(old)}
-    first = pos[marked[0]]
-    return all(
-        col.find_k_coloring(sub, k, {first: 1, pos[u]: 2}, _force=force) is None
-        for u in marked[1:]
-    )

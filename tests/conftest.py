@@ -89,6 +89,29 @@ def random_nested_join(
     return g
 
 
+def join_chain(base: Hypergraph, t: int) -> Hypergraph:
+    """A chain of t copies of base: t - 1 times, join a fresh copy at
+    its edge 0 and that edge's first vertex, without v*, to the
+    highest-ref edge inside the vertices added last, at that edge's
+    first vertex.  Its certificate has depth t."""
+    from hyperchrome import constructions as cons
+
+    g, fresh = base, set(range(base.n))
+    for _ in range(t - 1):
+        ref = max(r for r, e in enumerate(g.edges) if fresh.issuperset(e))
+        spec = cons.HajosJoinSpec(g, base, g.edge(ref)[0], base.edge(0)[0], ref, 0, False)
+        joined = cons.hajos_join(spec).graph
+        g, fresh = joined, set(range(g.n, joined.n))
+    return g
+
+
+def relabelled(g: Hypergraph, rng: random.Random) -> Hypergraph:
+    """g with its vertices renamed by a random permutation."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Hypergraph.of(g.n, [[perm[v] for v in e] for e in g.edges])
+
+
 def perturbed_join(rng: random.Random, k: int) -> Hypergraph:
     """A nested join, perturbed as ``perturb`` says."""
     return perturb(rng, random_nested_join(rng, k, 14, rng.randint(0, 2)))

@@ -40,6 +40,8 @@ from hyperchrome import shapes
 from hyperchrome.constructions import MixedDecomposition, SplitResult, SplitSpec
 from hyperchrome.hypercore import Hypergraph
 
+import oracles
+
 ASSIGNMENT_BOUND = 10**8
 
 # -- from constructions ------------------------------------------------------
@@ -107,7 +109,7 @@ def validate_split_ordinary(
     quotient, _ = result.graph.induced(g2_side)
     applies = col.chromatic_number(quotient, force=force) <= k
     rep = col.is_critical(result.graph, k + 1, force=force)
-    separates = conn.is_separating_vertex_set(result.graph, pair)
+    separates = oracles.is_separating_vertex_set(result.graph, pair)
     if applies and not (rep.is_critical and separates):
         raise ValueError("theorem conclusion failed despite its precondition")
     return OrdinarySplitReport(result, applies, rep.is_critical, separates)

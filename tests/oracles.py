@@ -25,7 +25,15 @@ certify-first one in ``hyperchrome.classifier`` replaced, and
 the one-search version in ``hyperchrome.constructions`` replaced.
 ``reference_pair_behavior`` and ``reference_forced_side`` are the
 coloring enumerations that the vertex-pair and edge-cut decompositions
-ran before they made preset searches, and ``reference_bridges`` the
+ran before they made preset searches, and
+``reference_decompose_vertex_pair`` and ``reference_decompose_edge_cut``
+those decompositions as they were before the parts' required
+criticality alone chose the orientation, with these enumerations in
+place of the preset searches that the enumerations were pinned to.
+``is_separating_vertex_set`` and ``reference_enumerate_separating_sets``
+are the quotient-and-count test per candidate set that
+``connectivity.enumerate_separating_sets`` ran before it read
+articulation passes.  ``reference_bridges`` is the
 bridge test by one component count per derived G - e that
 ``connectivity.bridges`` ran before it read the articulation pass.
 ``reference_is_in_Ck`` is the semantic membership test ((k+1)-critical
@@ -667,6 +675,102 @@ def reference_forced_side(g: Hypergraph, k: int, xs, marked) -> bool | None:
         if not one and not full:
             return None
     return one
+
+
+def reference_decompose_vertex_pair(g: Hypergraph, k: int) -> cons.VertexPairDecomposition | None:
+    """The vertex-pair decomposition that checked each side's behaviour
+    at the pair before requiring the parts to be critical: the first of
+    the enumerated separating sets, then the side whose colorings all
+    give the pair one color as side 1."""
+    col.require_critical(g, k)
+    seps = reference_enumerate_separating_sets(g, 2)
+    if not seps:
+        return None
+    s = seps[0]
+    if len(s) != 2:
+        raise ValueError("critical hypergraph has a separating vertex; bug upstream")
+    v, w = s
+    if any(set(e) == {v, w} for e in g.edges):
+        raise ValueError("separating pair is not independent; theorem violated")
+    shrunk, old = g.div_vertices(s)
+    comps = [tuple(sorted(old[x] for x in c)) for c in conn.components(shrunk)]
+    if len(comps) != 2:
+        raise ValueError(f"expected exactly 2 components, found {len(comps)}")
+    h1, h2 = sorted(comps)
+    side1 = g.induced(sorted(set(h1) | {v, w}))
+    side2 = g.induced(sorted(set(h2) | {v, w}))
+    b1, b2 = (
+        reference_pair_behavior(side.graph, k, side.old_ids.index(v), side.old_ids.index(w))
+        for side in (side1, side2)
+    )
+    if b1 is None or b2 is None or b1 == b2:
+        raise ValueError("coloring dichotomy fails; theorem violated")
+    if not b1:
+        side1, side2 = side2, side1
+        h1, h2 = h2, h1
+    pv, pw = side1.old_ids.index(v), side1.old_ids.index(w)
+    g1_prime = Hypergraph.of(side1.graph.n, side1.graph.edges + ((pv, pw),))
+    pv2, pw2 = side2.old_ids.index(v), side2.old_ids.index(w)
+    g2_prime = cons.identify_vertices(side2.graph, pv2, pw2)
+    for part, name in ((g1_prime, "G1'"), (g2_prime, "G2'")):
+        col.require_critical(part, k, name)
+    return cons.VertexPairDecomposition(v, w, h1, h2, side1, side2, g1_prime, g2_prime)
+
+
+def reference_decompose_edge_cut(g: Hypergraph, k: int, f) -> cons.EdgeCutDecomposition:
+    """The edge-cut decomposition that found side X, the side whose
+    colorings are all constant on X_F, before requiring the parts to
+    be critical."""
+    refs = tuple(sorted(set(f)))
+    col.require_critical(g, k)
+    if not conn.is_separating_edge_set(g, refs):
+        raise ValueError("edge set is not separating")
+    if len(refs) > k:
+        raise ValueError(f"separating set has size {len(refs)} > {k}")
+    if conn._has_separating_subset(g, refs):
+        raise ValueError("separating edge set is not minimal; k-edge-connectivity bug")
+    if len(refs) != k:
+        raise ValueError(f"minimal separating set of size {len(refs)} != {k}")
+    cut = conn.edge_cut_for(g, refs)
+    if reference_forced_side(g, k, cut.x, cut.x_f) is not True:
+        cut = conn.EdgeCut(cut.y, cut.x, cut.f, cut.y_f, cut.x_f)
+        if reference_forced_side(g, k, cut.x, cut.x_f) is not True:
+            raise ValueError("no side's k-colorings are constant on its cut; theorem violated")
+    for u in cut.y_f:
+        if sum(1 for ref in cut.f if u in g.edge(ref)) != 1:
+            raise ValueError(f"vertex {u} not incident to exactly one cut edge")
+    g2, g2_old = cons._apex_side(g, cut.y, cut.f)
+    col.require_critical(g2, k, "G2")
+    g1 = None
+    g1_old: tuple[int, ...] = ()
+    if len(cut.x_f) >= 2:
+        sub, old = g.induced(cut.x)
+        pos = {u: i for i, u in enumerate(old)}
+        g1 = Hypergraph.of(sub.n, sub.edges + (tuple(sorted(pos[u] for u in cut.x_f)),))
+        g1_old = old
+        col.require_critical(g1, k, "G1")
+    return cons.EdgeCutDecomposition(cut, g1, g1_old, g2, g2_old)
+
+
+def is_separating_vertex_set(g: Hypergraph, sep) -> bool:
+    """S separates iff G / S has more components than G."""
+    s = tuple(sorted(set(sep)))
+    if len(s) >= g.n:
+        return False
+    shrunk = g.div_vertices(s).graph
+    return len(conn.components(shrunk)) > len(conn.components(g))
+
+
+def reference_enumerate_separating_sets(g: Hypergraph, max_size: int) -> list[tuple[int, ...]]:
+    """All separating vertex sets of size <= max_size, by size and then
+    lexicographically: one quotient and one component count per
+    candidate set."""
+    out = []
+    for size in range(1, max_size + 1):
+        for s in itertools.combinations(range(g.n), size):
+            if is_separating_vertex_set(g, s):
+                out.append(s)
+    return out
 
 
 def reference_bridges(g: Hypergraph) -> list[int]:

@@ -18,7 +18,7 @@ from hyperchrome import constructions as cons
 from hyperchrome import corpus
 from hyperchrome.hypercore import Hypergraph
 
-from conftest import hypergraphs, random_nested_join
+from conftest import hypergraphs, join_chain, random_nested_join
 
 
 # a join of two K4 leaves at vertex 3, as a user's certificate file holds it
@@ -126,6 +126,19 @@ class TestErrorPaths:
                  conn.mixed_separating_sets(j.graph))
         assert cli.main(["decompose", path, "--mixed", f"{v},{estar}"]) == 2
         assert "is not a mixed separating set" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "seps,message",
+        [([(0,), (1, 5)], "has a separating vertex"), ([(0, 2)], "exactly 2 components, found 1")],
+        ids=["cut-vertex", "one-side"],
+    )
+    def test_broken_pair_invariant_is_internal(self, tmp_path, capsys, monkeypatch, seps, message):
+        """A critical input is 2-connected and has two sides at a
+        separating pair, so a pair search that says otherwise is a bug."""
+        path = write_hgr(tmp_path, cons.figure2_g1())
+        monkeypatch.setattr(conn, "enumerate_separating_sets", lambda g, max_size: seps)
+        assert cli.main(["decompose", "-k", "3", path]) == 4
+        assert message in capsys.readouterr().err
 
     def test_edge_ids_must_be_ascii_digits(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("HGR 1\nn 12\ne 0 1_0\ne +1 ０２\n"))
@@ -505,6 +518,23 @@ class TestPipelines:
             "g1_prime": w.to_hgr(),
             "g2_prime": k4.to_hgr(),
         }
+
+    @pytest.mark.parametrize(
+        "make,k,pair",
+        [
+            (lambda: join_chain(cons.odd_wheel(5), 20), 3, [4, 5]),
+            (lambda: random_nested_join(random.Random(1), 4, 81, 10**6), 4, [1, 2]),
+        ],
+        ids=["w5-chain-20", "k4-join-81"],
+    )
+    def test_decompose_members_past_80_vertices(self, tmp_path, capsys, make, k, pair):
+        """Members of 81 and 101 vertices decompose with no search: the
+        parts certify, and the pair comes from articulation passes."""
+        path = write_hgr(tmp_path, make())
+        start = time.perf_counter()
+        code, payload = run_json(capsys, ["decompose", "-k", str(k), path])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and payload["separating_pair"] == pair
 
     def test_gallai_check(self, tmp_path, capsys):
         path = write_hgr(tmp_path, cons.odd_wheel(5))

@@ -804,9 +804,16 @@ def _k6_minus_edge():
     return Hypergraph.of(6, [e for e in itertools.combinations(range(6), 2) if e != (0, 1)])
 
 
-def _figure2_g1_edge_cut(force):
-    # the second 3-edge cut: the first one's searches decide with no decision
-    g = cons.figure2_g1()
+def _figure2_g2_join():
+    """The Hajos join of figure2_g2 and K4, without v*: 4-critical with
+    a separating pair, and not in the class, so its criticality is
+    searched (a member's certifies with no search)."""
+    f2, k4 = cons.figure2_g2(), cons.complete_graph(4)
+    return cons.hajos_join(cons.HajosJoinSpec(f2, k4, f2.edge(0)[0], k4.edge(2)[-1], 0, 2, False)).graph
+
+
+def _figure2_g2_join_edge_cut(force):
+    g = _figure2_g2_join()
     cut = [c for c in conn.minimal_separating_edge_sets(g, 3) if len(c.f) == 3][1]
     return cons.decompose_edge_cut(g, 3, cut.f, force=force)
 
@@ -823,8 +830,8 @@ class TestDecisionCap:
             lambda force: col.is_critical(_wheel_path(), 4, force=force),
             lambda force: tuple(cls.extract_critical(_k4_path(), 4, force=force)),
             lambda force: cls.classify(_k6_minus_edge(), force=force),
-            lambda force: cons.decompose_vertex_pair(cons.figure2_g1(), 3, force=force),
-            _figure2_g1_edge_cut,
+            lambda force: cons.decompose_vertex_pair(_figure2_g2_join(), 3, force=force),
+            _figure2_g2_join_edge_cut,
         ],
         ids=["chromatic_number", "is_critical", "extract_critical", "classify-colorable",
              "decompose_vertex_pair", "decompose_edge_cut"],

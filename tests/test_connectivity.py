@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from hyperchrome.hypercore import Hypergraph
 from hyperchrome import coloring as col
@@ -496,14 +496,28 @@ class TestBlockPass:
 
 class TestSeparators:
     def test_separating_pair_of_even_wheel(self):
-        g = cons.cycle(4)
-        assert conn.is_separating_vertex_set(g, (0, 2))
-        assert not conn.is_separating_vertex_set(g, (0, 1))
+        assert conn.enumerate_separating_sets(cons.cycle(4), 2) == [(0, 2), (1, 3)]
 
     def test_hyperedge_residue_keeps_connection(self):
         # removing v from {v,a,b} leaves residue {a,b}: still connected
         g = Hypergraph.of(3, [(0, 1, 2)])
-        assert not conn.is_separating_vertex_set(g, (0,))
+        assert conn.enumerate_separating_sets(g, 2) == []
+
+    @given(hypergraphs(max_n=8, sizes=(2, 3, 4)))
+    @example(Hypergraph.of(8, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4, 5), (5, 6)]))
+    @example(Hypergraph.of(6, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)]))
+    @settings(max_examples=150, deadline=None)
+    def test_enumeration_matches_the_quotient_reference(self, g):
+        """The articulation passes give the sets that one quotient and
+        component count per candidate does, on inputs with isolated
+        vertices, several components and cut vertices."""
+        for size in (0, 1, 2):
+            want = oracles.reference_enumerate_separating_sets(g, size)
+            assert conn.enumerate_separating_sets(g, size) == want, (g, size)
+
+    def test_enumeration_stops_at_pairs(self):
+        with pytest.raises(ValueError, match="up to size 2"):
+            conn.enumerate_separating_sets(cons.cycle(5), 3)
 
     def test_enumerate_separating_sets_sorted(self):
         g = Hypergraph.of(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])

@@ -15,9 +15,10 @@ import lemmas
 import oracles
 from conftest import (
     connected_hypergraphs,
+    perturb,
     perturbed_join,
     random_nested_join,
-    seeded_random_hypergraph,
+    relabelled,
 )
 
 
@@ -268,19 +269,22 @@ class TestDecompositions:
         with pytest.raises(ValueError):
             cons.decompose_edge_cut(w5, 3, (0, 1, 2, 3))
 
-    def test_vertex_pair_past_the_enumeration_guard(self):
+    def test_vertex_pair_past_the_enumeration_guard(self, monkeypatch):
         # W17 joined to K4 has n = 21; enumerating the W17 side's
-        # 3-colorings (3^18) would pass the enumeration guard
+        # 3-colorings (3^18) would pass the enumeration guard.  It is a
+        # member, so g and both parts certify, and no search runs
+        _refuse_searches(monkeypatch)
         g = _wheel_join_k4(17)
         dec = cons.decompose_vertex_pair(g, 3)
         assert (dec.v, dec.w) == (0, 1)
         assert dec.g1_prime == cons.odd_wheel(17)
         assert dec.g2_prime == cons.complete_graph(4)
 
-    def test_edge_cut_past_the_enumeration_guard(self):
+    def test_edge_cut_past_the_enumeration_guard(self, monkeypatch):
         # every minimal 3-edge cut of W17 joined to K4; the spread side
         # was enumerated before, and 3^17 or more assignments exceeded
-        # the enumeration guard at 20 of the 21
+        # the enumeration guard at 20 of the 21.  No search runs
+        _refuse_searches(monkeypatch)
         g = _wheel_join_k4(17)
         cuts = [c for c in conn.minimal_separating_edge_sets(g, 3) if len(c.f) == 3]
         assert len(cuts) == 21
@@ -288,11 +292,30 @@ class TestDecompositions:
             dec = cons.decompose_edge_cut(g, 3, cut.f)
             assert dec.g2.n == len(dec.cut.y) + 1
 
+    def test_relabelled_member_runs_no_search(self, monkeypatch):
+        """A relabelled k = 4 join whose pair takes the swapped
+        orientation: its parts certify before any criticality check."""
+        _refuse_searches(monkeypatch)
+        g = relabelled(random_nested_join(random.Random(1), 4, 41, 10**6), random.Random(4))
+        dec = cons.decompose_vertex_pair(g, 4)
+        assert dec is not None and dec.h1 > dec.h2
+        cuts = _k_cuts(g, 4, random.Random(5), 10)
+        assert len(cuts) >= 3
+        for f in cuts:
+            cons.decompose_edge_cut(g, 4, f)
+
     def test_identify_vertices(self):
         g = Hypergraph.of(4, [(0, 1), (1, 2, 3), (0, 3)])
         merged = cons.identify_vertices(g, 0, 3)
         assert merged.n == 3
         assert (0, 1) in merged.edges
+
+
+def _refuse_searches(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a coloring search ran")
+
+    monkeypatch.setattr(col, "_colorings", refuse)
 
 
 def _critical_named_4():
@@ -319,9 +342,11 @@ def _count_enumerations(monkeypatch) -> collections.Counter:
 
 
 class TestEnumerationCount:
+    """The searches left in the decompositions are the criticality
+    checks of the non-members among these inputs and of their parts;
+    none asks for a second coloring."""
+
     def test_edge_cut_enumerates_no_coloring(self, monkeypatch):
-        """Both sides are decided by preset searches, so no edge-cut
-        decomposition enumerates colorings."""
         calls = _count_enumerations(monkeypatch)
         exercised = 0
         for name, g in _critical_named_4():
@@ -333,9 +358,6 @@ class TestEnumerationCount:
         assert calls["searches"] >= exercised and calls["enumerations"] == 0
 
     def test_vertex_pair_enumerates_no_coloring(self, monkeypatch):
-        """Each side's behaviour at the separating pair comes from
-        preset searches, so the vertex-pair decomposition enumerates
-        nothing."""
         calls = _count_enumerations(monkeypatch)
         decomposed = sum(cons.decompose_vertex_pair(g, 3) is not None for _, g in _critical_named_4())
         assert decomposed >= 2
@@ -350,41 +372,86 @@ def _wheel_join_k4(rim: int) -> Hypergraph:
     return cons.hajos_join(spec).graph
 
 
-class TestPresetSearches:
-    """The vertex-pair and edge-cut decompositions decide how a side's
-    colorings treat its separator by preset searches, pinned here to
-    the enumerations they replaced."""
+def _k_cuts(g: Hypergraph, k: int, rng: random.Random, tries: int) -> list[tuple[int, ...]]:
+    """Distinct size-k boundaries of minimum cuts between random vertex
+    pairs: minimal separating edge sets of a k-edge-connected g, found
+    by flows where testing every edge subset would pass ``CUT_GUARD``."""
+    cuts = set()
+    for _ in range(tries):
+        v, w = rng.sample(range(g.n), 2)
+        flow = conn.local_edge_connectivity(g, v, w)
+        if flow.value == k:
+            cuts.add(g.boundary(flow.cut_side))
+    return sorted(cuts)
+
+
+def _spider(legs: int, length: int) -> Hypergraph:
+    """``c2_tree`` with a root and ``legs`` paths of ``length`` vertices."""
+    return cons.c2_tree([-1] + [0 if i % length == 0 else i for i in range(legs * length)])
+
+
+def _decomposed_or_error(decompose, *args):
+    try:
+        return decompose(*args)
+    except ValueError:
+        return ValueError
+
+
+class TestOrientation:
+    """Both decompositions take the first orientation whose parts pass
+    the criticality they require, which implies the coloring behaviour
+    at the separator.  They are pinned to the versions that decided
+    that behaviour by enumerating each side's colorings
+    (``oracles.reference_decompose_vertex_pair`` and
+    ``reference_decompose_edge_cut``): the same decomposition, or
+    ValueError from both."""
 
     @staticmethod
-    def _graphs(seed):
-        rng = random.Random(seed)
-        graphs = [seeded_random_hypergraph(rng, rng.randint(2, 6), (2, 3), 10) for _ in range(150)]
-        k4_minus = Hypergraph.of(4, [e for e in cons.complete_graph(4).edges if e != (0, 1)])
-        graphs += [k4_minus, cons.odd_wheel(5), cons.complete_graph(5)]
-        return rng, graphs
+    def _inputs():
+        rng = random.Random(2203)
+        # the references enumerate every coloring of a side, so k = 4
+        # and 5 stay at three and two copies of K_{k+1}
+        joins = [
+            (k, relabelled(random_nested_join(random.Random(seed), k, n_max, 10**6), rng))
+            for k, n_max in ((3, 22), (4, 13), (5, 11)) for seed in range(4)
+        ]
+        f2, toft, w5, k4 = cons.figure2_g2(), cons.toft_graph(1), cons.odd_wheel(5), cons.complete_graph(4)
+        mixed = [
+            cons.hajos_join(cons.HajosJoinSpec(a, b, a.edge(ea)[0], b.edge(eb)[-1], ea, eb, include)).graph
+            for a, b, ea, eb in ((f2, k4, 0, 2), (k4, f2, 5, 7), (toft, w5, 3, 0), (f2, toft, 1, 9))
+            for include in (False, True)
+        ]
+        joins += [(3, relabelled(g, rng)) for g in mixed]
+        joins += [(3, _wheel_join_k4(rim)) for rim in (5, 7, 9, 11)]
+        joins += [(3, perturb(rng, random_nested_join(rng, 3, 16, 10**6))) for _ in range(4)]
+        small = [cons.cycle(n) for n in (3, 5, 7, 9)] + [_spider(2, 3), _spider(3, 3), _spider(4, 2)]
+        joins += [(2, relabelled(g, rng)) for g in small] + [(2, g) for g in small]
+        return rng, joins
 
-    def test_pair_behavior_matches_the_enumeration(self):
-        rng, graphs = self._graphs(919)
-        seen = set()
-        for g in graphs:
-            pairs = [(0, 1)] + [tuple(sorted(rng.sample(range(g.n), 2))) for _ in range(2)]
-            for (v, w), k in itertools.product(pairs, (1, 2, 3, 4)):
-                want = oracles.reference_pair_behavior(g, k, v, w)
-                assert cons._pair_behavior(g, k, v, w) == want, (g, k, v, w)
-                seen.add(want)
-        assert seen == {True, False, None}
+    def test_vertex_pair_matches_the_reference(self):
+        _, inputs = self._inputs()
+        seen = collections.Counter()
+        for k, g in inputs:
+            got = _decomposed_or_error(cons.decompose_vertex_pair, g, k)
+            assert got == _decomposed_or_error(oracles.reference_decompose_vertex_pair, g, k), (k, g)
+            if isinstance(got, cons.VertexPairDecomposition):
+                seen["swapped" if got.h1 > got.h2 else "sorted"] += 1
+            else:
+                seen[got] += 1
+        assert seen["swapped"] and seen["sorted"] and seen[ValueError], seen
 
-    def test_constant_on_matches_the_enumeration(self):
-        rng, graphs = self._graphs(929)
-        seen = set()
-        for g in graphs:
-            xs = sorted(rng.sample(range(g.n), rng.randint(2, g.n)))
-            marked = sorted(rng.sample(xs, rng.randint(1, len(xs))))
-            for k in (1, 2, 3, 4):
-                want = oracles.reference_forced_side(g, k, xs, marked)
-                assert cons._constant_on(g, k, xs, marked) == (want is True), (g, k, xs, marked)
-                seen.add(want)
-        assert seen == {True, False, None}
+    def test_edge_cut_matches_the_reference(self):
+        rng, inputs = self._inputs()
+        seen = collections.Counter()
+        for k, g in inputs:
+            for f in _k_cuts(g, k, rng, 2):
+                got = _decomposed_or_error(cons.decompose_edge_cut, g, k, f)
+                assert got == _decomposed_or_error(oracles.reference_decompose_edge_cut, g, k, f), (k, g, f)
+                if got is ValueError:
+                    seen[got] += 1
+                else:
+                    seen["swapped" if got.cut.x != conn.edge_cut_for(g, f).x else "sorted"] += 1
+        assert seen["swapped"] and seen["sorted"] and seen[ValueError], seen
 
 
 def _decomposition_or_message(decompose, g, v, e):

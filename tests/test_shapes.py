@@ -5,6 +5,7 @@ from hyperchrome import constructions as cons
 from hyperchrome import shapes
 
 import oracles
+from conftest import relabelled
 
 
 def test_complete_graph():
@@ -38,12 +39,6 @@ def test_wheels():
     assert not shapes.is_odd_wheel(cons.hyperwheel(5))
 
 
-def _relabelled(g, rng):
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return Hypergraph.of(g.n, [[perm[v] for v in e] for e in g.edges])
-
-
 def _hub_over_triangles(count):
     """A hub joined to every vertex of disjoint triangles: the degrees and
     edge count of an odd wheel, but a rim of several cycles."""
@@ -56,7 +51,7 @@ def test_wheel_layout_matches_the_reference():
     """The one rim walk gives the leaf layout of the induced-rim test
     and second walk it replaced, and the same hub."""
     rng = random.Random(12)
-    wheels = [_relabelled(cons.odd_wheel(rim), rng) for rim in range(3, 24, 2) for _ in range(5)]
+    wheels = [relabelled(cons.odd_wheel(rim), rng) for rim in range(3, 24, 2) for _ in range(5)]
     others = [cons.complete_graph(4), _hub_over_triangles(3)]
     others += [cons.cycle(n) for n in range(4, 13, 2)]
     others += [cons.hyperwheel(size) for size in range(3, 8)]
