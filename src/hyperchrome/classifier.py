@@ -14,17 +14,12 @@ from . import coloring as col
 from . import connectivity as conn
 from . import constructions as cons
 from . import shapes
+from .connectivity import InternalError  # re-exported: the CLI maps it to exit 4
 
 
 class CertificateError(ValueError):
     """A certificate given to the program is malformed or fails to
     replay."""
-
-
-class InternalError(RuntimeError):
-    """An internal invariant broke: a bug, not bad input, such as a
-    built certificate that does not replay, or an input with lambda >= 3
-    that has neither a block that certifies nor a lambda-coloring."""
 
 
 # -- certificates ----------------------------------------------------------

@@ -28,8 +28,9 @@ degree order, and Gusfield on a prefix is the same run cut short, so it
 gives the max over the pairs inside the prefix; every other pair has an
 endpoint whose degree bounds its value.
 
-``GuardExceeded`` is defined here, the lowest module that raises it;
-``coloring`` and the package re-export the same class.
+``GuardExceeded`` and ``InternalError`` are defined here, where every
+module that raises them can import them; ``coloring`` and the package
+re-export the first, ``classifier`` the second.
 """
 
 from __future__ import annotations
@@ -43,6 +44,11 @@ from .hypercore import Hypergraph
 
 class GuardExceeded(RuntimeError):
     """Search-space guard tripped; pass force/limit to override."""
+
+
+class InternalError(RuntimeError):
+    """An internal invariant broke: a bug, not bad input, such as a built
+    certificate that does not replay or a theorem's separator failing."""
 
 
 @dataclass(frozen=True)
@@ -392,10 +398,11 @@ def separating_vertices(g: Hypergraph) -> tuple[int, ...]:
     return _whole_graph_blocks(g)[1]
 
 
-def _whole_graph_blocks(g: Hypergraph) -> tuple[tuple[Block, ...], tuple[int, ...]]:
-    """Blocks and separating vertices from one pass, cached on the value
-    beside its incidence table: outside the dataclass fields, so
-    equality and hashing ignore it."""
+def _whole_graph_blocks(g: Hypergraph) -> tuple[tuple[Block, ...], tuple[int, ...], list[int]]:
+    """Blocks, separating vertices and ``_articulation``'s node counts
+    from one pass, cached on the value beside its incidence table:
+    outside the dataclass fields, so equality and hashing ignore it.
+    Callers share the counts and only read them."""
     cached = g.__dict__.get("_whole_graph_blocks")
     if cached is None:
         block_refs, count = _articulation(g)
@@ -409,7 +416,7 @@ def _whole_graph_blocks(g: Hypergraph) -> tuple[tuple[Block, ...], tuple[int, ..
         out.extend(Block((v,), ()) for v in range(g.n) if not g.incidence[v])
         out.sort(key=lambda b: b.vertices)
         seps = tuple(v for v in range(g.n) if count[v] > 1)
-        cached = g.__dict__["_whole_graph_blocks"] = (tuple(out), seps)
+        cached = g.__dict__["_whole_graph_blocks"] = (tuple(out), seps, count)
     return cached
 
 
@@ -556,7 +563,7 @@ def enumerate_separating_sets(g: Hypergraph, max_size: int) -> list[tuple[int, .
     G / S has more components than G: single vertices, then pairs, each
     ascending.  The decomposition theorems need no larger size.
 
-    One articulation pass on the whole graph and one with each vertex v
+    The cached whole-graph articulation pass and one with each vertex v
     deleted, O(n(n + m)) in all.  A node's count is the number of pieces
     its deletion leaves of its component, 0 for an isolated vertex, and
     an edge node keeps a vertex neighbour when one vertex goes.  So {v}
@@ -567,7 +574,7 @@ def enumerate_separating_sets(g: Hypergraph, max_size: int) -> list[tuple[int, .
         raise ValueError(f"separating sets are enumerated up to size 2, not {max_size}")
     if max_size < 1:
         return []
-    whole = _articulation(g)[1]
+    whole = _whole_graph_blocks(g)[2]
     out = [(v,) for v in range(g.n) if whole[v] > 1]
     if max_size == 2:
         for v in range(g.n):
@@ -578,14 +585,14 @@ def enumerate_separating_sets(g: Hypergraph, max_size: int) -> list[tuple[int, .
 
 def bridges(g: Hypergraph) -> list[int]:
     """Edges e whose deletion creates |e|-1 extra components, read from
-    one articulation pass: those whose node lies in |e| blocks of the
+    the cached whole-graph pass: those whose node lies in |e| blocks of the
     incidence graph B(G).  B(G - e) is B(G) minus the node of e, and
     each of its components holds a vertex.  Deleting a node that lies in
     c blocks splits its component into c pieces, each holding a
     neighbour of the node, a vertex of e; so G - e has c - 1 extra
     components, and c = |e| iff no two vertices of e are joined in B(G)
     minus the node."""
-    count = _articulation(g)[1]
+    count = _whole_graph_blocks(g)[2]
     n = g.n
     return [r for r, e in enumerate(g.edges) if count[n + r] == len(e)]
 
@@ -601,8 +608,9 @@ CUT_GUARD = 10**4  # edge subsets minimal_separating_edge_sets may test
 def minimal_separating_edge_sets(g: Hypergraph, max_size: int) -> list[EdgeCut]:
     """All minimal separating edge sets of size <= max_size as EdgeCuts.
 
-    Tests every edge subset of size <= max_size, so it raises
-    GuardExceeded when there are more than ``CUT_GUARD``."""
+    Tests every edge subset of size <= max_size by one component pass
+    (``_minimal_cut_pieces``), so it raises GuardExceeded when there are
+    more than ``CUT_GUARD``."""
     if not is_connected(g):
         raise ValueError("hypergraph must be connected")
     if max_size < 1:
@@ -617,41 +625,36 @@ def minimal_separating_edge_sets(g: Hypergraph, max_size: int) -> list[EdgeCut]:
     found = []
     for size in range(1, top + 1):
         for f in itertools.combinations(range(g.m), size):
-            if is_separating_edge_set(g, f) and not _has_separating_subset(g, f):
+            if _minimal_cut_pieces(g, f) is not None:
                 found.append(edge_cut_for(g, f))
     return found
 
 
-def _has_separating_subset(g: Hypergraph, f: tuple[int, ...]) -> bool:
-    """Whether a non-empty proper subset of the edge set f separates g."""
-    return any(
-        is_separating_edge_set(g, sub)
-        for r in range(1, len(f))
-        for sub in itertools.combinations(f, r)
-    )
+def _minimal_cut_pieces(g: Hypergraph, f: tuple[int, ...]) -> list[tuple[int, ...]] | None:
+    """The components of G - F when the edge set F is a minimal
+    separating set of the connected g, None otherwise.  Deleting edges
+    never joins components, so a separating F is minimal iff no F - f
+    separates; and G - F + f is connected iff f meets every component
+    of G - F."""
+    pieces = components(g.delete_edges(f))
+    if f and len(pieces) > 1:
+        label = {v: i for i, piece in enumerate(pieces) for v in piece}
+        if all(len({label[v] for v in g.edges[r]}) == len(pieces) for r in f):
+            return pieces
+    return None
 
 
 def edge_cut_for(g: Hypergraph, refs) -> EdgeCut:
-    """The edge cut (X, Y, F) realizing a minimal separating set F.
-
-    X is a union of components of G - F with boundary exactly F; ties
-    break to the lexicographically smallest X.
-    """
+    """The edge cut (X, Y, F) realizing a minimal separating set F of
+    the connected g; ValueError for any other F.  Each edge of F meets
+    every component of G - F, so every non-empty proper union of them
+    has boundary F; X is the lexicographically smallest."""
     f = tuple(sorted(set(refs)))
-    comps = components(g.delete_edges(f))
-    fset = set(f)
-    best = None
-    for r in range(1, len(comps)):
-        for pick in itertools.combinations(comps, r):
-            xs = sorted(v for comp in pick for v in comp)
-            if len(xs) == g.n:
-                continue
-            if set(g._boundary(set(xs))) == fset:
-                if best is None or xs < best:
-                    best = xs
-    if best is None:
-        raise ValueError(f"edge set {f} is not a boundary cut")
-    return EdgeCut.from_side(g, best)
+    pieces = _minimal_cut_pieces(g, f)
+    if pieces is None:
+        raise ValueError(f"edge set {f} is not a minimal separating set of a connected hypergraph")
+    picks = (p for r in range(1, len(pieces)) for p in itertools.combinations(pieces, r))
+    return EdgeCut.from_side(g, min(sorted(itertools.chain(*p)) for p in picks))
 
 
 def mixed_separating_sets(g: Hypergraph) -> list[tuple[int, int]]:

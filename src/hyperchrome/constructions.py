@@ -406,23 +406,24 @@ def decompose_vertex_pair(
     Side 1 is the side for which G1' = side 1 + vw and G2' = side 2 / vw
     are (k+1)-critical (``_orient``), as the theorem requires.  That
     implies the dichotomy: every k-coloring of side 1 gives v and w one
-    color, and none of side 2, which has some as a proper subgraph of g."""
-    from . import classifier as cls  # the classifier imports this module
-
+    color, and none of side 2, which has some as a proper subgraph of g.
+    The pair is independent: were {v, w} an edge, k-colorings of both
+    sides plus {v, w}, proper subgraphs of g, would color v and w apart
+    and glue, after renaming colors, into a k-coloring of g."""
     col.require_critical(g, k, force=force)
     seps = conn.enumerate_separating_sets(g, 2)
     if not seps:
         return None
     # a critical hypergraph is 2-connected, and the theorem gives two sides
     if len(seps[0]) != 2:
-        raise cls.InternalError("critical hypergraph has a separating vertex; bug upstream")
+        raise conn.InternalError("critical hypergraph has a separating vertex; bug upstream")
     v, w = seps[0]
     if any(set(e) == {v, w} for e in g.edges):
-        raise ValueError("separating pair is not independent; theorem violated")
+        raise conn.InternalError("separating pair of a critical input is an edge; bug upstream")
     shrunk, old = g.div_vertices((v, w))
     comps = [tuple(sorted(old[x] for x in c)) for c in conn.components(shrunk)]
     if len(comps) != 2:
-        raise cls.InternalError(f"expected exactly 2 components, found {len(comps)}")
+        raise conn.InternalError(f"expected exactly 2 components, found {len(comps)}")
 
     def build(sides):
         side1, side2 = (g.induced(sorted(set(h) | {v, w})) for h in sides)
@@ -496,7 +497,8 @@ class EdgeCutDecomposition:
 
 def decompose_edge_cut(g: Hypergraph, k: int, f, force: bool = False) -> EdgeCutDecomposition:
     """Theorem-backed decomposition of a (k+1)-critical hypergraph at a
-    separating edge set of size <= k (which must then have size k).
+    separating edge set of size <= k, which is minimal of size k: such
+    a hypergraph is k-edge-connected (Toft), so anything else is a bug.
     Side X is the side for which each vertex of Y_F lies on one cut edge
     and G2 = G[Y] + apex and, at |X_F| >= 2, G1 = G[X] + X_F are
     (k+1)-critical (``_orient``), as the theorem requires.  That implies
@@ -509,10 +511,8 @@ def decompose_edge_cut(g: Hypergraph, k: int, f, force: bool = False) -> EdgeCut
         raise ValueError("edge set is not separating")
     if len(refs) > k:
         raise ValueError(f"separating set has size {len(refs)} > {k}")
-    if conn._has_separating_subset(g, refs):
-        raise ValueError("separating edge set is not minimal; k-edge-connectivity bug")
-    if len(refs) != k:
-        raise ValueError(f"minimal separating set of size {len(refs)} != {k}")
+    if len(refs) != k or conn._minimal_cut_pieces(g, refs) is None:
+        raise conn.InternalError(f"separating set {refs} is not minimal of size {k}; bug upstream")
 
     def build(cut):
         for u in cut.y_f:

@@ -168,11 +168,12 @@ class Hypergraph:
         return self.shrink(v for v in range(self.n) if v not in drop)
 
     def delete_edges(self, refs: Iterable[int]) -> "Hypergraph":
-        """Same vertices, edges minus the given refs."""
+        """Same vertices, edges minus the given refs.  A subsequence of
+        canonical edges is canonical, so only the refs are checked."""
         drop = set(refs)
         for r in drop:
             self.edge(r)
-        return Hypergraph(self.n, tuple(e for i, e in enumerate(self.edges) if i not in drop))
+        return self._trusted(self.n, tuple(e for i, e in enumerate(self.edges) if i not in drop))
 
     def delete_edge(self, ref: int) -> "Hypergraph":
         return self.delete_edges((ref,))

@@ -33,7 +33,12 @@ place of the preset searches that the enumerations were pinned to.
 ``is_separating_vertex_set`` and ``reference_enumerate_separating_sets``
 are the quotient-and-count test per candidate set that
 ``connectivity.enumerate_separating_sets`` ran before it read
-articulation passes.  ``reference_bridges`` is the
+articulation passes.  ``has_separating_subset``,
+``reference_minimal_separating_edge_sets`` and
+``reference_edge_cut_for`` are the test of every proper subset of a cut,
+each on a rebuilt G - F, and the scan of every union of the pieces of
+G - F for one whose boundary is F, that ``connectivity`` ran before one
+component pass of G - F decided both.  ``reference_bridges`` is the
 bridge test by one component count per derived G - e that
 ``connectivity.bridges`` ran before it read the articulation pass.
 ``reference_is_in_Ck`` is the semantic membership test ((k+1)-critical
@@ -727,11 +732,11 @@ def reference_decompose_edge_cut(g: Hypergraph, k: int, f) -> cons.EdgeCutDecomp
         raise ValueError("edge set is not separating")
     if len(refs) > k:
         raise ValueError(f"separating set has size {len(refs)} > {k}")
-    if conn._has_separating_subset(g, refs):
+    if has_separating_subset(g, refs):
         raise ValueError("separating edge set is not minimal; k-edge-connectivity bug")
     if len(refs) != k:
         raise ValueError(f"minimal separating set of size {len(refs)} != {k}")
-    cut = conn.edge_cut_for(g, refs)
+    cut = reference_edge_cut_for(g, refs)
     if reference_forced_side(g, k, cut.x, cut.x_f) is not True:
         cut = conn.EdgeCut(cut.y, cut.x, cut.f, cut.y_f, cut.x_f)
         if reference_forced_side(g, k, cut.x, cut.x_f) is not True:
@@ -771,6 +776,47 @@ def reference_enumerate_separating_sets(g: Hypergraph, max_size: int) -> list[tu
             if is_separating_vertex_set(g, s):
                 out.append(s)
     return out
+
+
+def has_separating_subset(g: Hypergraph, f: tuple[int, ...]) -> bool:
+    """Whether a non-empty proper subset of the edge set f separates g."""
+    return any(
+        conn.is_separating_edge_set(g, sub)
+        for r in range(1, len(f))
+        for sub in itertools.combinations(f, r)
+    )
+
+
+def reference_edge_cut_for(g: Hypergraph, refs) -> conn.EdgeCut:
+    """The edge cut (X, Y, F) for F: X is the lexicographically smallest
+    union of components of G - F whose boundary is exactly F."""
+    f = tuple(sorted(set(refs)))
+    comps = conn.components(g.delete_edges(f))
+    fset = set(f)
+    best = None
+    for r in range(1, len(comps)):
+        for pick in itertools.combinations(comps, r):
+            xs = sorted(v for comp in pick for v in comp)
+            if len(xs) == g.n:
+                continue
+            if set(g._boundary(set(xs))) == fset:
+                if best is None or xs < best:
+                    best = xs
+    if best is None:
+        raise ValueError(f"edge set {f} is not a boundary cut")
+    return conn.EdgeCut.from_side(g, best)
+
+
+def reference_minimal_separating_edge_sets(g: Hypergraph, max_size: int) -> list[conn.EdgeCut]:
+    """Every edge subset of size <= max_size that separates g while no
+    non-empty proper subset of it does, as ``reference_edge_cut_for``
+    cuts, by size and then lexicographically."""
+    return [
+        reference_edge_cut_for(g, f)
+        for size in range(1, min(max_size, g.m) + 1)
+        for f in itertools.combinations(range(g.m), size)
+        if conn.is_separating_edge_set(g, f) and not has_separating_subset(g, f)
+    ]
 
 
 def reference_bridges(g: Hypergraph) -> list[int]:

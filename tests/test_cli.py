@@ -93,6 +93,14 @@ class TestBasicVerbs:
         code, payload = run_json(capsys, ["mixed-seps", path])
         assert code == 0 and payload["mixed"]
 
+    def test_cut_side_joins_two_of_three_pieces(self, tmp_path, capsys):
+        """Deleting the edge {0, 1, 2} leaves the pieces {0, 3}, {1} and
+        {2}; X is the smallest union of pieces, two of the three."""
+        path = write_hgr(tmp_path, Hypergraph.of(4, [(0, 1, 2), (0, 3)]))
+        code, payload = run_json(capsys, ["cuts", path])
+        assert code == 0
+        assert payload == {"cuts": [{"edges": [0], "x": [0, 1, 3]}, {"edges": [1], "x": [0, 1, 2]}]}
+
 
 class TestErrorPaths:
     def test_malformed_hgr_is_input_error(self, tmp_path, capsys):
@@ -129,15 +137,41 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "seps,message",
-        [([(0,), (1, 5)], "has a separating vertex"), ([(0, 2)], "exactly 2 components, found 1")],
-        ids=["cut-vertex", "one-side"],
+        [
+            ([(0,), (1, 5)], "has a separating vertex"),
+            ([(0, 1)], "separating pair of a critical input is an edge"),
+            ([(0, 2)], "exactly 2 components, found 1"),
+        ],
+        ids=["cut-vertex", "edge-pair", "one-side"],
     )
     def test_broken_pair_invariant_is_internal(self, tmp_path, capsys, monkeypatch, seps, message):
-        """A critical input is 2-connected and has two sides at a
-        separating pair, so a pair search that says otherwise is a bug."""
+        """A critical input is 2-connected, its separating pairs are
+        independent, and it has two sides at each, so a pair search that
+        says otherwise is a bug."""
         path = write_hgr(tmp_path, cons.figure2_g1())
         monkeypatch.setattr(conn, "enumerate_separating_sets", lambda g, max_size: seps)
         assert cli.main(["decompose", "-k", "3", path]) == 4
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "patched,refs,message",
+        [
+            ("is_separating_edge_set", "0,1", "separating set (0, 1) is not minimal of size 3"),
+            ("_minimal_cut_pieces", "0,1,2", "separating set (0, 1, 2) is not minimal of size 3"),
+        ],
+        ids=["small", "not-minimal"],
+    )
+    def test_broken_cut_invariant_is_internal(
+        self, tmp_path, capsys, monkeypatch, patched, refs, message
+    ):
+        """A (k+1)-critical input is k-edge-connected, so a separating
+        set of size <= k that is not a minimal one of size k is a bug."""
+        g = cons.figure2_g1()
+        assert conn.edge_cut_for(g, (0, 1, 2)).f == (0, 1, 2)
+        path = write_hgr(tmp_path, g)
+        fake = {"is_separating_edge_set": True, "_minimal_cut_pieces": None}[patched]
+        monkeypatch.setattr(conn, patched, lambda g, refs: fake)
+        assert cli.main(["decompose", "-k", "3", "--edge-cut", refs, path]) == 4
         assert message in capsys.readouterr().err
 
     def test_edge_ids_must_be_ascii_digits(self, capsys, monkeypatch):

@@ -468,6 +468,8 @@ class TestBlockPass:
         assert conn.separating_vertices(g) == (3,)
         assert len(conn.blocks(g)) == 2
         assert conn.separating_vertices(g) == (3,)
+        assert conn.bridges(g) == [6]
+        assert conn.enumerate_separating_sets(g, 1) == [(3,)]
         assert passes == [None]
 
     def test_cache_is_not_part_of_the_value(self):
@@ -565,6 +567,57 @@ class TestSeparators:
             w5, w5.m
         )
 
+    @settings(max_examples=200, deadline=None)
+    @given(connected_hypergraphs(max_n=7, sizes=(2, 3, 4)))
+    @example(Hypergraph.of(4, [(0, 1, 2), (0, 3)]))
+    def test_minimal_cut_rule_matches_the_subset_scan(self, g):
+        """One component pass of G - F decides "F is a minimal separating
+        set" as the test of every proper subset does
+        (``oracles.has_separating_subset``)."""
+        for size in range(1, 4):
+            for f in itertools.combinations(range(g.m), size):
+                pieces = conn._minimal_cut_pieces(g, f)
+                minimal = conn.is_separating_edge_set(g, f) and not oracles.has_separating_subset(g, f)
+                assert (pieces is not None) == minimal, f
+                if minimal:
+                    assert pieces == conn.components(g.delete_edges(f))
+
+    def test_cut_search_matches_the_reference(self):
+        """``minimal_separating_edge_sets`` and ``edge_cut_for`` give the
+        cuts of the subset scan (``oracles.reference_minimal_separating_edge_sets``
+        and ``reference_edge_cut_for``)."""
+        rng = random.Random(2323)
+        graphs = list(corpus.named_families().values())
+        graphs += [seeded_random_hypergraph(rng, rng.randint(2, 9), (2, 3, 4), 12) for _ in range(300)]
+        graphs += [random_nested_join(random.Random(seed), k, 12, 3) for k in (3, 4) for seed in range(4)]
+        graphs = [g for g in graphs if conn.is_connected(g)]
+        assert len(graphs) > 100
+        pieces = collections.Counter()
+        for g in graphs:
+            size = 3 if g.m <= 16 else 2
+            want = oracles.reference_minimal_separating_edge_sets(g, size)
+            assert conn.minimal_separating_edge_sets(g, size) == want, g
+            for cut in want:
+                assert conn.edge_cut_for(g, cut.f) == cut
+                pieces[len(conn.components(g.delete_edges(cut.f)))] += 1
+        assert pieces[2] and pieces[3], pieces
+
+    @pytest.mark.parametrize(
+        "g,f",
+        [
+            (Hypergraph.of(4, [(0, 1), (1, 2), (2, 3)]), (0, 1)),  # separates, but (0,) does
+            (cons.cycle(4), ()),
+            (Hypergraph.of(5, [(0, 1), (1, 2), (3, 4)]), ()),
+            (Hypergraph.of(5, [(0, 1), (1, 2), (3, 4)]), (0,)),
+            (Hypergraph.of(5, [(0, 1), (1, 2), (3, 4)]), (0, 2)),
+        ],
+        ids=["non-minimal", "empty", "disconnected-empty", "disconnected", "disconnected-pair"],
+    )
+    def test_edge_cut_for_refuses_other_sets(self, g, f):
+        assert conn._minimal_cut_pieces(g, f) is None
+        with pytest.raises(ValueError, match="not a minimal separating set"):
+            conn.edge_cut_for(g, f)
+
     def test_edge_cut_from_side(self):
         g = Hypergraph.of(5, [(0, 1), (1, 2, 3), (3, 4), (0, 4)])
         cut = conn.EdgeCut.from_side(g, [3, 0, 3, 4])
@@ -573,7 +626,7 @@ class TestSeparators:
 
     def test_edge_cut_for_orients_lexicographically(self):
         g = Hypergraph.of(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        cut = conn.edge_cut_for(g, (0, 1))  # edges (0,1) and (1,2)
+        cut = conn.edge_cut_for(g, (0, 1))  # edges (0,1) and (0,3)
         assert set(g._boundary(set(cut.x))) == {0, 1}
         assert list(cut.x) == sorted(cut.x)
 

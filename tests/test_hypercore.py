@@ -104,6 +104,18 @@ class TestSetOperations:
         assert g.delete_vertices([3]).graph.m == 1
         assert g.div_vertices([0]).graph.edges == ((0, 1), (1, 2))
 
+    @given(hypergraphs(max_n=7, sizes=(2, 3, 4)), st.randoms(use_true_random=False))
+    def test_delete_edges_is_the_canonical_value(self, g, rng):
+        """``delete_edges`` skips the constructor's checks: a subsequence
+        of canonical edges is canonical."""
+        refs = [r for r in range(g.m) if rng.random() < 0.4]
+        kept = [e for r, e in enumerate(g.edges) if r not in refs]
+        got = g.delete_edges(refs + refs[:1])
+        assert got == Hypergraph.of(g.n, kept) and hash(got) == hash(Hypergraph.of(g.n, kept))
+        for bad in (-1, g.m):
+            with pytest.raises(ValueError, match="out of range"):
+                g.delete_edges([bad])
+
     def test_boundary(self):
         g = Hypergraph.of(4, [(0, 1), (1, 2, 3), (2, 3)])
         assert g.boundary([0, 1]) == (1,)
