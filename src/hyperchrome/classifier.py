@@ -106,7 +106,19 @@ def certificate_matches(cert: Certificate, vertices, edges) -> bool:
 
 
 def verify_certificate(g: Hypergraph, cert: Certificate) -> bool:
-    return certificate_matches(cert, range(g.n), g.edges)
+    """Whether the certificate replays to g.  A join deletes two edges
+    and adds one, so an edge count of its leaves' edges less one per
+    join that differs from g's answers False before any replay."""
+    count, stack = 0, [cert]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Join):
+            count -= 1
+            stack += (node.left, node.right)
+        else:
+            r = len(node.labels)
+            count += r * (r - 1) // 2 if node.kind == "complete" else 2 * (r - 1)
+    return count == g.m and certificate_matches(cert, range(g.n), g.edges)
 
 
 def certificate_to_json(cert: Certificate) -> dict:
@@ -320,12 +332,10 @@ def extract_critical(g: Hypergraph, target_chi: int, force: bool = False) -> Rel
     cur = g
     while (ref := col._failing_edge(cur, target_chi - 1, force)) is not None:
         cur = cur.delete_edge(ref)
-    covered = sorted({v for e in cur.edges for v in e})
-    sub, old = cur.induced(covered)
-    for comp in conn.components(sub):
-        csub, cold = sub.induced(comp)
-        if col.chromatic_number(csub, force=force) == target_chi:
-            return Relabeled(csub, tuple(old[v] for v in cold))
+    for comp in conn.components(cur):
+        sub, old = cur.induced(comp)
+        if sub.m and col.chromatic_number(sub, force=force) == target_chi:
+            return Relabeled(sub, old)
     raise InternalError("no component kept the chromatic number; internal bug")
 
 

@@ -503,16 +503,9 @@ def classify_gallai_block(b: Hypergraph) -> str | None:
 def is_gallai_forest(g: Hypergraph) -> tuple[bool, list[str | None]]:
     """True iff every block is a complete graph, an odd cycle, or a
     single hyperedge; also returns the per-block classification."""
-    kinds = []
-    ok = True
-    for b in blocks(g):
-        if not b.edge_refs:  # isolated vertex: a K1 block
-            kinds.append("complete")
-            continue
-        kind = classify_gallai_block(b.graph(g))
-        kinds.append(kind)
-        ok = ok and kind is not None
-    return ok, kinds
+    # an isolated vertex is a K1 block
+    kinds = [classify_gallai_block(b.graph(g)) if b.edge_refs else "complete" for b in blocks(g)]
+    return None not in kinds, kinds
 
 
 @dataclass(frozen=True)
@@ -545,26 +538,15 @@ def verify_gallai_lemma(g: Hypergraph, k: int, force: bool = False) -> GallaiLem
     if not low:
         raise ValueError("no low vertices; lemma preconditions unmet")
     low_set, high_set = set(low), set(high)
-    mixed = [
-        e
-        for e in g.edges
-        if len(set(e) & low_set) >= 2 and len(set(e) & high_set) >= 1
-    ]
+    mixed = [e for e in g.edges if len(low_set.intersection(e)) >= 2 and not high_set.isdisjoint(e)]
     gl, gl_old = g.shrink(low)
     pos = {v: i for i, v in enumerate(gl_old)}
     forest_ok, _ = is_gallai_forest(gl)
     traces = [tuple(sorted(pos[v] for v in e if v in low_set)) for e in mixed]
     traces_distinct = len(set(traces)) == len(traces)
-    bridge_set = set(bridges(gl))
-    bridges_ok = True
-    for trace in traces:
-        try:
-            ref = gl.edge_ref(trace)
-        except ValueError:
-            bridges_ok = False
-            continue
-        if ref not in bridge_set:
-            bridges_ok = False
+    # each trace is sorted, like the edges of gl
+    bridge_edges = {gl.edges[ref] for ref in bridges(gl)}
+    bridges_ok = all(trace in bridge_edges for trace in traces)
     if high:
         no_high_shape_ok = True
     else:

@@ -8,25 +8,15 @@ The network lives in flat lists: arc ids, heads and capacities, with
 each search marking the nodes it reaches by a fresh stamp in one
 reused list.
 
-lambda(G), the max over all vertex pairs, needs every pairwise value
-in principle, but the hypergraph cut function is symmetric submodular, so a flow-equivalent
-tree exists: Gusfield's method finds it with one max flow per vertex
-after the first, on any terminal set, all on one network whose
-capacities are restored before each flow.  Two facts cut the work:
+lambda(G) comes from Gusfield's flow-equivalent tree, which exists
+because the hypergraph cut function is symmetric submodular, cut short
+by the star bound lambda(v, w) <= min(deg v, deg w) (``_tree_flows``,
+``max_local_edge_connectivity``).
 
-- Every edge has two or more vertices, so the star of v, the edges on
-  it, is a cut of size deg v, and lambda(v, w) <= min(deg v, deg w).
-- Gusfield takes its terminals in descending degree order, so the
-  tree parent t of each s comes earlier and deg t >= deg s.  The flow
-  from s to t stops once it reaches deg s; then it is maximum, and
-  {s} is a minimum cut, which moves no later terminal to s.  The
-  failing search and the residual side are needed only below deg s.
-
-lambda(G) stops each component before the first vertex whose degree is
-at most the best value so far.  The vertices taken are a prefix of the
-degree order, and Gusfield on a prefix is the same run cut short, so it
-gives the max over the pairs inside the prefix; every other pair has an
-endpoint whose degree bounds its value.
+The decompositions at separating edge sets, vertex pairs and mixed
+pairs ask for the pieces of G with some vertices and edges deleted;
+``_pieces`` is the one component search, and ``_articulation`` the one
+articulation search, which serves the block and separator listings.
 
 ``GuardExceeded`` and ``InternalError`` are defined here, where every
 module that raises them can import them; ``coloring`` and the package
@@ -43,7 +33,9 @@ from .hypercore import Hypergraph
 
 
 class GuardExceeded(RuntimeError):
-    """Search-space guard tripped; pass force/limit to override."""
+    """A search passed its guard.  ``force`` lifts ``coloring.SEARCH_GUARD``,
+    the cap on each colouring search and on ``classify --h2-info``'s join
+    search; nothing lifts ``CUT_GUARD``: lower the cut size instead."""
 
 
 class InternalError(RuntimeError):
@@ -93,16 +85,8 @@ class EdgeCut:
         x = tuple(sorted(inside))
         y = tuple(v for v in range(g.n) if v not in inside)
         f = g.boundary(x)
-        touched = set()
-        for ref in f:
-            touched.update(g.edge(ref))
-        return cls(
-            x=x,
-            y=y,
-            f=f,
-            x_f=tuple(v for v in x if v in touched),
-            y_f=tuple(v for v in y if v in touched),
-        )
+        touched = {v for ref in f for v in g.edges[ref]}
+        return cls(x, y, f, tuple(v for v in x if v in touched), tuple(v for v in y if v in touched))
 
 
 @dataclass(frozen=True)
@@ -119,22 +103,37 @@ class FlowResult:
 
 def components(g: Hypergraph) -> list[tuple[int, ...]]:
     """Partition of V(G) into maximal hyperpath-connected classes."""
+    return _pieces(g)
+
+
+def _pieces(g: Hypergraph, dead=(), cut=()) -> list[tuple[int, ...]]:
+    """The components of (G - F) / X in g's ids, for the vertices X in
+    ``dead`` and the in-range edge refs F in ``cut``: each sorted, in
+    order of least vertex.  X starts seen and F used, and an edge is marked used
+    when first crossed, so each edge tuple is scanned once."""
     incidence, edges = g.incidence, g.edges
     seen = [False] * g.n
+    for v in dead:
+        seen[v] = True
+    used = [False] * g.m
+    for ref in cut:
+        used[ref] = True
     out = []
     for start in range(g.n):
         if seen[start]:
             continue
         seen[start] = True
-        comp = [start]
-        for v in comp:  # the list iterator also visits appended vertices
+        piece = [start]
+        for v in piece:  # the list iterator also visits appended vertices
             for ref in incidence[v]:
-                for w in edges[ref]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-        comp.sort()
-        out.append(tuple(comp))
+                if not used[ref]:
+                    used[ref] = True
+                    for w in edges[ref]:
+                        if not seen[w]:
+                            seen[w] = True
+                            piece.append(w)
+        piece.sort()
+        out.append(tuple(piece))
     return out
 
 
@@ -238,35 +237,27 @@ class _FlowNet:
     def decompose(self, s: int, t: int, value: int) -> list[Hyperpath]:
         """Trace the integral flow into edge-disjoint hyperpaths,
         following lowest-index arcs first."""
-        used = [self.edge_flow(i) for i in range(self.g.m)]
+        n, to, cap, adj = self.g.n, self.to, self.cap, self.adj
+        entries: list[list[int]] = [[] for _ in range(n)]  # used edges by entry vertex, ascending
         exits = []  # per edge, the vertex the flow unit leaves towards
         for i in range(self.g.m):
-            out_node = self.g.n + 2 * i + 1
             exit_v = None
-            if used[i]:
-                for arc in self.adj[out_node]:
-                    nxt = self.to[arc]
-                    # forward arc with positive flow: remaining cap < big
-                    if nxt < self.g.n and arc % 2 == 0 and self.cap[arc] < self.g.m + 1:
-                        exit_v = nxt
-                        break
+            if self.edge_flow(i):
+                # entry: a vertex whose arc into the in-node carries flow;
+                # exit: the first forward arc out of the out-node with
+                # flow, whose remaining capacity is below big
+                for arc in adj[n + 2 * i]:
+                    if to[arc] < n and arc % 2 == 1 and cap[arc] > 0:
+                        entries[to[arc]].append(i)
+                exit_v = next(
+                    (to[arc] for arc in adj[n + 2 * i + 1]
+                     if to[arc] < n and arc % 2 == 0 and cap[arc] < self.g.m + 1),
+                    None,
+                )
             exits.append(exit_v)
-        entries: dict[int, list[int]] = {v: [] for v in range(self.g.n)}
-        for i in range(self.g.m):
-            if used[i]:
-                # entry vertex: the one whose arc into e_in carries flow
-                in_node = self.g.n + 2 * i
-                for arc in self.adj[in_node]:
-                    nxt = self.to[arc]
-                    if nxt < self.g.n and arc % 2 == 1 and self.cap[arc] > 0:
-                        entries[nxt].append(i)
-        for v in entries:
-            entries[v].sort()
         paths = []
         for _ in range(value):
-            walk_v = [s]
-            walk_e = []
-            v = s
+            walk_v, walk_e, v = [s], [], s
             while v != t:
                 ref = entries[v].pop(0)
                 walk_e.append(ref)
@@ -277,20 +268,17 @@ class _FlowNet:
 
 
 def _shorten(walk_v: list[int], walk_e: list[int]) -> Hyperpath:
-    """Cut loops out of an edge-distinct walk, yielding a hyperpath."""
-    while True:
-        pos: dict[int, int] = {}
-        loop = None
-        for i, v in enumerate(walk_v):
-            if v in pos:
-                loop = (pos[v], i)
-                break
-            pos[v] = i
-        if loop is None:
-            return Hyperpath(tuple(walk_v), tuple(walk_e))
-        a, b = loop
-        walk_v = walk_v[: a + 1] + walk_v[b + 1 :]
-        walk_e = walk_e[:a] + walk_e[b:]
+    """Cut loops out of an edge-distinct walk, yielding a hyperpath: on
+    each return to a vertex, the walk since its last visit goes."""
+    out_v, out_e = [walk_v[0]], []
+    for ref, v in zip(walk_e, walk_v[1:]):
+        if v in out_v:
+            i = out_v.index(v)
+            del out_v[i + 1 :], out_e[i:]
+        else:
+            out_v.append(v)
+            out_e.append(ref)
+    return Hyperpath(tuple(out_v), tuple(out_e))
 
 
 def local_edge_connectivity(g: Hypergraph, v: int, w: int) -> FlowResult:
@@ -317,9 +305,12 @@ def _tree_flows(net: _FlowNet, order: list[int], deg: list[int]):
     minimum over their tree path, so these give both the max and the
     min over those pairs.
 
-    The flow from s to its tree parent t, which came earlier in the
-    order, stops at deg s <= deg t.  One that reaches it has {s} as a
-    minimum cut, which moves no later vertex to s."""
+    Every edge has two or more vertices, so the star of s, the edges on
+    it, is a cut of size deg s.  The flow from s to its tree parent t,
+    which came earlier in the order, stops at deg s <= deg t.  One that
+    reaches it has {s} as a minimum cut, which moves no later vertex to
+    s, so the failing search and the residual side are needed only
+    below deg s."""
     parent = dict.fromkeys(order, order[0])
     for i, s in enumerate(order[1:], start=1):
         t = parent[s]
@@ -344,7 +335,9 @@ def max_local_edge_connectivity(g: Hypergraph) -> int:
     Runs Gusfield on each component in descending degree order, on one
     reused network, and stops before the first vertex whose degree is
     at most the best value so far: every pair with an endpoint from
-    there on is bounded by that degree.  Two edge-disjoint paths close
+    there on is bounded by that degree, and Gusfield on a prefix of the
+    order is the same run cut short, so it gives the max over the pairs
+    inside the prefix.  Two edge-disjoint paths close
     a cycle, which lies in one block, so without a block of two or more
     edges lambda is min(m, 1) and no flow runs.  That is when the
     vertex-edge incidence graph is a forest: its sum(|e|) edges are its
@@ -570,17 +563,22 @@ def enumerate_separating_sets(g: Hypergraph, max_size: int) -> list[tuple[int, .
     separates iff whole[v] > 1, and {v, w} iff whole[v] + count_v[w] > 2:
     the pass with v deleted leaves the leaf of an edge {v, w}, which
     G / {v, w} drops, out of w's count."""
+    return list(_separating_sets(g, max_size))
+
+
+def _separating_sets(g: Hypergraph, max_size: int):
+    """``enumerate_separating_sets`` as a generator: the pass with v
+    deleted runs only when the pairs (v, w) are asked for."""
     if max_size > 2:
         raise ValueError(f"separating sets are enumerated up to size 2, not {max_size}")
     if max_size < 1:
-        return []
+        return
     whole = _whole_graph_blocks(g)[2]
-    out = [(v,) for v in range(g.n) if whole[v] > 1]
+    yield from ((v,) for v in range(g.n) if whole[v] > 1)
     if max_size == 2:
         for v in range(g.n):
             count = _articulation(g, v)[1]
-            out += ((v, w) for w in range(v + 1, g.n) if whole[v] + count[w] > 2)
-    return out
+            yield from ((v, w) for w in range(v + 1, g.n) if whole[v] + count[w] > 2)
 
 
 def bridges(g: Hypergraph) -> list[int]:
@@ -598,8 +596,15 @@ def bridges(g: Hypergraph) -> list[int]:
 
 
 def is_separating_edge_set(g: Hypergraph, refs) -> bool:
+    return len(_pieces(g, (), _edge_refs(g, refs))) > len(_pieces(g))
+
+
+def _edge_refs(g: Hypergraph, refs) -> tuple[int, ...]:
+    """The distinct refs ascending; ValueError for one out of range."""
     f = tuple(sorted(set(refs)))
-    return len(components(g.delete_edges(f))) > len(components(g))
+    for ref in set(f):  # in the order ``Hypergraph.delete_edges`` checks them
+        g.edge(ref)
+    return f
 
 
 CUT_GUARD = 10**4  # edge subsets minimal_separating_edge_sets may test
@@ -609,7 +614,7 @@ def minimal_separating_edge_sets(g: Hypergraph, max_size: int) -> list[EdgeCut]:
     """All minimal separating edge sets of size <= max_size as EdgeCuts.
 
     Tests every edge subset of size <= max_size by one component pass
-    (``_minimal_cut_pieces``), so it raises GuardExceeded when there are
+    (``_is_minimal_cut``), so it raises GuardExceeded when there are
     more than ``CUT_GUARD``."""
     if not is_connected(g):
         raise ValueError("hypergraph must be connected")
@@ -625,34 +630,41 @@ def minimal_separating_edge_sets(g: Hypergraph, max_size: int) -> list[EdgeCut]:
     found = []
     for size in range(1, top + 1):
         for f in itertools.combinations(range(g.m), size):
-            if _minimal_cut_pieces(g, f) is not None:
-                found.append(edge_cut_for(g, f))
+            pieces = _pieces(g, (), f)
+            if _is_minimal_cut(g, f, pieces):
+                found.append(_cut_of(g, pieces))
     return found
 
 
-def _minimal_cut_pieces(g: Hypergraph, f: tuple[int, ...]) -> list[tuple[int, ...]] | None:
-    """The components of G - F when the edge set F is a minimal
-    separating set of the connected g, None otherwise.  Deleting edges
+def _is_minimal_cut(g: Hypergraph, f: tuple[int, ...], pieces: list[tuple[int, ...]]) -> bool:
+    """Whether the edge set F, in range, is a minimal separating set of
+    the connected g, given the components of G - F.  Deleting edges
     never joins components, so a separating F is minimal iff no F - f
     separates; and G - F + f is connected iff f meets every component
     of G - F."""
-    pieces = components(g.delete_edges(f))
-    if f and len(pieces) > 1:
-        label = {v: i for i, piece in enumerate(pieces) for v in piece}
-        if all(len({label[v] for v in g.edges[r]}) == len(pieces) for r in f):
-            return pieces
-    return None
+    if not f or len(pieces) < 2:
+        return False
+    label = [0] * g.n
+    for i, piece in enumerate(pieces):
+        for v in piece:
+            label[v] = i
+    return all(len({label[v] for v in g.edges[r]}) == len(pieces) for r in f)
 
 
 def edge_cut_for(g: Hypergraph, refs) -> EdgeCut:
     """The edge cut (X, Y, F) realizing a minimal separating set F of
-    the connected g; ValueError for any other F.  Each edge of F meets
-    every component of G - F, so every non-empty proper union of them
-    has boundary F; X is the lexicographically smallest."""
-    f = tuple(sorted(set(refs)))
-    pieces = _minimal_cut_pieces(g, f)
-    if pieces is None:
+    the connected g; ValueError for any other F."""
+    f = _edge_refs(g, refs)
+    pieces = _pieces(g, (), f)
+    if not _is_minimal_cut(g, f, pieces):
         raise ValueError(f"edge set {f} is not a minimal separating set of a connected hypergraph")
+    return _cut_of(g, pieces)
+
+
+def _cut_of(g: Hypergraph, pieces: list[tuple[int, ...]]) -> EdgeCut:
+    """The edge cut of a minimal separating set F of g, from the pieces
+    of G - F: each edge of F meets every piece, so every non-empty
+    proper union of them has boundary F; X is the least, sorted."""
     picks = (p for r in range(1, len(pieces)) for p in itertools.combinations(pieces, r))
     return EdgeCut.from_side(g, min(sorted(itertools.chain(*p)) for p in picks))
 

@@ -71,25 +71,20 @@ def c2_tree(parents: list[int]) -> Hypergraph:
     if len(roots) != 1:
         raise ValueError("exactly one root (-1 entry) required")
     root = roots[0]
-    depth = [-1] * n
-    depth[root] = 0
-    pending = True
-    while pending:
-        pending = False
-        for v, p in enumerate(parents):
-            if v == root:
-                continue
-            if not 0 <= p < n:
-                raise ValueError(f"parent of {v} out of range")
-            if depth[v] == -1 and depth[p] != -1:
-                depth[v] = depth[p] + 1
-                pending = True
-    if any(d == -1 for d in depth):
-        raise ValueError("parent array does not form a tree")
-    children: dict[int, list[int]] = {v: [] for v in range(n)}
+    children: list[list[int]] = [[] for _ in range(n)]
     for v, p in enumerate(parents):
         if v != root:
+            if not 0 <= p < n:
+                raise ValueError(f"parent of {v} out of range")
             children[p].append(v)
+    depth = [0] * n
+    order = [root]  # the root, then each vertex after its parent
+    for v in order:
+        for c in children[v]:
+            depth[c] = depth[v] + 1
+            order.append(c)
+    if len(order) != n:
+        raise ValueError("parent array does not form a tree")
     if len(children[root]) < 2:
         raise ValueError("root degree must be >= 2")
     leaves = sorted(v for v in range(n) if not children[v])
@@ -228,31 +223,22 @@ def hajos_decompose_mixed(g: Hypergraph, v_star: int, e_star: int) -> MixedDecom
     the union of two parts meeting exactly at v*, and each part plus
     its half of e* (through v*) is an operand of the join.
 
-    The first side is the component of (G - e*) / v* holding the
-    smallest vertex other than v*, found by one search over the
-    incidence table that skips e* and v*; the second side is the rest.
-    Every other edge lies in one side plus v*, so one pass over the
-    edges builds both parts.  A side's vertices keep their order when
-    renumbered, so its edges stay strictly sorted and in canonical
+    The first side is the first component of (G - e*) / v*, the one
+    holding the smallest vertex other than v*; the second side is the
+    rest.  Every other edge lies in one side plus v*, so one pass over
+    the edges builds both parts.  A side's vertices keep their order
+    when renumbered, so its edges stay strictly sorted and in canonical
     order, and the half edge is inserted at its place."""
     estar_vs = g.edge(e_star)
     g._check_vertex(v_star)
-    n, incidence, edges = g.n, g.incidence, g.edges
-    # g has an edge, so a vertex other than v* exists; the search is
-    # kept out of v* by marking it, and the mark is cleared after
-    queue = [1 if v_star == 0 else 0]
-    in_side1 = [False] * n
-    in_side1[v_star] = in_side1[queue[0]] = True
-    for u in queue:  # the list iterator also visits appended vertices
-        for ref in incidence[u]:
-            if ref != e_star:
-                for w in edges[ref]:
-                    if not in_side1[w]:
-                        in_side1[w] = True
-                        queue.append(w)
-    in_side1[v_star] = False
-    if len(queue) == n - 1:
+    n, edges = g.n, g.edges
+    # g has an edge, so a vertex other than v* exists
+    pieces = conn._pieces(g, (v_star,), (e_star,))
+    if len(pieces) == 1:
         raise ValueError(f"({v_star}, edge {e_star}) is not a mixed separating set")
+    in_side1 = [False] * n
+    for u in pieces[0]:
+        in_side1[u] = True
     tips = [u for u in estar_vs if u != v_star]
     if all(in_side1[u] for u in tips) or not any(in_side1[u] for u in tips):
         raise ValueError("deleted edge does not meet both sides")
@@ -411,17 +397,16 @@ def decompose_vertex_pair(
     sides plus {v, w}, proper subgraphs of g, would color v and w apart
     and glue, after renaming colors, into a k-coloring of g."""
     col.require_critical(g, k, force=force)
-    seps = conn.enumerate_separating_sets(g, 2)
-    if not seps:
+    sep = next(conn._separating_sets(g, 2), None)
+    if sep is None:
         return None
     # a critical hypergraph is 2-connected, and the theorem gives two sides
-    if len(seps[0]) != 2:
+    if len(sep) != 2:
         raise conn.InternalError("critical hypergraph has a separating vertex; bug upstream")
-    v, w = seps[0]
+    v, w = sep
     if any(set(e) == {v, w} for e in g.edges):
         raise conn.InternalError("separating pair of a critical input is an edge; bug upstream")
-    shrunk, old = g.div_vertices((v, w))
-    comps = [tuple(sorted(old[x] for x in c)) for c in conn.components(shrunk)]
+    comps = conn._pieces(g, (v, w))
     if len(comps) != 2:
         raise conn.InternalError(f"expected exactly 2 components, found {len(comps)}")
 
@@ -433,7 +418,7 @@ def decompose_vertex_pair(
         dec = VertexPairDecomposition(v, w, *sides, side1, side2, g1_prime, g2_prime)
         return dec, ((g1_prime, "G1'"), (g2_prime, "G2'"))
 
-    h1, h2 = sorted(comps)
+    h1, h2 = comps
     return _orient(k, force, build, ((h1, h2), (h2, h1)))
 
 
@@ -505,13 +490,15 @@ def decompose_edge_cut(g: Hypergraph, k: int, f, force: bool = False) -> EdgeCut
     the coloring structure: every k-coloring of G[X] is constant on X_F
     (trivially at |X_F| = 1), and every one of G[Y] fills some cut
     edge's trace f & Y with each color."""
-    refs = tuple(sorted(set(f)))
     col.require_critical(g, k, force=force)
-    if not conn.is_separating_edge_set(g, refs):
+    refs = conn._edge_refs(g, f)
+    # critical, so connected: one component pass decides all three tests
+    pieces = conn._pieces(g, (), refs)
+    if len(pieces) < 2:
         raise ValueError("edge set is not separating")
     if len(refs) > k:
         raise ValueError(f"separating set has size {len(refs)} > {k}")
-    if len(refs) != k or conn._minimal_cut_pieces(g, refs) is None:
+    if len(refs) != k or not conn._is_minimal_cut(g, refs, pieces):
         raise conn.InternalError(f"separating set {refs} is not minimal of size {k}; bug upstream")
 
     def build(cut):
@@ -526,7 +513,7 @@ def decompose_edge_cut(g: Hypergraph, k: int, f, force: bool = False) -> EdgeCut
         g1 = Hypergraph.of(sub.n, sub.edges + (tuple(sorted(pos[u] for u in cut.x_f)),))
         return EdgeCutDecomposition(cut, g1, old, g2, g2_old), ((g2, "G2"), (g1, "G1"))
 
-    cut = conn.edge_cut_for(g, refs)
+    cut = conn._cut_of(g, pieces)
     return _orient(k, force, build, (cut, conn.EdgeCut(cut.y, cut.x, cut.f, cut.y_f, cut.x_f)))
 
 

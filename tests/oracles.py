@@ -22,7 +22,12 @@ failing search with no limit, and a second search for the cut side.
 certify-first one in ``hyperchrome.classifier`` replaced, and
 ``reference_decompose_mixed`` the mixed-pair decomposition built from
 ``delete_edge``, ``div_vertices``, ``components`` and ``induced`` that
-the one-search version in ``hyperchrome.constructions`` replaced.
+the one-search version in ``hyperchrome.constructions`` replaced; that
+search is now the first piece of ``connectivity._pieces``.
+``reference_pieces`` is the component listing of the derived
+(G - F) / X, ``delete_edges`` then ``div_vertices`` then
+``components``, that ``_pieces`` replaced in the vertex-pair and
+edge-cut layers, where X and F are marked before one search.
 ``reference_pair_behavior`` and ``reference_forced_side`` are the
 coloring enumerations that the vertex-pair and edge-cut decompositions
 ran before they made preset searches, and
@@ -617,6 +622,14 @@ def reference_classify(g: Hypergraph) -> cls.ClassifyOutcome:
         if cert is not None:
             return cls.ClassifyOutcome(lam, lam + 1, "tight", block=b.vertices, certificate=cert)
     raise cls.InternalError("no block of a tight instance certifies; internal bug")
+
+
+def reference_pieces(g: Hypergraph, dead, cut) -> list[tuple[int, ...]]:
+    """The components of (G - F) / X from the derived values: the
+    components of ``g.delete_edges(cut).div_vertices(dead)``, mapped
+    back to g's ids."""
+    shrunk, old = g.delete_edges(cut).div_vertices(dead)
+    return [tuple(old[v] for v in c) for c in conn.components(shrunk)]
 
 
 def reference_decompose_mixed(g: Hypergraph, v_star: int, e_star: int) -> MixedDecomposition:

@@ -149,28 +149,33 @@ class TestErrorPaths:
         independent, and it has two sides at each, so a pair search that
         says otherwise is a bug."""
         path = write_hgr(tmp_path, cons.figure2_g1())
-        monkeypatch.setattr(conn, "enumerate_separating_sets", lambda g, max_size: seps)
+        monkeypatch.setattr(conn, "_separating_sets", lambda g, max_size: iter(seps))
         assert cli.main(["decompose", "-k", "3", path]) == 4
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "patched,refs,message",
+        "refs,message",
         [
-            ("is_separating_edge_set", "0,1", "separating set (0, 1) is not minimal of size 3"),
-            ("_minimal_cut_pieces", "0,1,2", "separating set (0, 1, 2) is not minimal of size 3"),
+            ("0,1", "separating set (0, 1) is not minimal of size 3"),
+            ("0,1,2", "separating set (0, 1, 2) is not minimal of size 3"),
         ],
         ids=["small", "not-minimal"],
     )
-    def test_broken_cut_invariant_is_internal(
-        self, tmp_path, capsys, monkeypatch, patched, refs, message
-    ):
+    def test_broken_cut_invariant_is_internal(self, tmp_path, capsys, monkeypatch, refs, message):
         """A (k+1)-critical input is k-edge-connected, so a separating
-        set of size <= k that is not a minimal one of size k is a bug."""
+        set of size <= k that is not a minimal one of size k is a bug.
+        The decomposition reads all its tests from one component pass of
+        G - F; a pass that splits G - F into single vertices makes (0, 1)
+        separating and (0, 1, 2), a minimal cut, not minimal."""
         g = cons.figure2_g1()
         assert conn.edge_cut_for(g, (0, 1, 2)).f == (0, 1, 2)
         path = write_hgr(tmp_path, g)
-        fake = {"is_separating_edge_set": True, "_minimal_cut_pieces": None}[patched]
-        monkeypatch.setattr(conn, patched, lambda g, refs: fake)
+        real = conn._pieces
+
+        def pieces(g, dead=(), cut=()):
+            return [(v,) for v in range(g.n)] if cut and not dead else real(g, dead, cut)
+
+        monkeypatch.setattr(conn, "_pieces", pieces)
         assert cli.main(["decompose", "-k", "3", "--edge-cut", refs, path]) == 4
         assert message in capsys.readouterr().err
 
@@ -362,6 +367,37 @@ class TestErrorPaths:
         assert cli.main(["verify-cert", str(cert_path), path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err, err
+
+    def test_verify_cert_counts_edges_before_the_replay(self, tmp_path, capsys, monkeypatch):
+        """A complete leaf of r labels replays r(r - 1)/2 edges, so
+        ``verify_certificate`` first counts the leaves' edges less one
+        per join, and a count other than the graph's answers no match
+        without any replay."""
+
+        def no_replay(cert):
+            raise AssertionError("the certificate was replayed")
+
+        monkeypatch.setattr(classifier, "replay_certificate", no_replay)
+        path = write_hgr(tmp_path, Hypergraph.of(3, [(0, 1), (1, 2)]))
+        cert_path = tmp_path / "cert.json"
+        leaf = {"type": "leaf", "kind": "complete", "labels": list(range(2000))}
+        cert_path.write_text(json.dumps(leaf))
+        code, payload = run_json(capsys, ["verify-cert", str(cert_path), path])
+        assert code == 1 and payload == {"match": False}
+
+    def test_join_malformed_certificate_exits_by_its_edge_count(self, tmp_path, capsys):
+        """A certificate whose join parts overlap in two vertices fails
+        its replay, exit 2, when its edge count is the graph's; with
+        another count it answers no match, exit 1, before the replay."""
+        cert = dict(JOIN, right=dict(JOIN["right"], labels=[2, 3, 4, 5]))
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(cert))
+        same = write_hgr(tmp_path, cons.figure1_join(False).graph)  # 11 edges, as the count
+        assert cli.main(["verify-cert", str(cert_path), same]) == 2
+        assert "overlap exactly in the merged vertex" in capsys.readouterr().err
+        other = write_hgr(tmp_path, cons.odd_wheel(5), "w5.hgr")
+        code, payload = run_json(capsys, ["verify-cert", str(cert_path), other])
+        assert code == 1 and payload == {"match": False}
 
     @pytest.mark.usefixtures("default_recursion_limit")
     def test_deeply_nested_certificate_is_input_error(self, tmp_path, capsys):

@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from hyperchrome.hypercore import Hypergraph
 from hyperchrome import coloring as col
@@ -14,6 +14,7 @@ from hyperchrome import corpus
 from conftest import (
     connected_hypergraphs,
     hypergraphs,
+    join_chain,
     perturbed_join,
     random_nested_join,
     seeded_random_hypergraph,
@@ -35,6 +36,35 @@ class TestComponents:
     def test_empty_graph_connected(self):
         assert conn.is_connected(Hypergraph.of(0))
         assert conn.is_connected(Hypergraph.of(1))
+
+
+@st.composite
+def deletions(draw):
+    """A hypergraph, up to 2 of its vertices and up to 3 of its edges."""
+    g = draw(hypergraphs(max_n=8, sizes=(2, 3, 4)))
+    dead = draw(st.lists(st.integers(0, g.n - 1), max_size=2, unique=True)) if g.n else []
+    cut = draw(st.lists(st.integers(0, g.m - 1), max_size=3, unique=True)) if g.m else []
+    return g, tuple(dead), tuple(cut)
+
+
+class TestPieces:
+    """``_pieces(g, dead, cut)``, the one component search, is pinned to
+    the components of the derived (G - F) / X
+    (``oracles.reference_pieces``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(deletions())
+    # a dead vertex leaves the rest of a hyperedge joined, or cuts a path
+    @example((Hypergraph.of(4, [(0, 1, 2), (2, 3)]), (0,), ()))
+    @example((Hypergraph.of(4, [(0, 1, 2), (2, 3)]), (2,), ()))
+    @example((Hypergraph.of(4, [(0, 1, 2), (2, 3)]), (1, 2), (1,)))
+    def test_matches_the_derived_reference(self, case):
+        g, dead, cut = case
+        assert conn._pieces(g, dead, cut) == oracles.reference_pieces(g, dead, cut)
+
+    def test_components_are_the_pieces_with_nothing_deleted(self):
+        g = Hypergraph.of(6, [(0, 3), (1, 4, 5), (3, 5)])
+        assert conn.components(g) == conn._pieces(g) == [(0, 1, 3, 4, 5), (2,)]
 
 
 class TestLocalEdgeConnectivity:
@@ -521,6 +551,18 @@ class TestSeparators:
         with pytest.raises(ValueError, match="up to size 2"):
             conn.enumerate_separating_sets(cons.cycle(5), 3)
 
+    def test_pair_search_stops_at_the_first_pair(self, monkeypatch):
+        """``_separating_sets``, whose first set ``decompose_vertex_pair``
+        takes, runs the pass with v deleted only for v up to the first
+        pair's; the W5 chain of 8 has 41 vertices and first pair (4, 5)."""
+        g = join_chain(cons.odd_wheel(5), 8)
+        first = conn.enumerate_separating_sets(g, 2)[0]
+        assert first == (4, 5)
+        real, dead = conn._articulation, []
+        monkeypatch.setattr(conn, "_articulation", lambda g, v=None: dead.append(v) or real(g, v))
+        assert next(conn._separating_sets(g, 2)) == first
+        assert dead == [0, 1, 2, 3, 4]
+
     def test_enumerate_separating_sets_sorted(self):
         g = Hypergraph.of(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
         sets = conn.enumerate_separating_sets(g, 2)
@@ -576,11 +618,10 @@ class TestSeparators:
         (``oracles.has_separating_subset``)."""
         for size in range(1, 4):
             for f in itertools.combinations(range(g.m), size):
-                pieces = conn._minimal_cut_pieces(g, f)
+                pieces = conn._pieces(g, (), f)
                 minimal = conn.is_separating_edge_set(g, f) and not oracles.has_separating_subset(g, f)
-                assert (pieces is not None) == minimal, f
-                if minimal:
-                    assert pieces == conn.components(g.delete_edges(f))
+                assert conn._is_minimal_cut(g, f, pieces) == minimal, f
+                assert pieces == conn.components(g.delete_edges(f))
 
     def test_cut_search_matches_the_reference(self):
         """``minimal_separating_edge_sets`` and ``edge_cut_for`` give the
@@ -614,7 +655,7 @@ class TestSeparators:
         ids=["non-minimal", "empty", "disconnected-empty", "disconnected", "disconnected-pair"],
     )
     def test_edge_cut_for_refuses_other_sets(self, g, f):
-        assert conn._minimal_cut_pieces(g, f) is None
+        assert not conn._is_minimal_cut(g, f, conn._pieces(g, (), f))
         with pytest.raises(ValueError, match="not a minimal separating set"):
             conn.edge_cut_for(g, f)
 
