@@ -309,34 +309,30 @@ def _first_mixed_pair(g: Hypergraph, k: int) -> tuple[int, int] | None:
 def extract_critical(g: Hypergraph, target_chi: int, force: bool = False) -> Relabeled:
     """A critical subhypergraph with the same chromatic number, with id
     provenance.  Deterministic: lowest-index edge deletions first, then
-    isolated vertices drop, then the lowest-index component with the
-    target chromatic number is kept.
+    the one component with edges is kept.
 
-    Each step deletes the first edge the per-edge test of
-    ``is_critical`` finds failing, until none fails.  That is the
-    lowest-index scan in one pass: an edge kept because deleting it
-    allows a smaller coloring stays needed after later deletions, since
-    deleting more edges only makes a coloring easier to find, so the
-    first failing edge is the next one the scan would delete.  The
-    test runs coloring searches, each under the decision cap unless
-    force is set, unless the theorem shows g critical: g is then the
-    answer."""
+    One per-edge scan of ``is_critical`` (``coloring._failing_edges``)
+    runs over g to the end and every edge it finds failing is deleted.
+    An edge it passes stays needed after later deletions: a coloring
+    of G - e with fewer colors is one of G - e minus more edges.  So
+    the result H has chi(H) = target_chi, and deleting any edge of H
+    lowers chi.  H has one component with edges: chi is the max over
+    the components, and an edge outside one of chi target_chi could be
+    deleted without lowering it.  The scan runs coloring searches, each
+    under the decision cap unless force is set, unless the theorem
+    shows g critical: g is then the answer."""
     chi, _, critical = col._chi(g, force)
     if chi != target_chi:
         raise ValueError(f"chromatic number is not {target_chi}")
     if critical:
         return g.induced(range(g.n))
     if target_chi <= 1:
-        sub, old = g.induced(range(min(g.n, 1)))
-        return Relabeled(sub, old)
-    cur = g
-    while (ref := col._failing_edge(cur, target_chi - 1, force)) is not None:
-        cur = cur.delete_edge(ref)
-    for comp in conn.components(cur):
-        sub, old = cur.induced(comp)
-        if sub.m and col.chromatic_number(sub, force=force) == target_chi:
-            return Relabeled(sub, old)
-    raise InternalError("no component kept the chromatic number; internal bug")
+        return g.induced(range(min(g.n, 1)))
+    cur = g.delete_edges(col._failing_edges(g, target_chi - 1, force))
+    kept = [comp for comp in conn.components(cur) if cur.incidence[comp[0]]]
+    if len(kept) != 1:
+        raise InternalError(f"the edges left form {len(kept)} components; internal bug")
+    return cur.induced(kept[0])
 
 
 # -- the classifier --------------------------------------------------------

@@ -351,8 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("decompose", _cmd_decompose, help="decompose at a separator")
     p.add_argument("file")
     p.add_argument("-k", type=int, default=3)
-    p.add_argument("--mixed", metavar="V,E")
-    p.add_argument("--edge-cut", metavar="E1,E2,...")
+    at = p.add_mutually_exclusive_group()
+    at.add_argument("--mixed", metavar="V,E")
+    at.add_argument("--edge-cut", metavar="E1,E2,...")
     p.add_argument("--force", action="store_true")
 
     p = add("classify", _cmd_classify, help="chromatic number vs. connectivity bound")

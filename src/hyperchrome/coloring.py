@@ -124,7 +124,7 @@ def chi_lambda_critical(g: Hypergraph, force: bool = False) -> tuple[int, int, b
             critical = (
                 min(map(len, g.incidence)) >= chi - 1
                 and len(blocks(g)) == 1
-                and _critical_at_chi(g, chi, force).is_critical
+                and next(_failing_edges(g, chi - 1, force), None) is None
             )
     return chi, lam, critical
 
@@ -357,37 +357,45 @@ class _Search:
                 return
 
 
-def _failing_edge(g: Hypergraph, k: int, force: bool = False) -> int | None:
-    """The first edge ref whose deletion leaves g without a k-coloring,
-    or None, for a g with chromatic number k + 1.
+def _failing_edges(g: Hypergraph, k: int, force: bool = False):
+    """The refs of g's edges, ascending, whose deletion leaves no
+    k-coloring once the edges yielded before them are deleted too, for
+    a g with chromatic number k + 1; each one stays deleted.
 
     Edges are taken in ref order.  One not yet witnessed is searched on
-    g with the edge skipped, in the vertex order of G - e's degrees.  G
-    has no k-coloring, so every k-coloring of G - e leaves e
-    monochromatic: the search presets e's vertices to color 1, which
-    counts as used from the start, and cuts only branches that hold no
-    coloring.  A coloring found is walked from (``_witnesses``), which
-    marks every edge f it reaches as witnessed, with a k-coloring of
-    G - f in hand.  A witnessed edge's search would find a coloring
-    too, so skipping it leaves the answer as if every edge were
-    searched."""
+    the current graph with the edge skipped, in the vertex order of
+    G - e's degrees.  G has no k-coloring, so every k-coloring of G - e
+    leaves e monochromatic: the search presets e's vertices to color 1,
+    which counts as used from the start, and cuts only branches that
+    hold no coloring.  A coloring found is walked from
+    (``_witnesses``), which marks every edge f it reaches as witnessed,
+    with a k-coloring of G - f in hand.  A witnessed edge's search would
+    find a coloring too, so skipping it leaves the answer as if every
+    edge were searched.  Deleting edges keeps every coloring, so a
+    coloring of G - f, found or walked to, stays one after later
+    deletions: the scan goes on past each deleted edge and yields the
+    edges that deleting the first failing one until none fails would."""
+    cur = g
     degree = [len(refs) for refs in g.incidence]
-    witnessed = [False] * g.m
+    witnessed = [False] * g.m  # by ref in cur
     for ref, e in enumerate(g.edges):
-        if witnessed[ref]:
+        i = ref - (g.m - cur.m)  # e's ref in cur: every deleted edge came before it
+        if witnessed[i]:
             continue
         for v in e:
             degree[v] -= 1
         order = sorted(range(g.n), key=lambda v: (-degree[v], v))
+        phi = next(_colorings(cur, k, order, dict.fromkeys(e, 1), True, skip=i, force=force), None)
+        if phi is None:  # deleted, so its vertices keep the lowered degrees
+            yield ref
+            cur = cur.delete_edge(i)
+            del witnessed[i]
+            continue
         for v in e:
             degree[v] += 1
-        phi = next(_colorings(g, k, order, dict.fromkeys(e, 1), True, skip=ref, force=force), None)
-        if phi is None:
-            return ref
-        witnessed[ref] = True
-        for _ in _witnesses(g, k, list(phi.colors), ref, witnessed):
+        witnessed[i] = True
+        for _ in _witnesses(cur, k, list(phi.colors), i, witnessed):
             pass
-    return None
 
 
 def _witnesses(g: Hypergraph, k: int, colors: list[int], ref: int, witnessed: list[bool]):
@@ -446,17 +454,7 @@ def is_critical(g: Hypergraph, k_plus_1: int, force: bool = False) -> Criticalit
     chi, _, critical = _chi(g, force)
     if chi != k_plus_1:
         return CriticalityReport(False, chi, reason=f"chi is {chi}, not {k_plus_1}")
-    if critical:
-        return CriticalityReport(True, chi)
-    return _critical_at_chi(g, chi, force)
-
-
-def _critical_at_chi(g: Hypergraph, chi: int, force: bool = False) -> CriticalityReport:
-    """``is_critical(g, chi)`` for a connected g known to have
-    chromatic number chi: the per-edge test alone."""
-    if chi == 1:
-        return CriticalityReport(True, chi)
-    ref = _failing_edge(g, chi - 1, force)
+    ref = None if critical or chi == 1 else next(_failing_edges(g, chi - 1, force), None)
     if ref is not None:
         return CriticalityReport(False, chi, failing_edge=ref, reason="edge deletion keeps chi")
     return CriticalityReport(True, chi)

@@ -103,14 +103,16 @@ class FlowResult:
 
 def components(g: Hypergraph) -> list[tuple[int, ...]]:
     """Partition of V(G) into maximal hyperpath-connected classes."""
-    return _pieces(g)
+    return list(_pieces(g))
 
 
-def _pieces(g: Hypergraph, dead=(), cut=()) -> list[tuple[int, ...]]:
+def _pieces(g: Hypergraph, dead=(), cut=()):
     """The components of (G - F) / X in g's ids, for the vertices X in
-    ``dead`` and the in-range edge refs F in ``cut``: each sorted, in
-    order of least vertex.  X starts seen and F used, and an edge is marked used
-    when first crossed, so each edge tuple is scanned once."""
+    ``dead`` and the in-range edge refs F in ``cut``: each yielded
+    sorted as it closes, in order of least vertex, so a caller that
+    reads only the first piece visits no other.  X starts seen and F
+    used, and an edge is marked used when first crossed, so each edge
+    tuple is scanned once."""
     incidence, edges = g.incidence, g.edges
     seen = [False] * g.n
     for v in dead:
@@ -118,7 +120,6 @@ def _pieces(g: Hypergraph, dead=(), cut=()) -> list[tuple[int, ...]]:
     used = [False] * g.m
     for ref in cut:
         used[ref] = True
-    out = []
     for start in range(g.n):
         if seen[start]:
             continue
@@ -133,8 +134,7 @@ def _pieces(g: Hypergraph, dead=(), cut=()) -> list[tuple[int, ...]]:
                             seen[w] = True
                             piece.append(w)
         piece.sort()
-        out.append(tuple(piece))
-    return out
+        yield tuple(piece)
 
 
 def is_connected(g: Hypergraph) -> bool:
@@ -596,7 +596,7 @@ def bridges(g: Hypergraph) -> list[int]:
 
 
 def is_separating_edge_set(g: Hypergraph, refs) -> bool:
-    return len(_pieces(g, (), _edge_refs(g, refs))) > len(_pieces(g))
+    return len(list(_pieces(g, (), _edge_refs(g, refs)))) > len(list(_pieces(g)))
 
 
 def _edge_refs(g: Hypergraph, refs) -> tuple[int, ...]:
@@ -630,7 +630,7 @@ def minimal_separating_edge_sets(g: Hypergraph, max_size: int) -> list[EdgeCut]:
     found = []
     for size in range(1, top + 1):
         for f in itertools.combinations(range(g.m), size):
-            pieces = _pieces(g, (), f)
+            pieces = list(_pieces(g, (), f))
             if _is_minimal_cut(g, f, pieces):
                 found.append(_cut_of(g, pieces))
     return found
@@ -655,7 +655,7 @@ def edge_cut_for(g: Hypergraph, refs) -> EdgeCut:
     """The edge cut (X, Y, F) realizing a minimal separating set F of
     the connected g; ValueError for any other F."""
     f = _edge_refs(g, refs)
-    pieces = _pieces(g, (), f)
+    pieces = list(_pieces(g, (), f))
     if not _is_minimal_cut(g, f, pieces):
         raise ValueError(f"edge set {f} is not a minimal separating set of a connected hypergraph")
     return _cut_of(g, pieces)

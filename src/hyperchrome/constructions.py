@@ -224,20 +224,21 @@ def hajos_decompose_mixed(g: Hypergraph, v_star: int, e_star: int) -> MixedDecom
     its half of e* (through v*) is an operand of the join.
 
     The first side is the first component of (G - e*) / v*, the one
-    holding the smallest vertex other than v*; the second side is the
-    rest.  Every other edge lies in one side plus v*, so one pass over
-    the edges builds both parts.  A side's vertices keep their order
-    when renumbered, so its edges stay strictly sorted and in canonical
-    order, and the half edge is inserted at its place."""
+    holding the smallest vertex other than v*, and the search stops
+    there; the second side is the rest.  Every other edge lies in one
+    side plus v*, so one pass over the edges builds both parts.  A
+    side's vertices keep their order when renumbered, so its edges stay
+    strictly sorted and in canonical order, and the half edge is
+    inserted at its place."""
     estar_vs = g.edge(e_star)
     g._check_vertex(v_star)
     n, edges = g.n, g.edges
     # g has an edge, so a vertex other than v* exists
-    pieces = conn._pieces(g, (v_star,), (e_star,))
-    if len(pieces) == 1:
+    side1 = next(conn._pieces(g, (v_star,), (e_star,)))
+    if len(side1) == n - 1:  # (G - e*) / v* is one piece
         raise ValueError(f"({v_star}, edge {e_star}) is not a mixed separating set")
     in_side1 = [False] * n
-    for u in pieces[0]:
+    for u in side1:
         in_side1[u] = True
     tips = [u for u in estar_vs if u != v_star]
     if all(in_side1[u] for u in tips) or not any(in_side1[u] for u in tips):
@@ -406,7 +407,7 @@ def decompose_vertex_pair(
     v, w = sep
     if any(set(e) == {v, w} for e in g.edges):
         raise conn.InternalError("separating pair of a critical input is an edge; bug upstream")
-    comps = conn._pieces(g, (v, w))
+    comps = list(conn._pieces(g, (v, w)))
     if len(comps) != 2:
         raise conn.InternalError(f"expected exactly 2 components, found {len(comps)}")
 
@@ -493,7 +494,7 @@ def decompose_edge_cut(g: Hypergraph, k: int, f, force: bool = False) -> EdgeCut
     col.require_critical(g, k, force=force)
     refs = conn._edge_refs(g, f)
     # critical, so connected: one component pass decides all three tests
-    pieces = conn._pieces(g, (), refs)
+    pieces = list(conn._pieces(g, (), refs))
     if len(pieces) < 2:
         raise ValueError("edge set is not separating")
     if len(refs) > k:

@@ -65,6 +65,11 @@ corpus entry from them, and ``reference_is_in_Ck`` and
 ``chromatic_number_by_blocks`` use them too, so no pin compares the
 certifier with itself.  ``reference_h2_search`` is the join search of
 ``classify --h2-info`` before it was memoised and capped.
+``reference_extract_critical`` is ``classifier.extract_critical`` as
+it was before it ran the per-edge scan once to the end: it started the
+scan (``reference_failing_edge_walked``, the library's first-edge scan
+with the same searches and witness walk) again from edge 0 after each
+deleted edge, then searched chi of each component.
 """
 
 from __future__ import annotations
@@ -80,7 +85,7 @@ from hyperchrome import shapes
 from hyperchrome.coloring import Coloring
 from hyperchrome.connectivity import Block, FlowResult, _FlowNet
 from hyperchrome.constructions import HajosJoinSpec, MixedDecomposition
-from hyperchrome.hypercore import MAX_VERTICES, Edge, HgrFormatError, Hypergraph
+from hyperchrome.hypercore import MAX_VERTICES, Edge, HgrFormatError, Hypergraph, Relabeled
 
 
 def brute_valid(g: Hypergraph, colors) -> bool:
@@ -875,6 +880,53 @@ def reference_failing_edge(g: Hypergraph, k: int) -> int | None:
         if col.find_k_coloring(g.delete_edge(ref), k) is None:
             return ref
     return None
+
+
+def reference_failing_edge_walked(g: Hypergraph, k: int, force: bool = False) -> int | None:
+    """The first failing edge by the per-edge scan as it was before it
+    became the generator ``coloring._failing_edges``: searched with e
+    skipped and preset, and walked from each coloring found, with
+    ``coloring._colorings`` and ``coloring._witnesses`` (so a count of
+    the searches compares with the library's), from edge 0 of g."""
+    degree = [len(refs) for refs in g.incidence]
+    witnessed = [False] * g.m
+    for ref, e in enumerate(g.edges):
+        if witnessed[ref]:
+            continue
+        for v in e:
+            degree[v] -= 1
+        order = sorted(range(g.n), key=lambda v: (-degree[v], v))
+        for v in e:
+            degree[v] += 1
+        phi = next(col._colorings(g, k, order, dict.fromkeys(e, 1), True, skip=ref, force=force), None)
+        if phi is None:
+            return ref
+        witnessed[ref] = True
+        for _ in col._witnesses(g, k, list(phi.colors), ref, witnessed):
+            pass
+    return None
+
+
+def reference_extract_critical(g: Hypergraph, target_chi: int, force: bool = False) -> Relabeled:
+    """``classifier.extract_critical`` as it was before it ran one scan
+    to the end: the scan started again from edge 0 after every deleted
+    edge (``reference_failing_edge_walked``), and chi was searched on
+    each component with edges until one had the target."""
+    chi, _, critical = col._chi(g, force)
+    if chi != target_chi:
+        raise ValueError(f"chromatic number is not {target_chi}")
+    if critical:
+        return g.induced(range(g.n))
+    if target_chi <= 1:
+        return g.induced(range(min(g.n, 1)))
+    cur = g
+    while (ref := reference_failing_edge_walked(cur, target_chi - 1, force)) is not None:
+        cur = cur.delete_edge(ref)
+    for comp in conn.components(cur):
+        sub, old = cur.induced(comp)
+        if sub.m and col.chromatic_number(sub, force=force) == target_chi:
+            return Relabeled(sub, old)
+    raise AssertionError("no component kept the chromatic number")
 
 
 def reference_is_critical(g: Hypergraph, k_plus_1: int, force: bool = False) -> col.CriticalityReport:

@@ -492,7 +492,66 @@ def _extract_critical_restarting(g, target_chi):
     raise AssertionError("no component kept the chromatic number")
 
 
+def _pinned_extraction(g, chi, force=False):
+    """extract_critical(g, chi), pinned to the restarting scan of
+    ``oracles.reference_extract_critical``, with the coloring searches
+    (``coloring._colorings`` calls) each of them made."""
+    calls = [0]
+    search = col._colorings
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return search(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(col, "_colorings", counted)
+        crit = cls.extract_critical(g, chi, force=force)
+        scan = calls[0]
+        want = oracles.reference_extract_critical(g, chi, force=force)
+    assert crit == want, g
+    return crit, scan, calls[0] - scan
+
+
+def _padded(base, length):
+    """base with a pendant path of ``length`` edges out of vertex 0."""
+    n = base.n
+    path = [(0 if i == 0 else n + i - 1, n + i) for i in range(length)]
+    return Hypergraph.of(n + length, list(base.edges) + path)
+
+
 class TestExtractCritical:
+    @settings(max_examples=150, deadline=None)
+    @given(hypergraphs(max_n=7, sizes=(2, 3, 4)))
+    def test_matches_the_restarting_reference(self, g):
+        _, scan, restart = _pinned_extraction(g, col.chromatic_number(g))
+        assert scan <= restart
+
+    def test_glued_instances_match_the_restarting_reference(self):
+        fewer = 0
+        for seed in range(60):
+            g = glued_instance(random.Random(seed))
+            chi = col.chromatic_number(g, force=True)
+            _, scan, restart = _pinned_extraction(g, chi, force=True)
+            assert scan <= restart, seed
+            fewer += scan < restart
+        assert fewer >= 40
+
+    @pytest.mark.parametrize("length", [1, 3, 8])
+    @pytest.mark.parametrize("base", ["K4", "toft1", "toft2"])
+    def test_padded_members_match_the_restarting_reference(self, base, length):
+        g = {"K4": K4, "toft1": cons.toft_graph(1), "toft2": cons.toft_graph(2)}[base]
+        crit, scan, restart = _pinned_extraction(_padded(g, length), 4)
+        assert crit.graph == g and crit.old_ids == tuple(range(g.n))
+        assert scan < restart
+
+    def test_k4_with_a_long_path_scans_once(self):
+        # the restarting scan made 53 searches here
+        path = [(v, v + 1) for v in range(3, 29)]
+        g = Hypergraph.of(30, list(K4.edges) + path)
+        crit, scan, restart = _pinned_extraction(g, 4)
+        assert crit.old_ids == (0, 1, 2, 3)
+        assert scan <= 27 and restart == 53
+
     @pytest.mark.parametrize("k,seed", [(k, seed) for k in (3, 4) for seed in range(6)])
     def test_one_pass_matches_restarting_scan(self, k, seed, monkeypatch):
         g = random_nested_join(random.Random(seed), k, 16, 3)
@@ -527,13 +586,21 @@ class TestExtractCritical:
         edges = list(cons.complete_graph(4).edges)
         edges += [tuple(v + 4 for v in e) for e in cons.complete_graph(4).edges]
         g = Hypergraph.of(8, edges)
-        crit = cls.extract_critical(g, 4)
+        crit, scan, restart = _pinned_extraction(g, 4)
         assert crit.old_ids == (4, 5, 6, 7)
         assert crit.graph == cons.complete_graph(4)
+        assert scan <= restart
 
     def test_chi_mismatch(self):
         with pytest.raises(ValueError):
             cls.extract_critical(cons.complete_graph(4), 3)
+
+    def test_edges_left_in_two_components_are_internal(self, monkeypatch):
+        # a scan that deletes nothing leaves both K4 of two disjoint K4
+        g = Hypergraph.of(8, list(K4.edges) + [tuple(v + 4 for v in e) for e in K4.edges])
+        monkeypatch.setattr(col, "_failing_edges", lambda g, k, force: iter(()))
+        with pytest.raises(cls.InternalError, match="form 2 components"):
+            cls.extract_critical(g, 4)
 
     def test_theorem_critical_input_is_returned_without_a_search(self, monkeypatch):
         # the k = 4, n = 41 join is in the class at 4, so 5-critical
@@ -839,8 +906,9 @@ class TestClassify:
 
         monkeypatch.setattr(col, "_chi_by_search", counted)
         assert cls.classify(cons.hyperwheel(4), h2_info=True).h2_closure is True
-        # classify's chi, then extract_critical's check and component loop
-        assert len(calls) == 3
+        # classify's chi, then extract_critical's check; the scan's
+        # result is the one component with edges, with no chi search
+        assert len(calls) == 2
 
     def test_h2_hint_matches_a_chi_checked_reference(self):
         def reference(g, depth=6):

@@ -437,6 +437,16 @@ class TestErrorPaths:
         assert cli.main(["decompose", path, f"{option}={value}"]) == 2
         assert message in capsys.readouterr().err
 
+    def test_mixed_and_edge_cut_exclude_each_other(self, tmp_path, capsys):
+        """Each option names the one separator to decompose at, so both
+        together are a usage error, not the mixed decomposition alone."""
+        path = write_hgr(tmp_path, cons.figure1_join(True).graph)
+        argv = ["decompose", "--mixed", "0,0", "--edge-cut", "0,1,2", "-k", "3", path]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage:") and "not allowed with argument --mixed" in err
+
     def test_tight_classify_needs_no_force_past_the_chi_guard(self, tmp_path, capsys):
         """A tight verdict is proved by the block's certificate, not by
         the guarded exact chromatic number."""

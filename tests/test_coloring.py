@@ -603,7 +603,7 @@ class TestWitnessWalk:
             return real(*args, skip=skip, **kw)
 
         monkeypatch.setattr(col, "_colorings", counted)
-        assert col._critical_at_chi(g, chi).is_critical
+        assert next(col._failing_edges(g, chi - 1), None) is None
         return skipped
 
     @pytest.mark.parametrize(
@@ -687,10 +687,27 @@ class TestChiAndCriticalityFromTheTheorem:
             if not is_connected(g) or g.m == 0:
                 continue
             k = oracles.reference_chromatic_number(g, force=True) - 1
-            ref = col._failing_edge(g, k)
+            ref = next(col._failing_edges(g, k), None)
             assert ref == oracles.reference_failing_edge(g, k), g
             found += ref is not None
         assert found >= 70
+
+    def test_scan_to_the_end_matches_the_restarted_search(self):
+        """Every edge the scan yields, in g's refs, is the first failing
+        edge of g with the edges yielded before it deleted, found by one
+        search on each derived G - e from edge 0, until none fails."""
+        deleted = 0
+        for g in _perturbations() + _critical_inputs():
+            if not is_connected(g) or g.m == 0:
+                continue
+            k = oracles.reference_chromatic_number(g, force=True) - 1
+            want, cur, origin = [], g, list(range(g.m))
+            while (ref := oracles.reference_failing_edge(cur, k)) is not None:
+                want.append(origin.pop(ref))
+                cur = cur.delete_edge(ref)
+            assert list(col._failing_edges(g, k)) == want, g
+            deleted += len(want)
+        assert deleted >= 100
 
     @staticmethod
     def _refuse_search(monkeypatch):
