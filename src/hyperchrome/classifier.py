@@ -329,7 +329,7 @@ def extract_critical(g: Hypergraph, target_chi: int, force: bool = False) -> Rel
     if target_chi <= 1:
         return g.induced(range(min(g.n, 1)))
     cur = g.delete_edges(col._failing_edges(g, target_chi - 1, force))
-    kept = [comp for comp in conn.components(cur) if cur.incidence[comp[0]]]
+    kept = [comp for comp in conn._pieces(cur) if cur.incidence[comp[0]]]
     if len(kept) != 1:
         raise InternalError(f"the edges left form {len(kept)} components; internal bug")
     return cur.induced(kept[0])

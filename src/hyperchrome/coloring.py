@@ -217,22 +217,33 @@ class _Search:
     only branches that hold no coloring are cut and the colorings come
     out in the same order as from the search without propagation.
     ``decisions`` counts the colors tried at unforced positions.
+
+    The packed counter is ``free[ref] = left * big + sum`` with
+    ``big = n``: while two or more vertices are left it is at least
+    ``2 * big``, and with one left, u, it is ``big + u < 2 * big``, since
+    every id is below n.  So it is set in the one pass over the edges
+    that builds the adjacency, and only for the larger edges.
     """
 
     def __init__(self, g: Hypergraph, k: int, skip: int | None = None) -> None:
         self.g = g
         self.k = k
-        self.adj: list[list[int]] = [[] for _ in range(g.n)]  # over ordinary edges
-        self.hyper: list[list[int]] = [[] for _ in range(g.n)]  # refs of larger edges
+        n = g.n
+        adj: list[list[int]] = [[] for _ in range(n)]  # over ordinary edges
+        hyper: list[list[int]] = [[] for _ in range(n)]  # refs of larger edges
+        free = [0] * g.m  # read only at the refs in ``hyper``
         for ref, e in enumerate(g.edges):
             if ref == skip:
                 continue
             if len(e) == 2:
-                self.adj[e[0]].append(e[1])
-                self.adj[e[1]].append(e[0])
+                a, b = e
+                adj[a].append(b)
+                adj[b].append(a)
             else:
                 for v in e:
-                    self.hyper[v].append(ref)
+                    hyper[v].append(ref)
+                free[ref] = len(e) * n + sum(e)
+        self.adj, self.hyper, self.free = adj, hyper, free
         self.decisions = 0
 
     def colorings(self, order, preset: dict[int, int], symmetric: bool, force: bool = False):
@@ -241,13 +252,11 @@ class _Search:
         color at earlier positions or in the preset when ``symmetric``.
         With a preset, that keeps a coloring of every class up to
         renaming colors when the preset colors are 1..c for some c."""
-        g, k, adj, hyper = self.g, self.k, self.adj, self.hyper
+        g, k, adj, hyper, free = self.g, self.k, self.adj, self.hyper, self.free
         limit = SEARCH_GUARD
         n, edges = g.n, g.edges
-        # free[ref] = (uncolored count) * big + (sum of their ids)
-        big = max(map(sum, edges), default=0) + 1
+        big = n
         twice = 2 * big
-        free = [len(e) * big + sum(e) for e in edges]
         ban = [0] * n
         colors = [0] * n
         trail: list[tuple[int, list[int]]] = []  # (vertex, the bans it set)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .hypercore import Hypergraph
 
@@ -102,8 +103,18 @@ class FlowResult:
 
 
 def components(g: Hypergraph) -> list[tuple[int, ...]]:
-    """Partition of V(G) into maximal hyperpath-connected classes."""
-    return list(_pieces(g))
+    """Partition of V(G) into maximal hyperpath-connected classes, in
+    order of least vertex.  Their number comes from the cached
+    whole-graph block pass: the block-cut forest has a node per block
+    and per separating vertex, and an edge per block through each
+    separating vertex, so it has len(blocks) - sum(count[v] - 1) trees
+    over the separating vertices v, one per component.  ``_pieces``
+    lists them only when there are two or more."""
+    found, seps, count = _whole_graph_blocks(g)
+    trees = len(found) + len(seps) - sum(map(count.__getitem__, seps))
+    if trees > 1:
+        return list(_pieces(g))
+    return [tuple(range(g.n))] if trees else []
 
 
 def _pieces(g: Hypergraph, dead=(), cut=()):
@@ -138,7 +149,9 @@ def _pieces(g: Hypergraph, dead=(), cut=()):
 
 
 def is_connected(g: Hypergraph) -> bool:
-    return len(components(g)) <= 1
+    """Whether g has at most one component: one ``_pieces`` search,
+    which stops once the first piece closes."""
+    return len(next(_pieces(g), ())) == g.n
 
 
 # -- max flow / Menger -----------------------------------------------------
@@ -341,8 +354,10 @@ def max_local_edge_connectivity(g: Hypergraph) -> int:
     a cycle, which lies in one block, so without a block of two or more
     edges lambda is min(m, 1) and no flow runs.  That is when the
     vertex-edge incidence graph is a forest: its sum(|e|) edges are its
-    n + m nodes less its components, which are g's."""
-    comps = components(g)
+    n + m nodes less its components, which are g's.  They come from one
+    ``_pieces`` search, not ``components``: the forest test needs no
+    block pass, and the CLI's ``lambda`` has none cached."""
+    comps = list(_pieces(g))
     if sum(map(len, g.edges)) == g.n + g.m - len(comps):
         return min(g.m, 1)
     deg = [len(refs) for refs in g.incidence]
@@ -361,9 +376,10 @@ def max_local_edge_connectivity(g: Hypergraph) -> int:
 # -- blocks ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Block:
-    """A block, annotated with original vertex ids and edge refs."""
+class Block(NamedTuple):
+    """A block, annotated with original vertex ids and edge refs.  A
+    tuple, so blocks sort by their vertex tuples with no key function:
+    two blocks share at most one vertex, so no two have equal ones."""
 
     vertices: tuple[int, ...]
     edge_refs: tuple[int, ...]
@@ -407,7 +423,7 @@ def _whole_graph_blocks(g: Hypergraph) -> tuple[tuple[Block, ...], tuple[int, ..
             for refs in block_refs
         ]
         out.extend(Block((v,), ()) for v in range(g.n) if not g.incidence[v])
-        out.sort(key=lambda b: b.vertices)
+        out.sort()
         seps = tuple(v for v in range(g.n) if count[v] > 1)
         cached = g.__dict__["_whole_graph_blocks"] = (tuple(out), seps, count)
     return cached

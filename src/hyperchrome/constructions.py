@@ -6,10 +6,11 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
-from .hypercore import Hypergraph, Relabeled, canonical_edges
+from .hypercore import MAX_VERTICES, Hypergraph, Relabeled, canonical_edges
 from . import connectivity as conn
 from . import coloring as col
 
@@ -17,13 +18,26 @@ from . import coloring as col
 # -- generators ------------------------------------------------------------
 
 
+def _check_size(n: int, m: int) -> None:
+    """Refuse, before anything is built, a family member with more than
+    ``MAX_VERTICES`` vertices or edges: the limit HGR input has, since a
+    short command line must not ask for unbounded time and memory."""
+    if n > MAX_VERTICES or m > MAX_VERTICES:
+        raise ValueError(
+            f"the construction has {n} vertices and {m} edges, "
+            f"past the limit of {MAX_VERTICES} on each"
+        )
+
+
 def complete_graph(n: int) -> Hypergraph:
+    _check_size(n, math.comb(max(n, 0), 2))
     return Hypergraph.of(n, itertools.combinations(range(n), 2))
 
 
 def cycle(n: int) -> Hypergraph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
+    _check_size(n, n)
     return Hypergraph.of(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -31,6 +45,7 @@ def odd_wheel(rim_len: int) -> Hypergraph:
     """Rim cycle 0..rim_len-1 plus hub vertex rim_len."""
     if rim_len < 3 or rim_len % 2 == 0:
         raise ValueError("rim length must be odd and >= 3")
+    _check_size(rim_len + 1, 2 * rim_len)
     edges = [(i, (i + 1) % rim_len) for i in range(rim_len)]
     edges += [(i, rim_len) for i in range(rim_len)]
     return Hypergraph.of(rim_len + 1, edges)
@@ -41,6 +56,7 @@ def hyperwheel(edge_size: int) -> Hypergraph:
     ordinary spokes."""
     if edge_size < 3:
         raise ValueError("base edge size must be >= 3")
+    _check_size(edge_size + 1, edge_size + 1)
     edges = [tuple(range(edge_size))]
     edges += [(i, edge_size) for i in range(edge_size)]
     return Hypergraph.of(edge_size + 1, edges)
@@ -59,6 +75,7 @@ def kc(n: int, p: int) -> Hypergraph:
     """KC_{n,p}: the Dirac sum of K_n and the odd cycle C_{2p+1}."""
     if n < 1 or p < 1:
         raise ValueError("need n >= 1 and p >= 1")
+    _check_size(n + 2 * p + 1, math.comb(n, 2) + (2 * p + 1) * (n + 1))
     return dirac_sum(complete_graph(n), cycle(2 * p + 1))
 
 
@@ -108,6 +125,7 @@ def toft_graph(p: int) -> Hypergraph:
     if p < 1:
         raise ValueError("need p >= 1")
     size = 2 * p + 1
+    _check_size(8 * p + 4, size * size + 8 * p + 4)
     base = Hypergraph.of(size, [tuple(range(size))])
     g = dirac_sum(base, base)
     for offset in (0, size):

@@ -239,6 +239,24 @@ class Hypergraph:
         got_header = False
         for line_no, raw in enumerate(text.splitlines(), start=1):
             parts = raw.split()
+            if len(parts) == 3 and parts[0] == "e" and n is not None and raw.isascii():
+                # an edge of two ids after the count line, nearly every
+                # line of a graph, takes one chained comparison; a faulty
+                # one falls through to the checks below, which report it
+                a, b = parts[1], parts[2]
+                if a.isdigit() and b.isdigit():
+                    try:
+                        x, y = int(a), int(b)
+                    except ValueError:  # over int()'s 4300-digit limit: reported below
+                        x = y = 0
+                    if x < y < n:
+                        vs = (x, y)
+                        size = len(seen)
+                        seen.add(vs)
+                        if len(seen) == size:
+                            raise HgrFormatError(line_no, f"duplicate edge {vs}")
+                        edges.append(vs)
+                        continue
             if not parts or parts[0][0] == "#":  # a blank line or a comment
                 continue
             if not got_header:

@@ -436,26 +436,32 @@ class TestHkCertificateByReplay:
 
     def test_wheel_leaf_derives_no_hypergraph(self, monkeypatch):
         """An odd wheel is recognised from degree counts and one rim
-        walk: no induced rim, and no components beyond the root's
-        connectivity test."""
+        walk: no induced rim, no block pass, and no component search
+        beyond the root's connectivity test."""
         calls = collections.Counter()
-        induced, components = Hypergraph.induced, conn.components
+        induced, pieces = Hypergraph.induced, conn._pieces
+        whole = conn._whole_graph_blocks
 
         def counted_induced(*args, **kwargs):
             calls["induced"] += 1
             return induced(*args, **kwargs)
 
-        def counted_components(*args, **kwargs):
-            calls["components"] += 1
-            return components(*args, **kwargs)
+        def counted_pieces(*args, **kwargs):
+            calls["pieces"] += 1
+            return pieces(*args, **kwargs)
+
+        def counted_whole(*args, **kwargs):
+            calls["blocks"] += 1
+            return whole(*args, **kwargs)
 
         monkeypatch.setattr(Hypergraph, "induced", counted_induced)
-        monkeypatch.setattr(conn, "components", counted_components)
+        monkeypatch.setattr(conn, "_pieces", counted_pieces)
+        monkeypatch.setattr(conn, "_whole_graph_blocks", counted_whole)
         g = cons.odd_wheel(21)
         assert isinstance(cls._build_certificate(g, 3, range(g.n)), cls.Leaf)
         assert calls == {}
         assert isinstance(cls.hk_certificate(g, 3), cls.Leaf)
-        assert calls == {"components": 1}
+        assert calls == {"pieces": 1}
 
     def test_past_the_chi_guard(self):
         g = cons.odd_wheel(29)

@@ -16,7 +16,7 @@ from hyperchrome import coloring as col
 from hyperchrome import connectivity as conn
 from hyperchrome import constructions as cons
 from hyperchrome import corpus
-from hyperchrome.hypercore import Hypergraph
+from hyperchrome.hypercore import MAX_VERTICES, Hypergraph
 
 from conftest import hypergraphs, join_chain, random_nested_join
 
@@ -282,6 +282,31 @@ class TestErrorPaths:
     def test_construct_parameter_count(self, capsys, argv, takes):
         assert cli.main(["construct"] + argv) == 2
         assert f"takes {takes} parameter(s), got {len(argv) - 1}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,n,m",
+        [
+            (["complete", "100000"], 100000, 4999950000),
+            (["cycle", str(MAX_VERTICES + 1)], MAX_VERTICES + 1, MAX_VERTICES + 1),
+            (["odd-wheel", "500001"], 500002, 1000002),
+            (["hyperwheel", str(MAX_VERTICES)], MAX_VERTICES + 1, MAX_VERTICES + 1),
+            (["kc", "1", "500000"], 1000002, 2000002),
+            (["toft", "125000"], 1000004, 62501500005),
+        ],
+    )
+    def test_construct_past_the_vertex_limit(self, capsys, monkeypatch, argv, n, m):
+        """Each generator refuses a member past the limit from its counts
+        alone: with every builder patched to raise, nothing is built."""
+
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("a builder ran")
+
+        monkeypatch.setattr(Hypergraph, "of", unbuilt)
+        monkeypatch.setattr(cons, "dirac_sum", unbuilt)
+        monkeypatch.setattr(cons, "split", unbuilt)
+        assert cli.main(["construct"] + argv) == 2
+        err = capsys.readouterr().err
+        assert f"has {n} vertices and {m} edges, past the limit of {MAX_VERTICES}" in err
 
     def test_internal_index_error_is_not_input_error(self, monkeypatch):
         def broken():

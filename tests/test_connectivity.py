@@ -37,6 +37,63 @@ class TestComponents:
         assert conn.is_connected(Hypergraph.of(0))
         assert conn.is_connected(Hypergraph.of(1))
 
+    @settings(max_examples=300, deadline=None)
+    @given(hypergraphs(max_n=9, sizes=(2, 3, 4)))
+    @example(Hypergraph.of(0))
+    @example(Hypergraph.of(4))
+    @example(Hypergraph.of(8, [(0, 1), (2, 3, 4), (5, 6)]))
+    def test_the_block_pass_count_matches_the_search(self, g):
+        """``components`` counts the components from the cached block
+        pass and searches only when there are two or more; the blocks it
+        caches are the reference's."""
+        assert conn.components(g) == list(conn._pieces(g))
+        assert conn.is_connected(g) == (len(conn.components(g)) <= 1)
+        assert conn.blocks(g) == oracles.reference_blocks(g)
+
+    @pytest.mark.parametrize(
+        "g,want",
+        [
+            (cons.cycle(9), [tuple(range(9))]),
+            (Hypergraph.of(6, [(0, 1), (1, 2, 3), (3, 4), (4, 5)]), [tuple(range(6))]),
+            (Hypergraph.of(0), []),
+            (Hypergraph.of(5, [(0, 1), (1, 2), (3, 4)]), [(0, 1, 2), (3, 4)]),
+        ],
+        ids=["cycle", "path-with-hyperedge", "empty", "two-pieces"],
+    )
+    def test_one_block_pass_serves_components_and_blocks(self, monkeypatch, g, want):
+        """A connected input runs no component search, and the blocks and
+        separating vertices read after ``components`` run no second pass."""
+        calls = collections.Counter()
+        pieces, articulation = conn._pieces, conn._articulation
+
+        def counted_pieces(*args, **kwargs):
+            calls["pieces"] += 1
+            return pieces(*args, **kwargs)
+
+        def counted_articulation(*args, **kwargs):
+            calls["articulation"] += 1
+            return articulation(*args, **kwargs)
+
+        monkeypatch.setattr(conn, "_pieces", counted_pieces)
+        monkeypatch.setattr(conn, "_articulation", counted_articulation)
+        assert conn.components(g) == want
+        conn.blocks(g)
+        conn.separating_vertices(g)
+        assert (calls["articulation"], calls["pieces"]) == (1, int(len(want) > 1))
+
+    def test_the_block_pass_count_on_seeded_instances(self):
+        rng = random.Random(26)
+        empty = isolated = several = 0
+        for i in range(400):
+            g = seeded_random_hypergraph(rng, rng.randint(0, 12), (2, 3, 4) if i % 2 else (2,), 8)
+            comps = conn.components(g)
+            assert comps == list(conn._pieces(g))
+            assert conn.is_connected(g) == (len(comps) <= 1)
+            empty += g.n == 0
+            isolated += any(len(c) == 1 for c in comps)
+            several += sum(len(c) > 1 for c in comps) > 1
+        assert empty >= 10 and isolated >= 100 and several >= 30, (empty, isolated, several)
+
 
 @st.composite
 def deletions(draw):
@@ -509,6 +566,14 @@ class TestBlockPass:
         assert "_whole_graph_blocks" in vars(a) and "_whole_graph_blocks" not in vars(b)
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
+
+    def test_a_block_is_a_vertices_and_refs_tuple(self):
+        g = Hypergraph.of(6, [(0, 1), (1, 2, 3), (3, 4)])
+        found = conn.blocks(g)
+        assert found == [((0, 1), (0,)), ((1, 2, 3), (1,)), ((3, 4), (2,)), ((5,), ())]
+        vertices, refs = found[1]
+        assert (vertices, refs) == (found[1].vertices, found[1].edge_refs)
+        assert sorted(reversed(found)) == sorted(found, key=lambda b: b.vertices) == found
 
     def test_returned_list_is_the_callers(self):
         g = Hypergraph.of(5, [(0, 1), (1, 2, 3), (3, 4)])

@@ -314,6 +314,40 @@ class TestParserMatchesReference:
         # a value, and every message of the parser without its detail
         assert len(outcomes) == 14, outcomes
 
+    @pytest.mark.parametrize(
+        "body,want",
+        [
+            ("n 4\ne\n", "line 3: edge has fewer than 2 vertices"),
+            ("n 4\ne 5\n", "line 3: edge has fewer than 2 vertices"),
+            ("n 4\ne 3 3\n", "line 3: vertex ids not strictly increasing"),
+            ("n 4\ne 4 2\n", "line 3: vertex ids not strictly increasing"),
+            ("n 4\ne 0 4\n", "line 3: vertex id out of range"),
+            ("n 4\ne 0 1\ne 2 3\ne 0 1\n", "line 5: duplicate edge (0, 1)"),
+            ("e 0 1\nn 4\n", "line 2: edge before vertex-count line"),
+            ("n 4\ne 0 ３\n", "line 3: counts and vertex ids must be ASCII digits"),
+            ("n 4\ne +0 1\n", "line 3: counts and vertex ids must be ASCII digits"),
+            ("n 4\ne 0 1\nn 4\n", "line 4: duplicate vertex-count line"),
+            ("n 4\ne 0 1\nf 0 1\n", "line 4: unknown directive 'f'"),
+            # two faults: the earlier line's is reported, whichever branch reads it
+            ("n 4\ne 0 9\ne 2 1\n", "line 3: vertex id out of range"),
+            ("n 4\ne 1 1 2\ne 2 1\n", "line 3: vertex ids not strictly increasing"),
+            ("n 4\ne 0 1\ne 0 1\ne 0 1 9\n", "line 4: duplicate edge (0, 1)"),
+            ("n 4\n# e 3 3\n\ne 00 03\ne 1 2 3\n", None),
+        ],
+    )
+    def test_edge_lines_after_the_count_line(self, body, want):
+        """The cases of the two-id edge branch and of the checks its
+        faulty lines fall through to, which the mutations reach only by
+        chance: fewer than two ids, equal or descending ids, a repeated
+        line, an edge before the count, and two faults in one input."""
+        text = "HGR 1\n" + body
+        got = _parsed(Hypergraph.from_hgr, text)
+        assert got == _parsed(oracles.reference_from_hgr, text)
+        if want is None:
+            assert got == Hypergraph.of(4, [(0, 3), (1, 2, 3)])
+        else:
+            assert got == want
+
 
 @given(hypergraphs())
 def test_canonical_edges_idempotent(g):
