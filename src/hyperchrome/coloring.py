@@ -10,13 +10,18 @@ with none ends the branch (unit propagation, as in DPLL).  This cuts
 only branches that hold no coloring, so colorings come out in the
 order of the plain depth-first search.
 
+A 2-coloring of an ordinary graph with no preset is no search: one
+breadth-first pass colors it or finds an odd cycle, in linear time,
+and gives the search's first coloring (``_two_coloring``).
+
 Every search the library runs for its own answers counts its decisions
 and raises GuardExceeded once one search passes ``SEARCH_GUARD`` of
 them, unless force (``--force``) is set: the cap measures the work, not
 the input's size.  The cap bounds each search, not a whole question:
 a question that runs many searches (the per-edge test, the chi scan)
-can take that many times as long.  ``find_k_coloring`` called with its
-public arguments (and ``color -k``) is unbounded.
+can take that many times as long.  The linear 2-coloring pass is not
+capped.  ``find_k_coloring`` called with its public arguments (and
+``color -k``) is unbounded.
 
 chi and criticality come from the classifier's decision first: by the
 theorem, chi(G) = lambda(G) + 1 >= 4 iff some block of G is in the
@@ -84,7 +89,9 @@ def find_k_coloring(
     breaking (color c only after 1..c-1 appear), unless colors are
     preset, which disables symmetry breaking.  Unbounded: no decision
     cap applies.  The library's own searches pass their force as the
-    private ``_force``, which puts them under the cap unless it is set."""
+    private ``_force``, which puts them under the cap unless it is set.
+    With k = 2, no preset and only ordinary edges, one breadth-first
+    pass gives the search's first coloring, under no cap."""
     if k < 1:
         raise ValueError("palette size must be >= 1")
     if g.n == 0:
@@ -96,7 +103,48 @@ def find_k_coloring(
             raise ValueError(f"preset color {c} outside 1..{k}")
     # descending degree, ties by ascending id: a reversed sort is stable
     order = sorted(range(g.n), key=list(map(len, g.incidence)).__getitem__, reverse=True)
+    if k == 2 and not preset and g.is_graph():
+        return _two_coloring(g, order)
     return next(_colorings(g, k, order, preset, not preset, force=_force), None)
+
+
+def _two_coloring(g: Hypergraph, order) -> Coloring | None:
+    """The search's first 2-coloring of the graph g, or None, by one
+    breadth-first pass: each vertex of ``order`` not yet colored takes
+    color 1, and its component alternates colors out from it.
+
+    This is what the search does with k = 2 and no preset.  It tries
+    color 1 first at every decision, and no uncolored vertex at a
+    decision has a color banned, since a vertex with one color banned
+    is forced at once.  So each component's first vertex in ``order``
+    takes color 1, and propagation forces the other color on its
+    neighbors, and so on: a bipartite component is colored in full,
+    by the parity of the distance from that vertex, with no further
+    decision, and a component with an odd cycle bans both colors at
+    some vertex and kills the branch.  The search backtracks into a
+    colored component only when a later one fails, so when every
+    component is bipartite its first coloring is this one.  When one is
+    not, it fails whatever the others hold, and the search finds no
+    coloring, after trying every choice of colors for the components
+    before it.  The pass is linear, so no decision cap applies."""
+    colors = [0] * g.n
+    edges, incidence = g.edges, g.incidence
+    for root in order:
+        if colors[root]:
+            continue
+        colors[root] = 1
+        queue = [root]
+        for v in queue:  # the loop reads what it appends
+            c = 3 - colors[v]
+            for ref in incidence[v]:
+                a, b = edges[ref]
+                u = b if a == v else a
+                if not colors[u]:
+                    colors[u] = c
+                    queue.append(u)
+                elif colors[u] != c:
+                    return None
+    return Coloring(tuple(colors), 2)
 
 
 def chromatic_number(g: Hypergraph, force: bool = False) -> int:

@@ -50,6 +50,16 @@ def connected_hypergraphs(draw, min_n=1, max_n=6, sizes=(2, 3)):
     return Hypergraph.of(g.n, set(g.edges) | {tuple(sorted(e)) for e in extra})
 
 
+def stars_and_c5(stars: int) -> Hypergraph:
+    """``stars`` disjoint K1,3 (centre 4s, leaves 4s + 1..3) and a C5 on
+    the last five vertices: chi 3, and a 2-coloring search that
+    backtracks through every coloring of the stars before it fails."""
+    edges = [(4 * s, 4 * s + leaf) for s in range(stars) for leaf in (1, 2, 3)]
+    c = 4 * stars
+    edges += [(c + i, c + i + 1) for i in range(4)] + [(c, c + 4)]
+    return Hypergraph.of(c + 5, edges)
+
+
 def seeded_random_hypergraph(rng: random.Random, n: int, sizes, m_max: int) -> Hypergraph:
     pool = _possible_edges(n, sizes)
     m = rng.randint(0, min(m_max, len(pool)))

@@ -18,7 +18,7 @@ from hyperchrome import constructions as cons
 from hyperchrome import corpus
 from hyperchrome.hypercore import MAX_VERTICES, Hypergraph
 
-from conftest import hypergraphs, join_chain, random_nested_join
+from conftest import hypergraphs, join_chain, random_nested_join, stars_and_c5
 
 
 # a join of two K4 leaves at vertex 3, as a user's certificate file holds it
@@ -224,8 +224,11 @@ class TestErrorPaths:
         assert code == 2
 
     def test_guard_exit_code(self, tmp_path, capsys, monkeypatch):
-        """C30 takes one decision, so only a cap of 0 refuses it."""
-        path = write_hgr(tmp_path, cons.cycle(30))
+        """C30 with its closing edge widened to (0, 15, 29) is searched
+        in one decision, so only a cap of 0 refuses it.  C30 itself is
+        2-colored by one pass, which no cap refuses."""
+        path = write_hgr(
+            tmp_path, Hypergraph.of(30, [(i, i + 1) for i in range(29)] + [(0, 15, 29)]))
         code, payload = run_json(capsys, ["chi", path])
         assert code == 0 and payload == {"chi": 2}
         monkeypatch.setattr(col, "SEARCH_GUARD", 0)
@@ -233,6 +236,17 @@ class TestErrorPaths:
         assert "passed 0 decisions without force" in capsys.readouterr().err
         code, payload = run_json(capsys, ["chi", path, "--force"])
         assert code == 0 and payload == {"chi": 2}
+        code, payload = run_json(capsys, ["chi", write_hgr(tmp_path, cons.cycle(30), "c30.hgr")])
+        assert code == 0 and payload == {"chi": 2}
+
+    def test_stars_and_c5(self, tmp_path, capsys):
+        """22 disjoint K1,3 and a C5: ``chi`` exited 3 after 3 s, and
+        ``color -k 2`` ran for 27 s, in the 2-coloring search."""
+        path = write_hgr(tmp_path, stars_and_c5(22))
+        code, payload = run_json(capsys, ["chi", path])
+        assert code == 0 and payload == {"chi": 3}
+        code, payload = run_json(capsys, ["color", "-k", "2", path])
+        assert code == 1 and payload == {"coloring": None, "k": 2}
 
     def test_h2_info_join_search_is_capped(self, tmp_path, capsys, monkeypatch):
         """A spider of 5 legs of 4 (n = 21) took 30.9 s when its join

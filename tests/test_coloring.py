@@ -14,7 +14,7 @@ from hyperchrome import corpus
 from hyperchrome import connectivity as conn
 from hyperchrome.connectivity import is_connected
 
-from conftest import hypergraphs, perturb, random_nested_join
+from conftest import hypergraphs, perturb, random_nested_join, stars_and_c5
 import lemmas
 import oracles
 
@@ -82,14 +82,17 @@ class TestChromaticNumber:
         assert col.chromatic_number(g) == chi
 
     def test_guard(self, monkeypatch):
-        """C30's 2-coloring takes one decision: the cap passes it, and
-        only a cap below that refuses it."""
-        big = cons.cycle(30)
+        """C30 with its closing edge widened to (0, 15, 29) is still
+        searched, and its 2-coloring takes one decision: the cap passes
+        it, and only a cap below that refuses it.  C30 itself is
+        2-colored by one pass, which no cap refuses."""
+        big = Hypergraph.of(30, [(i, i + 1) for i in range(29)] + [(0, 15, 29)])
         assert col.chromatic_number(big) == 2
         monkeypatch.setattr(col, "SEARCH_GUARD", 0)
         with pytest.raises(col.GuardExceeded):
             col.chromatic_number(big)
         assert col.chromatic_number(big, force=True) == 2
+        assert col.chromatic_number(cons.cycle(30)) == 2
 
     @pytest.mark.parametrize("n", [25, 30, 3000])
     def test_edgeless_is_one_past_the_guard(self, n):
@@ -528,6 +531,56 @@ def test_random_recursive_tree_two_coloring(n):
     assert search.decisions == 1
 
 
+class TestTwoColoringOfGraphs:
+    """On an ordinary graph, ``find_k_coloring(g, 2)`` is one
+    breadth-first pass, pinned to the search's first 2-coloring."""
+
+    @staticmethod
+    def _check(g):
+        want = next(col._Search(g, 2).colorings(_degree_order(g), {}, True, force=True), None)
+        with mock.patch.object(col, "_Search", side_effect=AssertionError("a search was built")):
+            got = col.find_k_coloring(g, 2, _force=False)
+        assert got == want
+        assert (got is None) == (oracles.reference_find_k_coloring(g, 2) is None)
+
+    @given(hypergraphs(min_n=1, max_n=10, sizes=(2,)))
+    @settings(max_examples=200, deadline=None)
+    def test_pinned_to_the_search(self, g):
+        self._check(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Hypergraph.of(5),
+            Hypergraph.of(9, list(cons.cycle(4).edges) + [(4, 5), (4, 8), (5, 6), (6, 7), (7, 8)]),
+            Hypergraph.of(9, list(cons.cycle(5).edges) + [(5, 6), (5, 8), (6, 7), (7, 8)]),
+            Hypergraph.of(8, [(1, 2), (2, 3), (5, 6)]),
+            stars_and_c5(3),
+            cons.cycle(30),
+            cons.cycle(31),
+        ],
+        ids=["edgeless", "c4-then-c5", "c5-then-c4", "isolated-vertices", "3-stars-and-c5",
+             "c30", "c31"],
+    )
+    def test_components_and_cycles(self, g):
+        self._check(g)
+
+    def test_stars_and_c5_need_no_backtracking(self, monkeypatch):
+        """22 disjoint K1,3 and a C5 (n = 93): the search tried every
+        coloring of the stars before the C5 failed, so ``color -k 2``
+        ran for 27 s and ``chi`` passed the cap after 3 s.  Under a cap
+        of 0 the 2-coloring still answers.  ``chromatic_number`` then
+        searches for a 3-coloring, which makes a decision, while
+        ``chi_lambda_critical`` has lambda = 2 to bound chi at 3."""
+        g = stars_and_c5(22)
+        assert col.chromatic_number(g) == 3
+        monkeypatch.setattr(col, "SEARCH_GUARD", 0)
+        assert col.find_k_coloring(g, 2, _force=False) is None
+        assert col.chi_lambda_critical(g) == (3, 2, False)
+        with pytest.raises(col.GuardExceeded, match="the 3-coloring search"):
+            col.chromatic_number(g)
+
+
 def _monochromatic(g, colors):
     return [ref for ref, e in enumerate(g.edges) if len({colors[v] for v in e}) == 1]
 
@@ -777,17 +830,21 @@ class TestChiAndCriticalityFromTheTheorem:
     def test_stats_past_the_cap_give_n_and_m_only(self, monkeypatch):
         """Without force, an input whose search passes the cap gets n
         and m only; under the real cap these are searched in a few
-        decisions."""
+        decisions.  The hyperwheel on a 30-vertex edge has C31's stats,
+        but its 2-coloring is searched; C31's is one pass, lambda + 1
+        bounds its chi at 3, and its per-edge test is all forced, so it
+        answers under any cap."""
         toft_path = Hypergraph.of(
             30, list(cons.toft_graph(1).edges) + [(i, i + 1) for i in range(11, 29)])
-        c31 = cons.cycle(31)
-        assert corpus.instance_stats(c31) == {
-            "n": 31, "m": 31, "chi": 3, "lambda": 2, "critical_k": 3}
+        wheel31 = cons.hyperwheel(30)
+        c31_stats = {"n": 31, "m": 31, "chi": 3, "lambda": 2, "critical_k": 3}
+        assert corpus.instance_stats(wheel31) == c31_stats
         assert corpus.instance_stats(toft_path) == {
             "n": 30, "m": 39, "chi": 4, "lambda": 4, "critical_k": None}
         self._refuse_decisions(monkeypatch)
-        for g in (c31, toft_path):
+        for g in (wheel31, toft_path):
             assert corpus.instance_stats(g) == {"n": g.n, "m": g.m}
+        assert corpus.instance_stats(cons.cycle(31)) == c31_stats
 
     @given(hypergraphs(max_n=7, sizes=(2, 3)))
     @settings(max_examples=60, deadline=None)
