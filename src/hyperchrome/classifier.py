@@ -351,10 +351,9 @@ class ClassifyOutcome:
     block: tuple[int, ...] | None = None
     certificate: Certificate | None = None
     note: str = ""
-    h2_closure: bool | None = None
 
 
-def classify(g: Hypergraph, force: bool = False, h2_info: bool = False) -> ClassifyOutcome:
+def classify(g: Hypergraph, force: bool = False) -> ClassifyOutcome:
     """Decide whether chi(G) = lambda(G)+1, with a witness either way
     when lambda >= 3.
 
@@ -390,10 +389,7 @@ def classify(g: Hypergraph, force: bool = False, h2_info: bool = False) -> Class
         "chi = 3 = lambda + 1; no certificate family is known at lambda = 2"
         if chi == 3 else "chi <= lambda"
     )
-    h2 = None
-    if h2_info and chi == 3:
-        h2 = _h2_closure_hint(g, force=force)
-    return ClassifyOutcome(lam, chi, "small-lambda", note=note, h2_closure=h2)
+    return ClassifyOutcome(lam, chi, "small-lambda", note=note)
 
 
 def _decide(
@@ -485,52 +481,6 @@ def _candidate_class(n: int, m: int) -> int | None:
     while (k * (k + 1) // 2 - 1) * (n - 1) < (m - 1) * k:
         k += 1
     return k if _may_be_member(n, m, k) else None
-
-
-def _h2_closure_hint(g: Hypergraph, depth: int = 6, force: bool = False) -> bool:
-    """Informational only: is some 3-chromatic block producible from
-    hyperwheels by joins within the given recursion depth?
-
-    The join search is a pure function of (part, depth), so it is
-    memoised for the call.  Each part it decomposes lists its mixed
-    pairs by one articulation pass per edge, and these passes count
-    against the decision cap ``coloring.SEARCH_GUARD``: past it the
-    search raises GuardExceeded unless force is set."""
-    memo: dict[tuple[Hypergraph, int], bool] = {}
-    passes = 0
-
-    def search(part: Hypergraph, levels: int) -> bool:
-        nonlocal passes
-        key = (part, levels)
-        if key in memo:
-            return memo[key]
-        found = shapes.is_hyperwheel(part)
-        if not found and levels > 0:
-            passes += part.m
-            if passes > col.SEARCH_GUARD and not force:
-                raise conn.GuardExceeded(
-                    f"the --h2-info join search passed {col.SEARCH_GUARD} "
-                    "articulation passes without force"
-                )
-            for v, ref in conn.mixed_separating_sets(part):
-                try:
-                    dec = cons.hajos_decompose_mixed(part, v, ref)
-                except ValueError:
-                    continue
-                if search(dec.spec.g1, levels - 1) and search(dec.spec.g2, levels - 1):
-                    found = True
-                    break
-        memo[key] = found
-        return found
-
-    for b in conn.blocks(g):
-        try:
-            crit = extract_critical(b.graph(g), 3, force=force)
-        except ValueError:  # chi(block) != 3
-            continue
-        if search(crit.graph, depth):
-            return True
-    return False
 
 
 # -- degree-bound classifier -----------------------------------------------

@@ -236,7 +236,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    outcome = cls.classify(_read_graph(args.file), force=args.force, h2_info=args.h2_info)
+    outcome = cls.classify(_read_graph(args.file), force=args.force)
     payload = {
         "lambda": outcome.lam,
         "chi": outcome.chi,
@@ -248,8 +248,6 @@ def _cmd_classify(args) -> int:
         ),
         "note": outcome.note,
     }
-    if outcome.h2_closure is not None:
-        payload["h2_closure"] = outcome.h2_closure
     _emit(payload)
     return OK
 
@@ -359,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("classify", _cmd_classify, help="chromatic number vs. connectivity bound")
     p.add_argument("file")
     p.add_argument("--force", action="store_true")
-    p.add_argument("--h2-info", action="store_true")
 
     p = add("certify", _cmd_certify, help="join certificate for a critical hypergraph")
     p.add_argument("file")

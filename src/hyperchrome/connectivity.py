@@ -35,8 +35,8 @@ from .hypercore import Hypergraph
 
 class GuardExceeded(RuntimeError):
     """A search passed its guard.  ``force`` lifts ``coloring.SEARCH_GUARD``,
-    the cap on each colouring search and on ``classify --h2-info``'s join
-    search; nothing lifts ``CUT_GUARD``: lower the cut size instead."""
+    the cap on the decisions of each colouring search; nothing lifts
+    ``CUT_GUARD``: lower the cut size instead."""
 
 
 class InternalError(RuntimeError):

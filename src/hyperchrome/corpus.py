@@ -10,6 +10,7 @@ from pathlib import Path
 from .hypercore import Hypergraph
 from . import coloring as col
 from . import constructions as cons
+from .connectivity import InternalError
 
 
 def random_hypergraph(rng: random.Random, n_max: int, sizes=(2, 3, 4)) -> Hypergraph:
@@ -115,7 +116,7 @@ def build_corpus(seed: int, count: int, n_max: int, out_dir: str | Path) -> dict
         entry = stats[name]
         for key, value in KNOWN.get(name, {}).items():
             if key in entry and entry[key] != value:
-                raise AssertionError(f"{name}: computed {key}={entry[key]} != {value}")
+                raise InternalError(f"{name}: computed {key}={entry[key]} != {value}")
             entry.setdefault(key, value)
         entries[name] = entry
     manifest = {"seed": seed, "count": count, "n_max": n_max, "entries": entries}

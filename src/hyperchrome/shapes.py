@@ -59,19 +59,3 @@ def _odd_wheel_layout(g: Hypergraph) -> tuple[int, ...] | None:
 def is_odd_wheel(g: Hypergraph) -> bool:
     return _odd_wheel_layout(g) is not None
 
-
-def is_hyperwheel(g: Hypergraph) -> bool:
-    """One base edge plus an apex joined to each base vertex by an
-    ordinary edge."""
-    if g.n < 3:
-        return False
-    base_size = g.n - 1
-    if g.m != base_size + 1:
-        return False
-    candidates = [e for e in g.edges if len(e) == base_size]
-    for base in candidates:
-        (hub,) = set(range(g.n)) - set(base)
-        spokes = {tuple(sorted((hub, v))) for v in base}
-        if spokes == set(g.edges) - {base}:
-            return True
-    return False

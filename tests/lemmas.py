@@ -23,7 +23,8 @@ library stopped enumerating colorings.
 - ``verify_one_high_vertex_lemma`` with ``OneHighVertexReport``: a
   (k+1)-critical hypergraph with one high vertex has a separating pair,
   or is a hyperwheel (k = 2) or an odd wheel (k = 3), and exactly one of
-  these (from ``coloring``).
+  these (from ``coloring``), with ``is_hyperwheel``: one base edge plus
+  an apex joined to each base vertex (from ``shapes``).
 - ``is_k_edge_connected``: connected with every Gusfield tree flow at
   least k, so the min over all pairs (from ``connectivity``).
 """
@@ -214,9 +215,26 @@ def verify_one_high_vertex_lemma(
         has_separating_pair=any(
             len(s) == 2 for s in conn.enumerate_separating_sets(g, 2)
         ),
-        is_hyperwheel_case=k == 2 and shapes.is_hyperwheel(g),
+        is_hyperwheel_case=k == 2 and is_hyperwheel(g),
         is_odd_wheel_case=k == 3 and shapes.is_odd_wheel(g),
     )
+
+
+def is_hyperwheel(g: Hypergraph) -> bool:
+    """One base edge plus an apex joined to each base vertex by an
+    ordinary edge."""
+    if g.n < 3:
+        return False
+    base_size = g.n - 1
+    if g.m != base_size + 1:
+        return False
+    candidates = [e for e in g.edges if len(e) == base_size]
+    for base in candidates:
+        (hub,) = set(range(g.n)) - set(base)
+        spokes = {tuple(sorted((hub, v))) for v in base}
+        if spokes == set(g.edges) - {base}:
+            return True
+    return False
 
 
 # -- from connectivity -------------------------------------------------------

@@ -63,12 +63,11 @@ they read the classifier's decision; the latter tests each derived G - e
 (``reference_failing_edge``).  ``reference_instance_stats`` builds the
 corpus entry from them, and ``reference_is_in_Ck`` and
 ``chromatic_number_by_blocks`` use them too, so no pin compares the
-certifier with itself.  ``reference_h2_search`` is the join search of
-``classify --h2-info`` before it was memoised and capped.
-``reference_extract_critical`` is ``classifier.extract_critical`` as
-it was before it ran the per-edge scan once to the end: it started the
-scan (``reference_failing_edge_walked``, the library's first-edge scan
-with the same searches and witness walk) again from edge 0 after each
+certifier with itself.  ``reference_extract_critical`` is
+``classifier.extract_critical`` as it was before it ran the per-edge
+scan once to the end: it started the scan
+(``reference_failing_edge_walked``, the library's first-edge scan with
+the same searches and witness walk) again from edge 0 after each
 deleted edge, then searched chi of each component.
 """
 
@@ -1009,20 +1008,3 @@ def reference_wheel_leaf(g: Hypergraph, ids) -> cls.Leaf | None:
         order.append(next(u for u in adj[b] if u != a))
     return cls.Leaf("odd_wheel", tuple(ids[v] for v in order) + (ids[hub],))
 
-
-def reference_h2_search(g: Hypergraph, depth: int) -> bool:
-    """The join search of ``classify --h2-info`` without the memo and
-    the cap that ``classifier._h2_closure_hint`` added: every mixed pair
-    at every level, both parts searched again each time."""
-    if shapes.is_hyperwheel(g):
-        return True
-    if depth == 0:
-        return False
-    for v, ref in conn.mixed_separating_sets(g):
-        try:
-            dec = cons.hajos_decompose_mixed(g, v, ref)
-        except ValueError:
-            continue
-        if reference_h2_search(dec.spec.g1, depth - 1) and reference_h2_search(dec.spec.g2, depth - 1):
-            return True
-    return False

@@ -179,6 +179,13 @@ class TestErrorPaths:
         assert cli.main(["decompose", "-k", "3", "--edge-cut", refs, path]) == 4
         assert message in capsys.readouterr().err
 
+    def test_corpus_invariant_mismatch_is_internal(self, tmp_path, capsys, monkeypatch):
+        """A computed invariant that disagrees with a known one is a bug."""
+        monkeypatch.setitem(corpus.KNOWN["k4"], "chi", 5)
+        assert cli.main(["corpus", "--count", "0", "--out", str(tmp_path)]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err == "internal error: k4: computed chi=4 != 5\n"
+
     def test_edge_ids_must_be_ascii_digits(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("HGR 1\nn 12\ne 0 1_0\ne +1 ０２\n"))
         assert cli.main(["blocks", "-"]) == 2
@@ -248,19 +255,12 @@ class TestErrorPaths:
         code, payload = run_json(capsys, ["color", "-k", "2", path])
         assert code == 1 and payload == {"coloring": None, "k": 2}
 
-    def test_h2_info_join_search_is_capped(self, tmp_path, capsys, monkeypatch):
-        """A spider of 5 legs of 4 (n = 21) took 30.9 s when its join
-        search was neither memoised nor capped.  Its passes stay under
-        the real cap; a cap of 1000 passes refuses it after extraction."""
-        parents = [-1] + [0 if i % 4 == 0 else i for i in range(20)]
-        path = write_hgr(tmp_path, cons.c2_tree(parents))
-        code, payload = run_json(capsys, ["classify", "--h2-info", path])
-        assert code == 0 and payload["lambda"] == 2 and payload["h2_closure"] is True
-        monkeypatch.setattr(col, "SEARCH_GUARD", 1000)
-        assert cli.main(["classify", "--h2-info", path]) == 3
-        assert "join search passed 1000 articulation passes" in capsys.readouterr().err
-        code, payload = run_json(capsys, ["classify", "--h2-info", "--force", path])
-        assert code == 0 and payload["h2_closure"] is True
+    def test_h2_info_is_a_usage_error(self, tmp_path, capsys):
+        """classify has no --h2-info option, so the parser refuses it."""
+        path = write_hgr(tmp_path, cons.hyperwheel(4))
+        assert cli.main(["classify", "--h2-info", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--h2-info" in err
 
     def test_classify_past_the_decision_cap(self, tmp_path, capsys):
         """The lambda-coloring of a k = 4, n = 41 join minus one edge

@@ -4,6 +4,7 @@ from hyperchrome.hypercore import Hypergraph
 from hyperchrome import constructions as cons
 from hyperchrome import shapes
 
+import lemmas
 import oracles
 from conftest import relabelled
 
@@ -73,8 +74,8 @@ def test_wheel_layout_walks_the_whole_rim():
 
 
 def test_hyperwheels():
-    assert shapes.is_hyperwheel(cons.hyperwheel(3))
-    assert shapes.is_hyperwheel(cons.hyperwheel(5))
-    assert shapes.is_hyperwheel(cons.complete_graph(3))  # edge {a,b} plus apex
-    assert not shapes.is_hyperwheel(cons.odd_wheel(5))
-    assert not shapes.is_hyperwheel(Hypergraph.of(4, [(0, 1, 2, 3)]))
+    assert lemmas.is_hyperwheel(cons.hyperwheel(3))
+    assert lemmas.is_hyperwheel(cons.hyperwheel(5))
+    assert lemmas.is_hyperwheel(cons.complete_graph(3))  # edge {a,b} plus apex
+    assert not lemmas.is_hyperwheel(cons.odd_wheel(5))
+    assert not lemmas.is_hyperwheel(Hypergraph.of(4, [(0, 1, 2, 3)]))
