@@ -10,9 +10,13 @@ with none ends the branch (unit propagation, as in DPLL).  This cuts
 only branches that hold no coloring, so colorings come out in the
 order of the plain depth-first search.
 
-A 2-coloring of an ordinary graph with no preset is no search: one
-breadth-first pass colors it or finds an odd cycle, in linear time,
-and gives the search's first coloring (``_two_coloring``).
+A 2-coloring with no preset starts with one linear propagation pass
+(``_two_coloring``): each uncolored vertex in the search's order takes
+color 1, and the colors it forces spread out from it.  When the pass
+meets no conflict, its coloring is the search's first.  On an ordinary
+graph a conflict is an odd cycle, so no coloring exists; a hypergraph
+with a conflict, which has a Berge cycle, is searched as before.  So a
+hyperforest, a path, a tree or an even cycle is never searched.
 
 Every search the library runs for its own answers counts its decisions
 and raises GuardExceeded once one search passes ``SEARCH_GUARD`` of
@@ -20,8 +24,8 @@ them, unless force (``--force``) is set: the cap measures the work, not
 the input's size.  The cap bounds each search, not a whole question:
 a question that runs many searches (the per-edge test, the chi scan)
 can take that many times as long.  The linear 2-coloring pass is not
-capped.  ``find_k_coloring`` called with its public arguments (and
-``color -k``) is unbounded.
+capped, and counts no decisions.  ``find_k_coloring`` called with its
+public arguments (and ``color -k``) is unbounded.
 
 chi and criticality come from the classifier's decision first: by the
 theorem, chi(G) = lambda(G) + 1 >= 4 iff some block of G is in the
@@ -43,6 +47,7 @@ if every edge were searched.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .hypercore import Hypergraph
@@ -90,8 +95,10 @@ def find_k_coloring(
     preset, which disables symmetry breaking.  Unbounded: no decision
     cap applies.  The library's own searches pass their force as the
     private ``_force``, which puts them under the cap unless it is set.
-    With k = 2, no preset and only ordinary edges, one breadth-first
-    pass gives the search's first coloring, under no cap."""
+    With k = 2 and no preset, one propagation pass, under no cap,
+    gives the search's first coloring or, on an ordinary graph, finds
+    that there is none; only a hypergraph on which the pass meets a
+    conflict is searched."""
     if k < 1:
         raise ValueError("palette size must be >= 1")
     if g.n == 0:
@@ -103,46 +110,85 @@ def find_k_coloring(
             raise ValueError(f"preset color {c} outside 1..{k}")
     # descending degree, ties by ascending id: a reversed sort is stable
     order = sorted(range(g.n), key=list(map(len, g.incidence)).__getitem__, reverse=True)
-    if k == 2 and not preset and g.is_graph():
-        return _two_coloring(g, order)
+    if k == 2 and not preset:
+        phi = _two_coloring(g, order)
+        if phi is not None or g.is_graph():
+            return phi
     return next(_colorings(g, k, order, preset, not preset, force=_force), None)
 
 
 def _two_coloring(g: Hypergraph, order) -> Coloring | None:
-    """The search's first 2-coloring of the graph g, or None, by one
-    breadth-first pass: each vertex of ``order`` not yet colored takes
-    color 1, and its component alternates colors out from it.
+    """The search's first 2-coloring of g, or None where the search's
+    first descent fails, by one propagation pass: each vertex of
+    ``order`` not yet colored takes color 1, and the colors it forces
+    spread out from it in breadth-first order.  An ordinary edge forces
+    the other color on its other end.  A larger edge keeps the packed
+    counter of ``_Search.free``, set when it is first met, and
+    ``shade``, the color its passed vertices share, or 3 once they
+    differ: when one vertex is left and the others share color c, that
+    vertex is forced to 3 - c.  A vertex forced to the color it does
+    not have is a conflict, and the pass returns None.
 
     This is what the search does with k = 2 and no preset.  It tries
     color 1 first at every decision, and no uncolored vertex at a
     decision has a color banned, since a vertex with one color banned
-    is forced at once.  So each component's first vertex in ``order``
-    takes color 1, and propagation forces the other color on its
-    neighbors, and so on: a bipartite component is colored in full,
-    by the parity of the distance from that vertex, with no further
-    decision, and a component with an odd cycle bans both colors at
-    some vertex and kills the branch.  The search backtracks into a
-    colored component only when a later one fails, so when every
-    component is bipartite its first coloring is this one.  When one is
-    not, it fails whatever the others hold, and the search finds no
-    coloring, after trying every choice of colors for the components
-    before it.  The pass is linear, so no decision cap applies."""
-    colors = [0] * g.n
+    is forced at once.  So every decision is at an unbanned vertex, the
+    first uncolored one in ``order``, and takes color 1.  Propagation
+    is unit propagation on the clauses "not all of e in color c", which
+    is confluent: the colors it forces do not depend on the order they
+    are met in, and a wipe-out happens in every order or in none.  So
+    when the pass meets no conflict, the search's first descent makes
+    the same decisions, forces the same colors and never backtracks, and
+    the pass's coloring is the search's first.
+
+    On an ordinary graph a conflict is an odd cycle, so None is the
+    answer; on a hypergraph a later branch may still find a coloring,
+    and the caller runs the search.  A conflict needs a Berge cycle, so
+    a hyperforest, whose incidence graph B(G) is a forest, is never
+    searched.  Take a decision v, with the colors fixed before it closed
+    under propagation, and root v's tree of B(G) at v.  The vertices of
+    an edge e other than its parent vertex are reached from v only
+    through e, so this decision colors them only when e forces them.
+    And e forces a vertex only once all its others are colored, one of
+    them by this decision, or it would have forced it before: its parent.
+    So e forces at most its one child, and is the only edge that forces
+    it, and no edge is left monochromatic, since its child takes the
+    other color, and a parent colored last would have been forced
+    before.  The pass is linear, so no decision cap applies."""
+    n = g.n
+    colors = [0] * n
     edges, incidence = g.edges, g.incidence
+    big = n
+    twice = 2 * big
+    # a larger edge's packed counter, 0 until it is met and again once
+    # all its vertices have passed, when no vertex is left to meet it
+    free = [0] * g.m
+    shade = [0] * g.m
     for root in order:
         if colors[root]:
             continue
         colors[root] = 1
         queue = [root]
         for v in queue:  # the loop reads what it appends
-            c = 3 - colors[v]
+            c = colors[v]
             for ref in incidence[v]:
-                a, b = edges[ref]
-                u = b if a == v else a
+                e = edges[ref]
+                if len(e) == 2:
+                    a, b = e
+                    u = b if a == v else a
+                else:
+                    x = (free[ref] or len(e) * big + sum(e)) - big - v
+                    free[ref] = x
+                    s = shade[ref]
+                    if s != c:
+                        shade[ref] = s = 3 if s else c
+                    if not x or x >= twice or s != c:
+                        continue
+                    u = x - big  # the one vertex left, the others all in color c
                 if not colors[u]:
-                    colors[u] = c
+                    colors[u] = 3 - c
                     queue.append(u)
-                elif colors[u] != c:
+                elif colors[u] == c:
                     return None
     return Coloring(tuple(colors), 2)
 
@@ -238,11 +284,16 @@ def _colorings(
     symmetric: bool,
     skip: int | None = None,
     force: bool = False,
+    search: _Search | None = None,
 ):
     """Every valid k-coloring of g, or of g minus edge ``skip``, in the
     depth-first order of the static vertex ``order``; GuardExceeded once
-    the search passes ``SEARCH_GUARD`` decisions, unless force is set."""
-    return _Search(g, k, skip).colorings(order, preset, symmetric, force)
+    the search passes ``SEARCH_GUARD`` decisions, unless force is set.
+    ``search``, a ``_Search`` of g that leaves ``skip`` out already, is
+    run in place of a new one."""
+    if search is None:
+        search = _Search(g, k, skip)
+    return search.colorings(order, preset, symmetric, force)
 
 
 class _Search:
@@ -294,6 +345,28 @@ class _Search:
         self.adj, self.hyper, self.free = adj, hyper, free
         self.decisions = 0
 
+    @contextmanager
+    def skipping(self, ref: int):
+        """The search with edge ``ref`` left out, as if built with
+        ``skip=ref``: its entries are taken out of the neighbour lists
+        and put back in place on exit.  ``free`` is left as it is, since
+        no list then reaches ``free[ref]``."""
+        e = self.g.edges[ref]
+        if len(e) == 2:
+            a, b = e
+            holes = [(self.adj[a], b), (self.adj[b], a)]
+        else:
+            holes = [(self.hyper[v], ref) for v in e]
+        spots = []
+        for refs, x in holes:
+            spots.append(refs.index(x))
+            del refs[spots[-1]]
+        try:
+            yield
+        finally:
+            for (refs, x), i in zip(holes, spots):
+                refs.insert(i, x)
+
     def colorings(self, order, preset: dict[int, int], symmetric: bool, force: bool = False):
         """A preset vertex takes its preset color only; any other vertex
         tries 1..k in turn, or only up to one more than the largest
@@ -301,6 +374,7 @@ class _Search:
         With a preset, that keeps a coloring of every class up to
         renaming colors when the preset colors are 1..c for some c."""
         g, k, adj, hyper, free = self.g, self.k, self.adj, self.hyper, self.free
+        self.decisions = 0  # a reused search may have counted some already
         limit = SEARCH_GUARD
         n, edges = g.n, g.edges
         big = n
@@ -431,22 +505,38 @@ def _failing_edges(g: Hypergraph, k: int, force: bool = False):
     edge were searched.  Deleting edges keeps every coloring, so a
     coloring of G - f, found or walked to, stays one after later
     deletions: the scan goes on past each deleted edge and yields the
-    edges that deleting the first failing one until none fails would."""
+    edges that deleting the first failing one until none fails would.
+
+    One ``_Search`` of the current graph serves every search on it, and
+    is built again only after a deletion: each search leaves its edge
+    out in place (``_Search.skipping``) and starts from a copy of the
+    counters the search was built with, since a search abandoned at its
+    first coloring leaves them changed."""
     cur = g
     degree = [len(refs) for refs in g.incidence]
     witnessed = [False] * g.m  # by ref in cur
+    search = None  # of cur
     for ref, e in enumerate(g.edges):
         i = ref - (g.m - cur.m)  # e's ref in cur: every deleted edge came before it
         if witnessed[i]:
             continue
+        if search is None:
+            search = _Search(cur, k)
+            fresh = search.free[:]
+        else:
+            search.free[:] = fresh
         for v in e:
             degree[v] -= 1
-        order = sorted(range(g.n), key=lambda v: (-degree[v], v))
-        phi = next(_colorings(cur, k, order, dict.fromkeys(e, 1), True, skip=i, force=force), None)
+        # descending degree, ties by ascending id: a reversed sort is stable
+        order = sorted(range(g.n), key=degree.__getitem__, reverse=True)
+        with search.skipping(i):
+            phi = next(_colorings(cur, k, order, dict.fromkeys(e, 1), True, skip=i,
+                                  force=force, search=search), None)
         if phi is None:  # deleted, so its vertices keep the lowered degrees
             yield ref
             cur = cur.delete_edge(i)
             del witnessed[i]
+            search = None
             continue
         for v in e:
             degree[v] += 1

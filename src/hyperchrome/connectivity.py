@@ -17,6 +17,9 @@ The decompositions at separating edge sets, vertex pairs and mixed
 pairs ask for the pieces of G with some vertices and edges deleted;
 ``_pieces`` is the one component search, and ``_articulation`` the one
 articulation search, which serves the block and separator listings.
+A hyperforest, whose vertex-edge incidence graph is a forest, has its
+blocks and separators read off its degrees instead, after one
+component search (``_is_forest``, ``_whole_graph_blocks``).
 
 ``GuardExceeded`` and ``InternalError`` are defined here, where every
 module that raises them can import them; ``coloring`` and the package
@@ -337,6 +340,15 @@ def _tree_flows(net: _FlowNet, order: list[int], deg: list[int]):
         yield value
 
 
+def _is_forest(g: Hypergraph, sizes: int, pieces: int) -> bool:
+    """Whether the vertex-edge incidence graph B(G) is a forest, given
+    ``sizes``, the sum of g's edge sizes, and ``pieces``, the number of
+    g's components.  B(G) has n + m nodes and sum(|e|) edges, and its
+    components are g's, since every edge node has a vertex neighbour; a
+    graph is a forest iff its edges are its nodes less its components."""
+    return sizes == g.n + g.m - pieces
+
+
 def _degree_order(comp: tuple[int, ...], deg: list[int]) -> list[int]:
     """The component's vertices by descending degree, ties by id."""
     return sorted(comp, key=lambda v: -deg[v])
@@ -353,12 +365,12 @@ def max_local_edge_connectivity(g: Hypergraph) -> int:
     inside the prefix.  Two edge-disjoint paths close
     a cycle, which lies in one block, so without a block of two or more
     edges lambda is min(m, 1) and no flow runs.  That is when the
-    vertex-edge incidence graph is a forest: its sum(|e|) edges are its
-    n + m nodes less its components, which are g's.  They come from one
-    ``_pieces`` search, not ``components``: the forest test needs no
-    block pass, and the CLI's ``lambda`` has none cached."""
+    vertex-edge incidence graph is a forest (``_is_forest``), read off
+    g's components.  They come from one ``_pieces`` search, not
+    ``components``: the forest test needs no block pass, and the CLI's
+    ``lambda`` has none cached."""
     comps = list(_pieces(g))
-    if sum(map(len, g.edges)) == g.n + g.m - len(comps):
+    if _is_forest(g, sum(map(len, g.edges)), len(comps)):
         return min(g.m, 1)
     deg = [len(refs) for refs in g.incidence]
     net = _FlowNet(g)
@@ -411,20 +423,43 @@ def _whole_graph_blocks(g: Hypergraph) -> tuple[tuple[Block, ...], tuple[int, ..
     """Blocks, separating vertices and ``_articulation``'s node counts
     from one pass, cached on the value beside its incidence table:
     outside the dataclass fields, so equality and hashing ignore it.
-    Callers share the counts and only read them."""
+    Callers share the counts and only read them.
+
+    A hyperforest, whose incidence graph B(G) is a forest, needs no
+    depth-first search.  Every block of B(G) is then a single tree edge,
+    so every block of G, B(G)'s blocks glued at edge nodes, is a single
+    edge of G, and a vertex lies in deg(v) blocks of B(G) and an edge
+    node in |e| of them: the counts are the vertex degrees followed by
+    the edge sizes, those ``_articulation`` returns.  In a forest,
+    sum(|e| - 1) = n - #pieces, and each isolated vertex is a piece, as
+    are the other vertices, together, when there is an edge.  So an
+    input with edges whose sum(|e| - 1) exceeds n - #isolated - 1, such
+    as a cycle, a dense input or a cycle beside isolated vertices, goes
+    to the search with no component pass; any other takes one
+    ``_pieces`` search for the forest test."""
     cached = g.__dict__.get("_whole_graph_blocks")
     if cached is None:
-        block_refs, count = _articulation(g)
-        edges = g.edges
-        out = [
-            Block(edges[refs[0]], (refs[0],))  # edges are stored strictly sorted
-            if len(refs) == 1
-            else Block(tuple(sorted({v for r in refs for v in edges[r]})), tuple(sorted(refs)))
-            for refs in block_refs
-        ]
-        out.extend(Block((v,), ()) for v in range(g.n) if not g.incidence[v])
+        n, m, edges, incidence = g.n, g.m, g.edges, g.incidence
+        sizes = sum(map(len, edges))
+        count = list(map(len, incidence))  # the degrees
+        if sizes - m + count.count(0) + (m > 0) <= n and _is_forest(
+            g, sizes, sum(1 for _ in _pieces(g))
+        ):
+            # Block(e, (r,)) per edge, each built by tuple.__new__ in C
+            # rather than through Block.__new__'s Python frame
+            out = list(map(tuple.__new__, itertools.repeat(Block), zip(edges, zip(range(m)))))
+            count += map(len, edges)
+        else:
+            block_refs, count = _articulation(g)
+            out = [
+                Block(edges[refs[0]], (refs[0],))  # edges are stored strictly sorted
+                if len(refs) == 1
+                else Block(tuple(sorted({v for r in refs for v in edges[r]})), tuple(sorted(refs)))
+                for refs in block_refs
+            ]
+        out.extend(Block((v,), ()) for v in range(n) if not incidence[v])
         out.sort()
-        seps = tuple(v for v in range(g.n) if count[v] > 1)
+        seps = tuple(v for v in range(n) if count[v] > 1)
         cached = g.__dict__["_whole_graph_blocks"] = (tuple(out), seps, count)
     return cached
 

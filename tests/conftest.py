@@ -50,6 +50,38 @@ def connected_hypergraphs(draw, min_n=1, max_n=6, sizes=(2, 3)):
     return Hypergraph.of(g.n, set(g.edges) | {tuple(sorted(e)) for e in extra})
 
 
+def forest_edges(n: int, drawn) -> list[tuple[int, ...]]:
+    """The drawn vertex sets, in order, that keep the incidence graph a
+    forest: each is kept only when its vertices lie in distinct
+    components of the sets kept before it, so no Berge cycle closes."""
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    kept = []
+    for e in drawn:
+        tops = {find(v) for v in e}
+        if len(tops) == len(e):
+            top = find(e[0])
+            for t in tops:
+                root[t] = top
+            kept.append(tuple(sorted(e)))
+    return kept
+
+
+@st.composite
+def hyperforests(draw, max_n=10, sizes=(2, 3, 4)):
+    """A hyperforest: a hypergraph whose vertex-edge incidence graph is
+    a forest, with isolated vertices and several pieces."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pool = _possible_edges(n, sizes)
+    drawn = draw(st.lists(st.sampled_from(pool), max_size=12)) if pool else []
+    return Hypergraph.of(n, forest_edges(n, drawn))
+
+
 def stars_and_c5(stars: int) -> Hypergraph:
     """``stars`` disjoint K1,3 (centre 4s, leaves 4s + 1..3) and a C5 on
     the last five vertices: chi 3, and a 2-coloring search that

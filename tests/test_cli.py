@@ -231,11 +231,10 @@ class TestErrorPaths:
         assert code == 2
 
     def test_guard_exit_code(self, tmp_path, capsys, monkeypatch):
-        """C30 with its closing edge widened to (0, 15, 29) is searched
-        in one decision, so only a cap of 0 refuses it.  C30 itself is
-        2-colored by one pass, which no cap refuses."""
-        path = write_hgr(
-            tmp_path, Hypergraph.of(30, [(i, i + 1) for i in range(29)] + [(0, 15, 29)]))
+        """The edges (0, 1, 2), (0, 1, 3) and (2, 3), whose propagation
+        pass conflicts, are searched in 4 decisions, so a cap of 0 refuses
+        them.  C30 is 2-colored by one pass, which no cap refuses."""
+        path = write_hgr(tmp_path, Hypergraph.of(4, [(0, 1, 2), (0, 1, 3), (2, 3)]))
         code, payload = run_json(capsys, ["chi", path])
         assert code == 0 and payload == {"chi": 2}
         monkeypatch.setattr(col, "SEARCH_GUARD", 0)

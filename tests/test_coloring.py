@@ -14,7 +14,13 @@ from hyperchrome import corpus
 from hyperchrome import connectivity as conn
 from hyperchrome.connectivity import is_connected
 
-from conftest import hypergraphs, perturb, random_nested_join, stars_and_c5
+from conftest import (
+    hyperforests,
+    hypergraphs,
+    perturb,
+    random_nested_join,
+    stars_and_c5,
+)
 import lemmas
 import oracles
 
@@ -82,16 +88,22 @@ class TestChromaticNumber:
         assert col.chromatic_number(g) == chi
 
     def test_guard(self, monkeypatch):
-        """C30 with its closing edge widened to (0, 15, 29) is still
-        searched, and its 2-coloring takes one decision: the cap passes
-        it, and only a cap below that refuses it.  C30 itself is
-        2-colored by one pass, which no cap refuses."""
-        big = Hypergraph.of(30, [(i, i + 1) for i in range(29)] + [(0, 15, 29)])
-        assert col.chromatic_number(big) == 2
+        """The edges (0, 1, 2), (0, 1, 3) and (2, 3) are 2-colorable, but
+        the propagation pass conflicts: 0 and 1 take color 1 and force
+        both 2 and 3 to color 2.  So the 2-coloring is searched, and takes
+        4 decisions: the cap passes it, and only a cap below that refuses
+        it.  C30 is 2-colored by one pass, which no cap refuses."""
+        g = Hypergraph.of(4, [(0, 1, 2), (0, 1, 3), (2, 3)])
+        assert col.chromatic_number(g) == 2
+        monkeypatch.setattr(col, "SEARCH_GUARD", 4)
+        assert col.chromatic_number(g) == 2
+        monkeypatch.setattr(col, "SEARCH_GUARD", 3)
+        with pytest.raises(col.GuardExceeded, match="passed 3 decisions"):
+            col.chromatic_number(g)
         monkeypatch.setattr(col, "SEARCH_GUARD", 0)
         with pytest.raises(col.GuardExceeded):
-            col.chromatic_number(big)
-        assert col.chromatic_number(big, force=True) == 2
+            col.chromatic_number(g)
+        assert col.chromatic_number(g, force=True) == 2
         assert col.chromatic_number(cons.cycle(30)) == 2
 
     @pytest.mark.parametrize("n", [25, 30, 3000])
@@ -532,38 +544,84 @@ def test_random_recursive_tree_two_coloring(n):
 
 
 class TestTwoColoringOfGraphs:
-    """On an ordinary graph, ``find_k_coloring(g, 2)`` is one
-    breadth-first pass, pinned to the search's first 2-coloring."""
+    """``find_k_coloring(g, 2)`` with no preset starts with one
+    propagation pass.  Wherever it answers, its coloring is the search's
+    first; on an ordinary graph its None is the answer too, so neither a
+    graph nor a hyperforest builds a search, and a hypergraph on which
+    the pass conflicts is searched as before."""
 
     @staticmethod
-    def _check(g):
-        want = next(col._Search(g, 2).colorings(_degree_order(g), {}, True, force=True), None)
-        with mock.patch.object(col, "_Search", side_effect=AssertionError("a search was built")):
-            got = col.find_k_coloring(g, 2, _force=False)
-        assert got == want
-        assert (got is None) == (oracles.reference_find_k_coloring(g, 2) is None)
+    def _check(g, conflict=None):
+        order = _degree_order(g)
+        want = next(col._Search(g, 2).colorings(order, {}, True, force=True), None)
+        passed = col._two_coloring(g, order)
+        if conflict is not None:
+            assert (passed is None) == conflict
+        if passed is not None or g.is_graph():
+            # the pass answers: its coloring, or on a graph its None
+            assert passed == want
+            assert (passed is None) == (oracles.reference_find_k_coloring(g, 2) is None)
+            with mock.patch.object(col, "_Search", side_effect=AssertionError("a search was built")):
+                assert col.find_k_coloring(g, 2, _force=False) == want
+        else:  # a hypergraph on which the pass conflicts is searched
+            assert col.find_k_coloring(g, 2, _force=False) == want
 
-    @given(hypergraphs(min_n=1, max_n=10, sizes=(2,)))
-    @settings(max_examples=200, deadline=None)
+    @given(hypergraphs(min_n=1, max_n=10, sizes=(2, 3, 4)))
+    @settings(max_examples=300, deadline=None)
     def test_pinned_to_the_search(self, g):
         self._check(g)
 
+    @given(hyperforests(max_n=12))
+    @settings(max_examples=200, deadline=None)
+    def test_hyperforests_are_never_searched(self, g):
+        self._check(g, conflict=False)
+
     @pytest.mark.parametrize(
-        "g",
+        "g,conflict",
         [
-            Hypergraph.of(5),
-            Hypergraph.of(9, list(cons.cycle(4).edges) + [(4, 5), (4, 8), (5, 6), (6, 7), (7, 8)]),
-            Hypergraph.of(9, list(cons.cycle(5).edges) + [(5, 6), (5, 8), (6, 7), (7, 8)]),
-            Hypergraph.of(8, [(1, 2), (2, 3), (5, 6)]),
-            stars_and_c5(3),
-            cons.cycle(30),
-            cons.cycle(31),
+            (Hypergraph.of(5), False),
+            (Hypergraph.of(9, list(cons.cycle(4).edges) + [(4, 5), (4, 8), (5, 6), (6, 7), (7, 8)]),
+             True),
+            (Hypergraph.of(9, list(cons.cycle(5).edges) + [(5, 6), (5, 8), (6, 7), (7, 8)]), True),
+            (Hypergraph.of(8, [(1, 2), (2, 3), (5, 6)]), False),
+            (stars_and_c5(3), True),
+            (cons.cycle(30), False),
+            (cons.cycle(31), True),
+            (Hypergraph.of(30, [(i, i + 1) for i in range(29)] + [(0, 15, 29)]), False),
+            (Hypergraph.of(4, [(0, 1, 2), (0, 1, 3), (2, 3)]), True),
+            (Hypergraph.of(301, [(i, i + 1, i + 2) for i in range(0, 299, 2)]), False),
         ],
         ids=["edgeless", "c4-then-c5", "c5-then-c4", "isolated-vertices", "3-stars-and-c5",
-             "c30", "c31"],
+             "c30", "c31", "c30-widened", "conflict-then-colorable", "hyperpath301"],
     )
-    def test_components_and_cycles(self, g):
-        self._check(g)
+    def test_components_and_cycles(self, g, conflict):
+        self._check(g, conflict)
+
+    @pytest.mark.usefixtures("default_recursion_limit")
+    def test_hyperpath_of_3009_builds_no_search(self):
+        g = Hypergraph.of(3009, [(i, i + 1, i + 2) for i in range(0, 3007, 2)])
+        want = next(col._Search(g, 2).colorings(_degree_order(g), {}, True))
+        with mock.patch.object(col, "_Search", side_effect=AssertionError("a search was built")):
+            assert col.find_k_coloring(g, 2, _force=False) == want
+
+    def test_seeded_random_hypergraphs(self):
+        """Hypergraphs of 2- to 4-vertex edges: the pass answers most,
+        and the search answers some of the rest both ways."""
+        rng = random.Random(2029)
+        answered = searched_yes = searched_no = 0
+        for _ in range(400):
+            n = rng.randint(2, 12)
+            g = Hypergraph.of(n, {tuple(sorted(rng.sample(range(n), min(n, rng.choice((2, 3, 4))))))
+                                  for _ in range(rng.randint(0, 2 * n))})
+            self._check(g)
+            phi = col._two_coloring(g, _degree_order(g))
+            answered += phi is not None
+            if phi is None and not g.is_graph():
+                found = col.find_k_coloring(g, 2) is not None
+                searched_yes += found
+                searched_no += not found
+        assert answered >= 300 and searched_yes >= 10 and searched_no >= 20, (
+            answered, searched_yes, searched_no)
 
     def test_stars_and_c5_need_no_backtracking(self, monkeypatch):
         """22 disjoint K1,3 and a C5 (n = 93): the search tried every

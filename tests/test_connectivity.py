@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +14,8 @@ from hyperchrome import corpus
 
 from conftest import (
     connected_hypergraphs,
+    forest_edges,
+    hyperforests,
     hypergraphs,
     join_chain,
     perturbed_join,
@@ -51,18 +54,29 @@ class TestComponents:
         assert conn.blocks(g) == oracles.reference_blocks(g)
 
     @pytest.mark.parametrize(
-        "g,want",
+        "g,want,passes",
         [
-            (cons.cycle(9), [tuple(range(9))]),
-            (Hypergraph.of(6, [(0, 1), (1, 2, 3), (3, 4), (4, 5)]), [tuple(range(6))]),
-            (Hypergraph.of(0), []),
-            (Hypergraph.of(5, [(0, 1), (1, 2), (3, 4)]), [(0, 1, 2), (3, 4)]),
+            (cons.cycle(9), [tuple(range(9))], (1, 0)),
+            (Hypergraph.of(6, [(0, 1), (1, 2, 3), (3, 4), (4, 5)]), [tuple(range(6))], (0, 1)),
+            (Hypergraph.of(0), [], (0, 1)),
+            (Hypergraph.of(5, [(0, 1), (1, 2), (3, 4)]), [(0, 1, 2), (3, 4)], (0, 2)),
+            (Hypergraph.of(7, cons.cycle(5).edges), [tuple(range(5)), (5,), (6,)], (1, 1)),
+            (Hypergraph.of(8, list(cons.cycle(5).edges) + [(5, 6), (6, 7)]),
+             [tuple(range(5)), (5, 6, 7)], (1, 2)),
         ],
-        ids=["cycle", "path-with-hyperedge", "empty", "two-pieces"],
+        ids=["cycle", "path-with-hyperedge", "empty", "two-pieces", "cycle-and-isolated",
+             "cycle-and-path"],
     )
-    def test_one_block_pass_serves_components_and_blocks(self, monkeypatch, g, want):
-        """A connected input runs no component search, and the blocks and
-        separating vertices read after ``components`` run no second pass."""
+    def test_one_block_pass_serves_components_and_blocks(self, monkeypatch, g, want, passes):
+        """The block pass runs once, and the blocks and separating
+        vertices read after ``components`` run no second one.  It is
+        (articulation passes, component searches): a cycle, alone or
+        beside isolated vertices, has too large a sum(|e| - 1) for a
+        forest and goes to the depth-first search with no component
+        search; a hyperforest takes one component search for the forest
+        test and no depth-first search; any other input, such as a cycle
+        beside a path, takes both.  ``components`` adds one search when
+        there are two or more components."""
         calls = collections.Counter()
         pieces, articulation = conn._pieces, conn._articulation
 
@@ -79,7 +93,7 @@ class TestComponents:
         assert conn.components(g) == want
         conn.blocks(g)
         conn.separating_vertices(g)
-        assert (calls["articulation"], calls["pieces"]) == (1, int(len(want) > 1))
+        assert (calls["articulation"], calls["pieces"]) == passes
 
     def test_the_block_pass_count_on_seeded_instances(self):
         rng = random.Random(26)
@@ -93,6 +107,97 @@ class TestComponents:
             isolated += any(len(c) == 1 for c in comps)
             several += sum(len(c) > 1 for c in comps) > 1
         assert empty >= 10 and isolated >= 100 and several >= 30, (empty, isolated, several)
+
+
+def _blocks_by_articulation(g):
+    """``_whole_graph_blocks``' blocks, separating vertices and counts,
+    built from one ``_articulation`` run as its depth-first branch
+    builds them."""
+    block_refs, count = conn._articulation(g)
+    edges = g.edges
+    found = [
+        conn.Block(tuple(sorted({v for r in refs for v in edges[r]})), tuple(sorted(refs)))
+        for refs in block_refs
+    ]
+    found += [conn.Block((v,), ()) for v in range(g.n) if not g.incidence[v]]
+    return tuple(sorted(found)), tuple(v for v in range(g.n) if count[v] > 1), count
+
+
+def _sparse_forests():
+    """Paths, complete trees and 3-uniform hyperpaths at the sizes the
+    benchmark's large-sparse workload builds, seeded."""
+    rng = random.Random(29)
+    out = []
+    for base in tuple(range(250, 601, 50)) + (1200, 2000, 3000):
+        n = base + 1 + 2 * rng.randrange(8)
+        branching = rng.choice((2, 3))
+        out.append(Hypergraph.of(n, [(i, i + 1) for i in range(n - 1)]))
+        out.append(Hypergraph.of(n, [((v - 1) // branching, v) for v in range(1, n)]))
+        out.append(Hypergraph.of(n, [(i, i + 1, i + 2) for i in range(0, n - 2, 2)]))
+    return out
+
+
+class TestForestBlockPass:
+    """A hyperforest, whose incidence graph B(G) is a forest, gets its
+    blocks, separating vertices and node counts from its degrees and
+    edge sizes after one component search, with no depth-first search;
+    pinned to an unpatched ``_articulation`` run on an equal value and
+    to ``oracles.reference_blocks``."""
+
+    @staticmethod
+    def _check(g):
+        want = _blocks_by_articulation(Hypergraph.of(g.n, g.edges))
+        refuse = AssertionError("a depth-first block search ran")
+        with mock.patch.object(conn, "_articulation", side_effect=refuse):
+            got = conn._whole_graph_blocks(g)
+            assert conn.components(g) == list(conn._pieces(g))
+            assert conn.bridges(g) == list(range(g.m))
+            assert list(conn._separating_sets(g, 1)) == [(v,) for v in got[1]]
+        assert got == want
+        assert list(got[0]) == oracles.reference_blocks(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hyperforests())
+    @example(Hypergraph.of(0))
+    @example(Hypergraph.of(5))
+    @example(Hypergraph.of(9, [(0, 1), (1, 2, 3), (4, 5, 6, 7)]))
+    def test_pinned_to_the_depth_first_search(self, g):
+        self._check(g)
+
+    @pytest.mark.parametrize("g", _sparse_forests(), ids=lambda g: f"n{g.n}-m{g.m}")
+    def test_large_sparse_forests(self, g):
+        self._check(g)
+
+    def test_seeded_random_forests(self):
+        rng = random.Random(2029)
+        hyper = isolated = several = 0
+        for _ in range(300):
+            n = rng.randint(1, 16)
+            drawn = [rng.sample(range(n), min(n, rng.choice((2, 3, 4))))
+                     for _ in range(rng.randint(0, n))]
+            g = Hypergraph.of(n, forest_edges(n, [e for e in drawn if len(e) >= 2]))
+            self._check(g)
+            hyper += not g.is_graph()
+            isolated += any(not refs for refs in g.incidence)
+            several += len(conn.components(g)) > 1
+        assert hyper >= 150 and isolated >= 200 and several >= 200, (hyper, isolated, several)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            cons.cycle(6),
+            Hypergraph.of(12, cons.cycle(6).edges),
+            Hypergraph.of(4, [(0, 1, 2), (1, 2, 3)]),
+            Hypergraph.of(8, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+            Hypergraph.of(8, list(cons.cycle(5).edges) + [(5, 6), (6, 7)]),
+        ],
+        ids=["cycle", "cycle-and-isolated", "two-hyperedges", "two-triangles", "cycle-and-path"],
+    )
+    def test_other_inputs_keep_the_depth_first_search(self, g):
+        want = _blocks_by_articulation(Hypergraph.of(g.n, g.edges))
+        with mock.patch.object(conn, "_articulation", wraps=conn._articulation) as search:
+            assert conn._whole_graph_blocks(g) == want
+        search.assert_called_once_with(g)
 
 
 @st.composite
