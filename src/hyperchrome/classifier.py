@@ -68,7 +68,9 @@ Replayed = tuple[frozenset[int], frozenset[frozenset[int]]]
 
 def replay_certificate(cert: Certificate) -> Replayed:
     """Rebuild the certified hypergraph bottom-up as explicit vertex
-    and edge sets in target ids, checking every join invariant."""
+    and edge sets in target ids, checking every join invariant.  The
+    merged edge then holds a vertex of each part other than v*, so it
+    has two or more vertices and equals no other edge."""
     if isinstance(cert, Leaf):
         vs = frozenset(cert.labels)
         if cert.kind == "complete":
@@ -91,12 +93,7 @@ def replay_certificate(cert: Certificate) -> Replayed:
     estar = (e1 | e2) - {cert.vstar}
     if cert.include_vstar:
         estar |= {cert.vstar}
-    if len(estar) < 2:
-        raise CertificateError("merged edge has fewer than 2 vertices")
-    es = (es1 - {e1}) | (es2 - {e2})
-    if estar in es:
-        raise CertificateError("merged edge duplicates an existing edge")
-    return v1 | v2, es | {estar}
+    return v1 | v2, (es1 - {e1}) | (es2 - {e2}) | {estar}
 
 
 def certificate_matches(cert: Certificate, vertices, edges) -> bool:

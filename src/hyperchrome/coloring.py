@@ -51,8 +51,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .hypercore import Hypergraph
-from .connectivity import GuardExceeded, blocks, bridges, is_connected
-from .shapes import is_complete_graph, is_odd_cycle, is_single_edge
+from .connectivity import GuardExceeded, InternalError, Block, blocks, bridges, components
+from .connectivity import is_connected
+from .shapes import is_complete_graph, is_odd_cycle
 
 SEARCH_GUARD = 10**6
 
@@ -202,7 +203,7 @@ def chromatic_number(g: Hypergraph, force: bool = False) -> int:
     return _chi(g, force)[0]
 
 
-def chi_lambda_critical(g: Hypergraph, force: bool = False) -> tuple[int, int, bool]:
+def chi_lambda_critical(g: Hypergraph) -> tuple[int, int, bool]:
     """(chi, lambda, critical): chi and lambda of g, and whether g is
     chi-critical, from one decision of the classifier (see ``_chi``).
     When the theorem does not decide g, a critical g with chi <= 2 is a
@@ -210,7 +211,7 @@ def chi_lambda_critical(g: Hypergraph, force: bool = False) -> tuple[int, int, b
     chi >= 3 that can be critical: 2-connected, with minimum degree at
     least chi - 1.  ``is_critical`` cannot skip it so, since it reports
     the first failing edge."""
-    chi, lam, critical = _chi(g, force, need_lam=True)
+    chi, lam, critical = _chi(g, False, need_lam=True)
     if critical is None:
         if chi <= 2:
             critical = g.n == 1 if chi == 1 else g.m == 1 and len(g.edges[0]) == g.n
@@ -218,7 +219,7 @@ def chi_lambda_critical(g: Hypergraph, force: bool = False) -> tuple[int, int, b
             critical = (
                 min(map(len, g.incidence)) >= chi - 1
                 and len(blocks(g)) == 1
-                and next(_failing_edges(g, chi - 1, force), None) is None
+                and next(_failing_edges(g, chi - 1), None) is None
             )
     return chi, lam, critical
 
@@ -247,16 +248,35 @@ def _chi_by_search(g: Hypergraph, force: bool = False, lam: int | None = None) -
     when it is known and no block of g is in the class at it: chi is
     then at most lambda for lambda >= 3, by the theorem, and at most
     lambda + 1 below (Toft's bound), and that bound is not searched.
-    The scan goes up from max(2, clique bound)."""
+    The scan goes up from max(2, clique bound), over each component with
+    edges on its own, so that no search backtracks through another's
+    colorings, when two or more have edges and one 2-coloring pass fails."""
     if g.n == 0:
         return 0
     if g.m == 0:
         return 1
     cap = None if lam is None else lam if lam >= 3 else lam + 1
     k = max(2, _clique_lower_bound(g))
-    while (cap is None or k < cap) and find_k_coloring(g, k, _force=force) is None:
-        k += 1
+    parts = [g]
+    # a chi at its bound needs no search, and an isolated vertex has no edge
+    if (cap is None or k < cap) and len(comps := components(g)) - g.incidence.count(()) > 1:
+        if k == 2 and _two_coloring(g, range(g.n)) is not None:
+            return 2  # one pass colored every component
+        parts = _component_graphs(g, comps)
+    for part in parts:
+        while (cap is None or k < cap) and find_k_coloring(part, k, _force=force) is None:
+            k += 1
     return k
+
+
+def _component_graphs(g: Hypergraph, comps):
+    """g[C] for each component C in ``comps`` other than a hyperforest
+    (sum |e| = |C| - 1 + #edges), which the 2-coloring pass colors.  C's
+    edges are those whose least vertex is in C; their refs ascend."""
+    for comp in comps:
+        refs = tuple(ref for v in comp for ref in g.incidence[v] if g.edges[ref][0] == v)
+        if sum(len(g.edges[ref]) for ref in refs) > len(comp) - 1 + len(refs):
+            yield Block(comp, refs).graph(g)
 
 
 def _clique_lower_bound(g: Hypergraph) -> int:
@@ -372,8 +392,9 @@ class _Search:
         tries 1..k in turn, or only up to one more than the largest
         color at earlier positions or in the preset when ``symmetric``.
         With a preset, that keeps a coloring of every class up to
-        renaming colors when the preset colors are 1..c for some c."""
-        g, k, adj, hyper, free = self.g, self.k, self.adj, self.hyper, self.free
+        renaming colors when the preset colors are 1..c for some c.  It
+        counts on a copy of the built counters, which it may abandon."""
+        g, k, adj, hyper, free = self.g, self.k, self.adj, self.hyper, self.free[:]
         self.decisions = 0  # a reused search may have counted some already
         limit = SEARCH_GUARD
         n, edges = g.n, g.edges
@@ -509,9 +530,7 @@ def _failing_edges(g: Hypergraph, k: int, force: bool = False):
 
     One ``_Search`` of the current graph serves every search on it, and
     is built again only after a deletion: each search leaves its edge
-    out in place (``_Search.skipping``) and starts from a copy of the
-    counters the search was built with, since a search abandoned at its
-    first coloring leaves them changed."""
+    out in place (``_Search.skipping``)."""
     cur = g
     degree = [len(refs) for refs in g.incidence]
     witnessed = [False] * g.m  # by ref in cur
@@ -522,9 +541,6 @@ def _failing_edges(g: Hypergraph, k: int, force: bool = False):
             continue
         if search is None:
             search = _Search(cur, k)
-            fresh = search.free[:]
-        else:
-            search.free[:] = fresh
         for v in e:
             degree[v] -= 1
         # descending degree, ties by ascending id: a reversed sort is stable
@@ -619,13 +635,13 @@ def low_high_partition(
     g: Hypergraph, k: int, force: bool = False
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(L, H): vertices of degree exactly k vs. degree > k, for a
-    (k+1)-critical hypergraph (checked; min degree >= k is asserted)."""
+    (k+1)-critical hypergraph (checked), whose degrees are all >= k."""
     require_critical(g, k, force=force)
     low, high = [], []
     for v in range(g.n):
         d = g.degree(v)
         if d < k:
-            raise ValueError(f"vertex {v} has degree {d} < {k}; corrupted input")
+            raise InternalError(f"critical input has vertex {v} of degree {d} < {k}; internal bug")
         (low if d == k else high).append(v)
     return tuple(low), tuple(high)
 
@@ -692,15 +708,9 @@ def verify_gallai_lemma(g: Hypergraph, k: int, force: bool = False) -> GallaiLem
     # each trace is sorted, like the edges of gl
     bridge_edges = {gl.edges[ref] for ref in bridges(gl)}
     bridges_ok = all(trace in bridge_edges for trace in traces)
-    if high:
-        no_high_shape_ok = True
-    else:
-        no_high_shape_ok = (
-            is_complete_graph(g)
-            and g.n == k + 1
-            or (k == 2 and is_odd_cycle(g))
-            or (k == 1 and is_single_edge(g))
-        )
+    no_high_shape_ok = (
+        bool(high) or is_complete_graph(g) and g.n == k + 1 or k == 2 and is_odd_cycle(g)
+    )
     return GallaiLemmaReport(
         low, high, forest_ok, traces_distinct, bridges_ok, no_high_shape_ok
     )

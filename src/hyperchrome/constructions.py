@@ -10,7 +10,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .hypercore import MAX_VERTICES, Hypergraph, Relabeled, canonical_edges
+from .hypercore import MAX_VERTICES, Hypergraph, Relabeled
 from . import connectivity as conn
 from . import coloring as col
 
@@ -192,6 +192,8 @@ class JoinResult:
 
 
 def hajos_join(spec: HajosJoinSpec) -> JoinResult:
+    """The merged edge holds a vertex of each side other than v*, so it
+    has two or more vertices and equals no other edge."""
     g1, g2 = spec.g1, spec.g2
     g1_map = tuple(range(g1.n))
     g2_map = tuple(
@@ -208,10 +210,6 @@ def hajos_join(spec: HajosJoinSpec) -> JoinResult:
     if spec.include_vstar:
         estar.add(spec.v1)
     estar_t = tuple(sorted(estar))
-    if len(estar_t) < 2:
-        raise ValueError("merged edge would have fewer than 2 vertices")
-    if estar_t in set(canonical_edges(edges)):
-        raise ValueError("merged edge duplicates an existing edge")
     edges.append(estar_t)
     return JoinResult(
         Hypergraph.of(g1.n + g2.n - 1, edges), spec.v1, g1_map, g2_map, estar_t
@@ -322,9 +320,6 @@ class SplitSpec:
         if covered != target:
             raise ValueError("images of s must cover the target edge")
 
-    def is_simple(self) -> bool:
-        return all(len(img) == 1 for img in self.s.values())
-
 
 @dataclass(frozen=True)
 class SplitResult:
@@ -335,7 +330,8 @@ class SplitResult:
 
 def split(spec: SplitSpec) -> SplitResult:
     """S(G1, e~, G2, v~, s): g1 keeps its ids, g2's other vertices are
-    appended; duplicate-edge collisions are hard errors."""
+    appended.  No two edges collide: each edge through v~ has a vertex
+    of each side, and two of them differ off v~."""
     g1, g2 = spec.g1, spec.g2
     g2_map = tuple(
         -1 if u == spec.v_tilde else g1.n + u - (u > spec.v_tilde) for u in range(g2.n)
@@ -348,16 +344,14 @@ def split(spec: SplitSpec) -> SplitResult:
         else:
             moved = {g2_map[u] for u in e}
         edges.append(tuple(sorted(moved)))
-    canon = canonical_edges(edges)
-    if len(set(canon)) != len(edges):
-        raise ValueError("splitting produced a duplicate edge")
     return SplitResult(Hypergraph.of(g1.n + g2.n - 1, edges), tuple(range(g1.n)), g2_map)
 
 
 def split_vertex(g: Hypergraph, v: int, count: int, s: dict[int, tuple[int, ...]]) -> Relabeled:
     """Split a vertex into `count` fresh vertices: S(G, v, X, s).  The
     surviving vertices compact to 0..n-2, the fresh set is appended;
-    s maps each edge at v to the fresh slots (0-based) it moves to."""
+    s maps each edge at v to the fresh slots (0-based) it moves to.  No
+    two edges collide: only those at v gain one, and they differ off v."""
     if count < 1:
         raise ValueError("need at least one fresh vertex")
     incident = set(g.incident(v))
@@ -380,8 +374,6 @@ def split_vertex(g: Hypergraph, v: int, count: int, s: dict[int, tuple[int, ...]
         else:
             moved = {pos[u] for u in e}
         edges.append(tuple(sorted(moved)))
-    if len(set(canonical_edges(edges))) != len(edges):
-        raise ValueError("splitting produced a duplicate edge")
     return Relabeled(Hypergraph.of(len(old) + count, edges), tuple(old) + (-1,) * count)
 
 

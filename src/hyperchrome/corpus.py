@@ -80,15 +80,15 @@ KNOWN = {
 }
 
 
-def instance_stats(g: Hypergraph, force: bool = False) -> dict:
+def instance_stats(g: Hypergraph) -> dict:
     """n, m, chi, lambda and critical_k (chi when g is chi-critical,
     else None) from one decision of the classifier
     (``coloring.chi_lambda_critical``).  An input whose coloring search
-    passes the decision cap (``coloring.SEARCH_GUARD``) without force
-    gets n and m only."""
+    passes the decision cap (``coloring.SEARCH_GUARD``) gets n and m
+    only."""
     stats: dict = {"n": g.n, "m": g.m}
     try:
-        chi, lam, critical = col.chi_lambda_critical(g, force)
+        chi, lam, critical = col.chi_lambda_critical(g)
     except col.GuardExceeded:
         return stats
     stats["chi"] = chi

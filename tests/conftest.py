@@ -92,6 +92,22 @@ def stars_and_c5(stars: int) -> Hypergraph:
     return Hypergraph.of(c + 5, edges)
 
 
+def stars_and_grotzsch(stars: int) -> Hypergraph:
+    """``stars`` disjoint K1,7 (centre 8s, leaves 8s + 1..7) and the
+    Grötzsch graph on the last 11 vertices: rim C5, its five shadows,
+    each joined to its rim vertex's neighbours, and a hub on the
+    shadows.  chi 4 with clique bound 2 and no certified block; the
+    centres come first in degree order, so a 3-coloring search of the
+    whole graph backtracks through every coloring of the stars."""
+    edges = [(8 * s, 8 * s + leaf) for s in range(stars) for leaf in range(1, 8)]
+    c = 8 * stars
+    grotzsch = [(i, (i + 1) % 5) for i in range(5)]
+    grotzsch += [(i, 5 + (i + d) % 5) for i in range(5) for d in (1, 4)]
+    grotzsch += [(5 + i, 10) for i in range(5)]
+    edges += [(c + a, c + b) for a, b in grotzsch]
+    return Hypergraph.of(c + 11, edges)
+
+
 def seeded_random_hypergraph(rng: random.Random, n: int, sizes, m_max: int) -> Hypergraph:
     pool = _possible_edges(n, sizes)
     m = rng.randint(0, min(m_max, len(pool)))

@@ -170,10 +170,7 @@ def is_universal_vertex_bounded(
             if set().union(*choice) != set(range(t)):
                 continue
             s = dict(zip(incident, choice))
-            try:
-                g_split = cons.split_vertex(g, v, t, s).graph
-            except ValueError:
-                continue  # duplicate-edge collision: not a valid splitting
+            g_split = cons.split_vertex(g, v, t, s).graph
             fresh = range(g_split.n - t, g_split.n)
             for assignment in itertools.product(range(1, k + 1), repeat=t):
                 if len(set(assignment)) < 2:

@@ -18,7 +18,9 @@ from hyperchrome import constructions as cons
 from hyperchrome import corpus
 from hyperchrome.hypercore import MAX_VERTICES, Hypergraph
 
-from conftest import hypergraphs, join_chain, random_nested_join, stars_and_c5
+from conftest import (
+    hypergraphs, join_chain, random_nested_join, stars_and_c5, stars_and_grotzsch,
+)
 
 
 # a join of two K4 leaves at vertex 3, as a user's certificate file holds it
@@ -254,6 +256,31 @@ class TestErrorPaths:
         code, payload = run_json(capsys, ["color", "-k", "2", path])
         assert code == 1 and payload == {"coloring": None, "k": 2}
 
+    def test_stars_and_grotzsch(self, tmp_path, capsys):
+        """12 disjoint K1,7 and the Grötzsch graph: ``chi`` and
+        ``classify`` exited 3 when they searched the whole graph, whose
+        3-coloring search backtracked through the stars' colorings past
+        the decision cap."""
+        path = write_hgr(tmp_path, stars_and_grotzsch(12))
+        code, payload = run_json(capsys, ["chi", path])
+        assert code == 0 and payload == {"chi": 4}
+        code, payload = run_json(capsys, ["classify", path])
+        assert code == 0 and payload["chi"] == 4 and payload["lambda"] == 4
+
+    def test_lambda_source_without_sink_is_input_error(self, tmp_path, capsys):
+        path = write_hgr(tmp_path, cons.odd_wheel(5))
+        assert cli.main(["lambda", path, "-s", "0"]) == 2
+        assert "give both -s and -t, or neither" in capsys.readouterr().err
+
+    def test_gallai_invariant_is_internal(self, tmp_path, capsys, monkeypatch):
+        """K4 plus a pendant vertex, let through the criticality check,
+        has a vertex of degree below k: exit 4, not an input error."""
+        monkeypatch.setattr(col, "require_critical", lambda *args, **kwargs: None)
+        g = Hypergraph.of(5, list(cons.complete_graph(4).edges) + [(3, 4)])
+        assert cli.main(["gallai-check", write_hgr(tmp_path, g), "-k", "3"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "internal error: critical input has vertex 4" in err
+
     def test_h2_info_is_a_usage_error(self, tmp_path, capsys):
         """classify has no --h2-info option, so the parser refuses it."""
         path = write_hgr(tmp_path, cons.hyperwheel(4))
@@ -437,6 +464,26 @@ class TestErrorPaths:
         code, payload = run_json(capsys, ["verify-cert", str(cert_path), other])
         assert code == 1 and payload == {"match": False}
 
+    @pytest.mark.parametrize(
+        "fault,message",
+        [
+            ({"e1": [0, 5]}, "deleted edge missing from its part"),
+            ({"e2": [4, 5]}, "merged vertex must lie on both deleted edges"),
+        ],
+        ids=["missing-edge", "vstar-off-edge"],
+    )
+    def test_join_replay_fault_is_input_error(self, tmp_path, capsys, fault, message):
+        """figure1's certificate with one deleted edge changed keeps the
+        edge count, 11, so the replay runs and fails."""
+        path = write_hgr(tmp_path, cons.figure1_join(True).graph)
+        code, payload = run_json(capsys, ["certify", path, "-k", "3"])
+        assert code == 0
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(payload["certificate"] | fault))
+        assert cli.main(["verify-cert", str(cert_path), path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and message in err
+
     @pytest.mark.usefixtures("default_recursion_limit")
     def test_deeply_nested_certificate_is_input_error(self, tmp_path, capsys):
         path = write_hgr(tmp_path, cons.odd_wheel(5))
@@ -606,6 +653,21 @@ class TestPipelines:
         code, payload = run_json(capsys, ["certify", path, "-k", "3"])
         assert code == 1 and payload["certificate"] is None
 
+    def test_certify_rejects_a_pair_whose_half_edge_exists(self, tmp_path, capsys):
+        """A 2-connected graph that passes the counting test at k = 3:
+        its first mixed pair is (0, 9), and the decomposition there
+        refuses it, since a half edge is already an edge of its part."""
+        edges = [
+            (0, 1), (0, 4), (0, 5), (0, 6), (0, 9), (1, 2), (1, 5), (2, 3), (2, 5), (3, 4),
+            (3, 5), (4, 8), (6, 7), (6, 10), (7, 8), (7, 10), (8, 9), (8, 10), (9, 10),
+        ]
+        g = Hypergraph.of(11, edges)
+        assert classifier._first_mixed_pair(g, 3) == (0, 9)
+        with pytest.raises(ValueError, match="half edge already present"):
+            cons.hajos_decompose_mixed(g, 0, 9)
+        code, payload = run_json(capsys, ["certify", write_hgr(tmp_path, g), "-k", "3"])
+        assert code == 1 and payload == {"certificate": None}
+
     def test_join_verb(self, tmp_path, capsys):
         path = write_hgr(tmp_path, cons.complete_graph(4))
         code, out = run(
@@ -622,6 +684,18 @@ class TestPipelines:
         code, payload = run_json(capsys, ["decompose", path, "--mixed", f"0,{estar}"])
         assert code == 0
         assert Hypergraph.from_hgr(payload["g1"]) == cons.complete_graph(4)
+
+    def test_decompose_edge_cut(self, tmp_path, capsys):
+        path = write_hgr(tmp_path, cons.figure1_join(True).graph)
+        code, payload = run_json(capsys, ["decompose", "-k", "3", "--edge-cut", "0,1,2", path])
+        k4 = cons.complete_graph(4).to_hgr()
+        assert code == 0
+        assert payload == {"g1": k4, "g2": k4, "x": [0, 4, 5, 6], "y": [1, 2, 3]}
+
+    def test_decompose_without_a_separating_pair(self, tmp_path, capsys):
+        path = write_hgr(tmp_path, cons.complete_graph(4))
+        code, payload = run_json(capsys, ["decompose", "-k", "3", path])
+        assert code == 1 and payload == {"separating_pair": None}
 
     def test_decompose_vertex_pair_past_the_enumeration_guard(self, tmp_path, capsys):
         # the join of W17 and K4 at vertex 0 and edge (0, 1) of each,
@@ -658,6 +732,13 @@ class TestPipelines:
         path = write_hgr(tmp_path, cons.odd_wheel(5))
         code, payload = run_json(capsys, ["gallai-check", path, "-k", "3"])
         assert code == 0 and payload["all_ok"] is True
+
+    @pytest.mark.parametrize(
+        "g,k", [(cons.complete_graph(4), 3), (cons.cycle(5), 2)], ids=["k4", "c5"]
+    )
+    def test_gallai_check_without_high_vertices(self, tmp_path, capsys, g, k):
+        code, payload = run_json(capsys, ["gallai-check", write_hgr(tmp_path, g), "-k", str(k)])
+        assert code == 0 and payload["high"] == [] and payload["all_ok"] is True
 
 
 class TestModuleEntryPoint:

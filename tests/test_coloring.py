@@ -20,6 +20,7 @@ from conftest import (
     perturb,
     random_nested_join,
     stars_and_c5,
+    stars_and_grotzsch,
 )
 import lemmas
 import oracles
@@ -121,6 +122,112 @@ class TestChromaticNumber:
         assert oracles.chromatic_number_by_blocks(g) == col.chromatic_number(g)
 
 
+def _disjoint_union(parts):
+    edges, n = [], 0
+    for part in parts:
+        edges += [tuple(n + v for v in e) for e in part.edges]
+        n += part.n
+    return Hypergraph.of(n, edges)
+
+
+def _incidence_graph_is_forest(h):
+    """Whether the vertex-edge incidence graph of h has no cycle."""
+    root = list(range(h.n + h.m))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for ref, e in enumerate(h.edges):
+        for v in e:
+            a, b = find(v), find(h.n + ref)
+            if a == b:
+                return False
+            root[a] = b
+    return True
+
+
+class TestChiPerComponent:
+    """chi is the max over the components, and once two or more have
+    edges, each that is no hyperforest is searched on its own."""
+
+    @given(st.lists(hypergraphs(min_n=1, max_n=5, sizes=(2, 3)), min_size=2, max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_whole_graph_search(self, parts):
+        g = _disjoint_union(parts)
+        chi = oracles.reference_chromatic_number(g)
+        assert col.chromatic_number(g) == chi
+        assert cls.classify(g).chi == chi
+        whole = [g.induced(comp).graph for comp in conn.components(g)]
+        searched = [h for h in whole if not _incidence_graph_is_forest(h)]
+        assert list(col._component_graphs(g, conn.components(g))) == searched
+
+    def test_parts_are_built_in_one_linear_pass(self):
+        """500 disjoint K2, 400 disjoint C4 and a C5: the whole graph's
+        2-coloring pass fails, so the components are taken one by one,
+        and the cycles, which are no hyperforests, are built and
+        searched.  That reads each edge a bounded number of times, where
+        one subgraph per component reads every edge once per component."""
+        reads = [0]
+
+        class CountingEdges(tuple):
+            def __getitem__(self, i):
+                reads[0] += 1
+                return tuple.__getitem__(self, i)
+
+            def __iter__(self):
+                for e in tuple.__iter__(self):
+                    reads[0] += 1
+                    yield e
+
+        plain = _disjoint_union(
+            [cons.complete_graph(2)] * 500 + [cons.cycle(4)] * 400 + [cons.cycle(5)]
+        )
+        comps = conn.components(plain)
+        g = Hypergraph._trusted(plain.n, CountingEdges(plain.edges))
+        parts = list(col._component_graphs(g, comps))
+        assert reads[0] <= 3 * (plain.m + sum(map(len, plain.edges)))
+        assert parts == [cons.cycle(4)] * 400 + [cons.cycle(5)]
+        assert col.chromatic_number(plain) == 3
+
+    def test_two_colorable_components_take_one_pass(self, monkeypatch):
+        """With k = 2, one 2-coloring pass over the whole graph answers
+        chi = 2 before any component is built or searched."""
+        g = _disjoint_union([cons.cycle(4)] * 50 + [Hypergraph.of(5, [(0, 1, 2), (2, 3, 4)])])
+        monkeypatch.setattr(col, "find_k_coloring", None)
+        monkeypatch.setattr(col, "_component_graphs", None)
+        assert col.chromatic_number(g) == 2
+
+    def test_stars_and_grotzsch(self, monkeypatch):
+        """12 disjoint K1,7 and the Grötzsch graph: the whole graph's
+        3-coloring search passed the cap of 10^6 decisions; the
+        Grötzsch graph's alone takes fewer than 100.  classify's
+        4-coloring of the whole graph takes more."""
+        g = stars_and_grotzsch(12)
+        assert g.n == 107
+        assert cls.classify(g).chi == 4
+        monkeypatch.setattr(col, "SEARCH_GUARD", 100)
+        assert col.chromatic_number(g) == 4
+
+    @pytest.mark.parametrize(
+        "g",
+        [stars_and_grotzsch(0), _disjoint_union([stars_and_grotzsch(0), Hypergraph.of(3)])],
+        ids=["connected", "with-isolated-vertices"],
+    )
+    def test_one_component_with_edges_searches_the_whole_graph(self, monkeypatch, g):
+        searched = []
+        real = col.find_k_coloring
+
+        def spy(h, k, *args, **kwargs):
+            searched.append(h)
+            return real(h, k, *args, **kwargs)
+
+        monkeypatch.setattr(col, "find_k_coloring", spy)
+        assert col.chromatic_number(g) == 4
+        assert searched and all(h is g for h in searched)
+
+
 def _enumerate(g, k, limit=None):
     """The first ``limit`` k-colorings of g (all when None) that the
     search yields over the vertex order 0..n-1 with no symmetry
@@ -183,6 +290,14 @@ class TestLowHighStructure:
     def test_rejects_non_critical(self):
         with pytest.raises(ValueError):
             col.low_high_partition(cons.cycle(6), 2)
+
+    def test_low_degree_past_the_criticality_check_is_internal(self, monkeypatch):
+        """A (k+1)-critical input has minimum degree at least k, so a
+        vertex below it once ``require_critical`` has passed is a bug."""
+        monkeypatch.setattr(col, "require_critical", lambda *args, **kwargs: None)
+        g = Hypergraph.of(5, list(cons.complete_graph(4).edges) + [(3, 4)])
+        with pytest.raises(conn.InternalError, match="vertex 4 of degree 1 < 3"):
+            col.low_high_partition(g, 3)
 
     def test_gallai_lemma_on_w5(self):
         report = col.verify_gallai_lemma(cons.odd_wheel(5), 3)
