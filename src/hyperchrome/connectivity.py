@@ -111,9 +111,13 @@ def components(g: Hypergraph) -> list[tuple[int, ...]]:
     whole-graph block pass: the block-cut forest has a node per block
     and per separating vertex, and an edge per block through each
     separating vertex, so it has len(blocks) - sum(count[v] - 1) trees
-    over the separating vertices v, one per component.  ``_pieces``
-    lists them only when there are two or more."""
+    over the separating vertices v, one per component.  When the block
+    pass ran its forest test it kept the pieces that test listed, and
+    otherwise ``_pieces`` lists them only when there are two or more."""
     found, seps, count = _whole_graph_blocks(g)
+    listed = g.__dict__.get("_components")
+    if listed is not None:
+        return list(listed)
     trees = len(found) + len(seps) - sum(map(count.__getitem__, seps))
     if trees > 1:
         return list(_pieces(g))
@@ -436,15 +440,18 @@ def _whole_graph_blocks(g: Hypergraph) -> tuple[tuple[Block, ...], tuple[int, ..
     input with edges whose sum(|e| - 1) exceeds n - #isolated - 1, such
     as a cycle, a dense input or a cycle beside isolated vertices, goes
     to the search with no component pass; any other takes one
-    ``_pieces`` search for the forest test."""
+    ``_pieces`` search for the forest test, and keeps the pieces on the
+    value for ``components``."""
     cached = g.__dict__.get("_whole_graph_blocks")
     if cached is None:
         n, m, edges, incidence = g.n, g.m, g.edges, g.incidence
         sizes = sum(map(len, edges))
         count = list(map(len, incidence))  # the degrees
-        if sizes - m + count.count(0) + (m > 0) <= n and _is_forest(
-            g, sizes, sum(1 for _ in _pieces(g))
-        ):
+        forest = False
+        if sizes - m + count.count(0) + (m > 0) <= n:
+            pieces = g.__dict__["_components"] = tuple(_pieces(g))
+            forest = _is_forest(g, sizes, len(pieces))
+        if forest:
             # Block(e, (r,)) per edge, each built by tuple.__new__ in C
             # rather than through Block.__new__'s Python frame
             out = list(map(tuple.__new__, itertools.repeat(Block), zip(edges, zip(range(m)))))

@@ -22,6 +22,10 @@ Edge = tuple[int, ...]
 # Largest vertex count HGR input may declare: every verb spends time and
 # memory linear in n, so a short line must not ask for more.
 MAX_VERTICES = 10**6
+_COUNT_DIGITS = len(str(MAX_VERTICES))
+
+# str.translate table deleting the ASCII digits
+_NO_DIGITS = str.maketrans("", "", "0123456789")
 
 
 class HgrFormatError(ValueError):
@@ -76,8 +80,22 @@ class Hypergraph:
 
     @classmethod
     def of(cls, n: int, edges: Iterable[Iterable[int]] = ()) -> "Hypergraph":
-        """Build a hypergraph, canonicalizing the edge list."""
-        return cls(n, canonical_edges(edges))
+        """Build a hypergraph, canonicalizing the edge list.
+
+        Canonical edges are strictly sorted and in canonical order, and a
+        repeated edge lies next to its copy, so four C-level tests cover
+        the rest of ``__post_init__``: sizes, the least and greatest ids,
+        and neighbours.  Only a faulty input runs the constructor's
+        checks, which report its first fault."""
+        edges = canonical_edges(edges)
+        if n < 0 or edges and not (
+            min(map(len, edges)) >= 2
+            and edges[0][0] >= 0
+            and max(map(operator.itemgetter(-1), edges)) < n
+            and all(map(operator.ne, edges, edges[1:]))
+        ):
+            return cls(n, edges)
+        return cls._trusted(n, edges)
 
     @classmethod
     def _trusted(cls, n: int, edges: tuple[Edge, ...]) -> "Hypergraph":
@@ -233,6 +251,15 @@ class Hypergraph:
 
     @classmethod
     def from_hgr(cls, text: str) -> "Hypergraph":
+        """Parse HGR v1 text.  A text in the form ``to_hgr`` writes is read
+        in whole-text passes (``_from_canonical_hgr``); any other, and any
+        faulty one, goes to the line loop (``_from_hgr_lines``), which
+        reports the first faulty line."""
+        g = cls._from_canonical_hgr(text)
+        return cls._from_hgr_lines(text) if g is None else g
+
+    @classmethod
+    def _from_hgr_lines(cls, text: str) -> "Hypergraph":
         n: int | None = None
         edges: list[Edge] = []
         seen: set[Edge] = set()
@@ -308,4 +335,49 @@ class Hypergraph:
         # each edge is already strictly increasing; only the list needs sorting
         edges.sort()
         # the line checks above establish every invariant
+        return cls._trusted(n, tuple(edges))
+
+    @classmethod
+    def _from_canonical_hgr(cls, text: str) -> "Hypergraph | None":
+        """The value of a text in the form ``to_hgr`` writes, read in C-level
+        passes over the whole text, or None for any other text and any
+        fault, which the line loop of ``from_hgr`` then reads and reports.
+
+        That form is ``HGR 1``, ``n <count>`` and one or more lines of
+        ``e`` and the same number s >= 2 of ASCII-digit ids, each after one
+        space, every line ending in LF.  The count tests refuse a text of
+        mixed edge sizes before the digit-deleting ``translate`` compares
+        the rest with that layout."""
+        if not text.startswith("HGR 1\nn "):
+            return None
+        end = text.find("\n", 8)
+        count = text[8:end]
+        if not (8 < end <= 8 + _COUNT_DIGITS and count.isascii() and count.isdigit()):
+            return None
+        n = int(count)
+        body = text[end + 1 :]
+        lines = body.count("\n")
+        s = body.count(" ", 0, body.find("\n"))
+        if (
+            n > MAX_VERTICES
+            or s < 2
+            or body.count(" ") != s * lines
+            or not body.startswith("e ")
+            or body.count("\ne ") != lines - 1
+            or "  " in body
+            or " \n" in body
+            or body.translate(_NO_DIGITS) != ("e" + " " * s + "\n") * lines
+        ):
+            return None
+        # each line is now "e" and s runs of ASCII digits, one space before each
+        try:
+            ids = list(map(int, body.replace("e ", "").split()))
+        except ValueError:  # over int()'s 4300-digit limit
+            return None
+        cols = [ids[j::s] for j in range(s)]  # cols[j]: the jth id of every line
+        if max(cols[-1]) >= n or not all(all(map(operator.lt, a, b)) for a, b in zip(cols, cols[1:])):
+            return None
+        edges = sorted(zip(*cols))
+        if not all(map(operator.ne, edges, edges[1:])):
+            return None
         return cls._trusted(n, tuple(edges))

@@ -59,10 +59,10 @@ class TestComponents:
             (cons.cycle(9), [tuple(range(9))], (1, 0)),
             (Hypergraph.of(6, [(0, 1), (1, 2, 3), (3, 4), (4, 5)]), [tuple(range(6))], (0, 1)),
             (Hypergraph.of(0), [], (0, 1)),
-            (Hypergraph.of(5, [(0, 1), (1, 2), (3, 4)]), [(0, 1, 2), (3, 4)], (0, 2)),
+            (Hypergraph.of(5, [(0, 1), (1, 2), (3, 4)]), [(0, 1, 2), (3, 4)], (0, 1)),
             (Hypergraph.of(7, cons.cycle(5).edges), [tuple(range(5)), (5,), (6,)], (1, 1)),
             (Hypergraph.of(8, list(cons.cycle(5).edges) + [(5, 6), (6, 7)]),
-             [tuple(range(5)), (5, 6, 7)], (1, 2)),
+             [tuple(range(5)), (5, 6, 7)], (1, 1)),
         ],
         ids=["cycle", "path-with-hyperedge", "empty", "two-pieces", "cycle-and-isolated",
              "cycle-and-path"],
@@ -75,8 +75,9 @@ class TestComponents:
         forest and goes to the depth-first search with no component
         search; a hyperforest takes one component search for the forest
         test and no depth-first search; any other input, such as a cycle
-        beside a path, takes both.  ``components`` adds one search when
-        there are two or more components."""
+        beside a path, takes both.  ``components`` reads the pieces of
+        that component search, and adds a search of its own only after
+        a block pass with none, when there are two or more components."""
         calls = collections.Counter()
         pieces, articulation = conn._pieces, conn._articulation
 

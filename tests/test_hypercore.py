@@ -34,6 +34,34 @@ class TestConstruction:
     def test_value_equality(self):
         assert Hypergraph.of(3, [(1, 0)]) == Hypergraph.of(3, [(0, 1)])
 
+    @pytest.mark.parametrize(
+        "n,edges",
+        [(-1, ()), (-1, [(0, 1)]), (3, [(0,)]), (3, [(0, 3)]), (3, [(-1, 2)]), (3, [(1, 0), (0, 1)]),
+         (3, [(0, 5), (0,)]), (3, [(2, 9), (1, 0), (0, 1)]), (3, [(1, 1)])],
+    )
+    def test_of_reports_the_constructors_first_fault(self, n, edges):
+        with pytest.raises(ValueError) as want:
+            Hypergraph(n, canonical_edges(edges))
+        with pytest.raises(ValueError) as got:
+            Hypergraph.of(n, edges)
+        assert str(got.value) == str(want.value)
+
+    def test_of_checks_canonical_edges_once(self, monkeypatch):
+        """``canonical_edges`` establishes the order invariants, so a
+        valid input skips the constructor's checks."""
+        rng = random.Random(31)
+        drawn = [seeded_random_hypergraph(rng, rng.randint(0, 8), (2, 3, 4), 10) for _ in range(200)]
+        raw = [(g.n, [rng.sample(e, len(e)) for e in reversed(g.edges)]) for g in drawn]
+
+        def refuse(self):
+            raise AssertionError("__post_init__ ran")
+
+        monkeypatch.setattr(Hypergraph, "__post_init__", refuse)
+        built = [Hypergraph.of(n, edges) for n, edges in raw]
+        monkeypatch.undo()
+        for got, want in zip(built, drawn):
+            assert got == want and hash(got) == hash(want) and got.incidence == want.incidence
+
     def test_empty(self):
         g = Hypergraph.of(0)
         assert g.n == 0 and g.m == 0
@@ -347,6 +375,113 @@ class TestParserMatchesReference:
             assert got == Hypergraph.of(4, [(0, 3), (1, 2, 3)])
         else:
             assert got == want
+
+
+@st.composite
+def uniform_hypergraphs(draw):
+    """A hypergraph whose edges all have one size from 2 to 5."""
+    size = draw(st.integers(2, 5))
+    return draw(hypergraphs(min_n=size, max_n=9, sizes=(size,)))
+
+
+def _planted(kind: str, rng: random.Random, g: Hypergraph) -> str:
+    """g's HGR text, of one or more edges, with one fault or one
+    departure from the form ``to_hgr`` writes."""
+    lines = g.to_hgr().splitlines()
+    i = rng.randrange(2, len(lines))  # an edge line
+    if kind == "repeated line":
+        lines.insert(rng.randrange(2, len(lines) + 1), lines[i])
+    elif kind == "e 0":
+        lines.insert(rng.randrange(2, len(lines) + 1), "e 0")
+    elif kind == "n 0":
+        lines[1] = "n 0"
+    elif kind == "no final newline":
+        return "\n".join(lines)
+    elif kind == "CRLF line":
+        lines[i] += "\r"
+    else:  # a fault in the ids of line i
+        ids = lines[i].split()[1:]
+        j = rng.randrange(len(ids))
+        if kind == "descending ids":
+            ids.reverse()
+        elif kind == "repeated id":
+            j = rng.randrange(1, len(ids))
+            ids[j] = ids[j - 1]
+        elif kind == "id equal to n":
+            ids[-1] = str(g.n)
+        elif kind == "8-digit id":
+            ids[j] = str(rng.randrange(10**7, 10**8))
+        elif kind == "zero-padded 8-digit id":
+            ids[j] = ids[j].zfill(8)
+        else:
+            assert kind == "5000-digit id", kind
+            ids[j] = "9" * 5000
+        lines[i] = " ".join(["e", *ids])
+    return "\n".join(lines) + "\n"
+
+
+class TestWholeTextPath:
+    """``_from_canonical_hgr`` reads the texts ``to_hgr`` writes, in
+    whole-text passes, to the value of ``oracles.reference_from_hgr``,
+    and refuses every other text and every fault, which the line loop
+    then reads or reports."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(uniform_hypergraphs(), st.randoms(use_true_random=False))
+    def test_uniform_text_is_read_whole(self, g, rng):
+        lines = g.to_hgr().splitlines()
+        edge_lines = lines[2:]
+        rng.shuffle(edge_lines)  # the whole-text path sorts the edges
+        for text in (g.to_hgr(), "\n".join(lines[:2] + edge_lines) + "\n"):
+            want = oracles.reference_from_hgr(text)
+            got = Hypergraph._from_canonical_hgr(text)
+            if g.m:
+                assert got == want and hash(got) == hash(want) and got.incidence == want.incidence
+            else:  # no edge line: the line loop reads the header alone
+                assert got is None
+            assert Hypergraph.from_hgr(text) == want
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["repeated line", "descending ids", "repeated id", "id equal to n", "8-digit id",
+         "zero-padded 8-digit id", "5000-digit id", "e 0", "n 0", "no final newline", "CRLF line"],
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(g=uniform_hypergraphs().filter(lambda g: g.m), rng=st.randoms(use_true_random=False))
+    def test_one_planted_fault(self, kind, g, rng):
+        text = _planted(kind, rng, g)
+        want = _parsed(oracles.reference_from_hgr, text)
+        assert _parsed(Hypergraph.from_hgr, text) == want
+        got = Hypergraph._from_canonical_hgr(text)
+        if kind == "zero-padded 8-digit id":  # still the canonical form, and valid
+            assert got == want
+        else:
+            assert got is None
+
+    def test_canonical_text_skips_the_line_loop(self, monkeypatch):
+        """A uniform text in the canonical form never reaches the line
+        loop; a mixed-size or commented one does.  Neither runs the
+        constructor's checks, and all give the one value."""
+        loop, reached = Hypergraph._from_hgr_lines, []
+
+        def spied(text):
+            reached.append(text)
+            return loop(text)
+
+        def refuse(self):
+            raise AssertionError("__post_init__ ran")
+
+        uniform = Hypergraph.of(7, [(0, 3, 6), (4, 5, 6), (0, 1, 2), (2, 3, 4)])
+        mixed = Hypergraph.of(7, [(0, 3, 6), (4, 5), (0, 1, 2), (2, 3, 4)])
+        canonical = uniform.to_hgr()
+        commented = canonical.replace("\ne 2", "\n# a comment\ne 2")
+        monkeypatch.setattr(Hypergraph, "_from_hgr_lines", spied)
+        monkeypatch.setattr(Hypergraph, "__post_init__", refuse)
+        parsed = [Hypergraph.from_hgr(t) for t in (canonical, commented, mixed.to_hgr())]
+        monkeypatch.undo()
+        assert reached == [commented, mixed.to_hgr()]
+        for got, want in zip(parsed, (uniform, uniform, mixed)):
+            assert got == want and hash(got) == hash(want) and got.incidence == want.incidence
 
 
 @given(hypergraphs())
