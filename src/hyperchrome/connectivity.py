@@ -111,9 +111,9 @@ def components(g: Hypergraph) -> list[tuple[int, ...]]:
     whole-graph block pass: the block-cut forest has a node per block
     and per separating vertex, and an edge per block through each
     separating vertex, so it has len(blocks) - sum(count[v] - 1) trees
-    over the separating vertices v, one per component.  When the block
-    pass ran its forest test it kept the pieces that test listed, and
-    otherwise ``_pieces`` lists them only when there are two or more."""
+    over the separating vertices v, one per component.  ``_pieces``
+    lists them only when there are two or more, and once: the block
+    pass keeps the two or more pieces its forest test listed."""
     found, seps, count = _whole_graph_blocks(g)
     listed = g.__dict__.get("_components")
     if listed is not None:
@@ -441,7 +441,7 @@ def _whole_graph_blocks(g: Hypergraph) -> tuple[tuple[Block, ...], tuple[int, ..
     as a cycle, a dense input or a cycle beside isolated vertices, goes
     to the search with no component pass; any other takes one
     ``_pieces`` search for the forest test, and keeps the pieces on the
-    value for ``components``."""
+    value for ``components`` when there are two or more."""
     cached = g.__dict__.get("_whole_graph_blocks")
     if cached is None:
         n, m, edges, incidence = g.n, g.m, g.edges, g.incidence
@@ -449,7 +449,9 @@ def _whole_graph_blocks(g: Hypergraph) -> tuple[tuple[Block, ...], tuple[int, ..
         count = list(map(len, incidence))  # the degrees
         forest = False
         if sizes - m + count.count(0) + (m > 0) <= n:
-            pieces = g.__dict__["_components"] = tuple(_pieces(g))
+            pieces = list(_pieces(g))
+            if len(pieces) > 1:
+                g.__dict__["_components"] = pieces
             forest = _is_forest(g, sizes, len(pieces))
         if forest:
             # Block(e, (r,)) per edge, each built by tuple.__new__ in C

@@ -80,22 +80,8 @@ class Hypergraph:
 
     @classmethod
     def of(cls, n: int, edges: Iterable[Iterable[int]] = ()) -> "Hypergraph":
-        """Build a hypergraph, canonicalizing the edge list.
-
-        Canonical edges are strictly sorted and in canonical order, and a
-        repeated edge lies next to its copy, so four C-level tests cover
-        the rest of ``__post_init__``: sizes, the least and greatest ids,
-        and neighbours.  Only a faulty input runs the constructor's
-        checks, which report its first fault."""
-        edges = canonical_edges(edges)
-        if n < 0 or edges and not (
-            min(map(len, edges)) >= 2
-            and edges[0][0] >= 0
-            and max(map(operator.itemgetter(-1), edges)) < n
-            and all(map(operator.ne, edges, edges[1:]))
-        ):
-            return cls(n, edges)
-        return cls._trusted(n, edges)
+        """Build a hypergraph, canonicalizing the edge list."""
+        return cls(n, canonical_edges(edges))
 
     @classmethod
     def _trusted(cls, n: int, edges: tuple[Edge, ...]) -> "Hypergraph":
@@ -345,10 +331,12 @@ class Hypergraph:
 
         That form is ``HGR 1``, ``n <count>`` and one or more lines of
         ``e`` and the same number s >= 2 of ASCII-digit ids, each after one
-        space, every line ending in LF.  The count tests refuse a text of
+        space, every line ending in LF, the last one too: ``count("\\n")``
+        and the digit-deleting ``translate`` see nothing of digits after
+        the last LF.  The count tests refuse a text of
         mixed edge sizes before the digit-deleting ``translate`` compares
         the rest with that layout."""
-        if not text.startswith("HGR 1\nn "):
+        if not (text.startswith("HGR 1\nn ") and text.endswith("\n")):
             return None
         end = text.find("\n", 8)
         count = text[8:end]
